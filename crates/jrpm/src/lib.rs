@@ -32,8 +32,7 @@ pub mod tier;
 pub use agreement::{agreement_report, AgreementReport, LoopAgreement, Violation};
 pub use annotate::{annotate, annotate_mapped, AnnotateOptions, AnnotationMode, PatchState};
 pub use pipeline::{
-    run_pipeline, ActualTls, BusConfig, PipelineConfig, PipelineObservability, PipelineReport,
-    StageTime,
+    run_pipeline, ActualTls, PipelineConfig, PipelineObservability, PipelineReport, StageTime,
 };
 pub use slowdown::{profile_slowdown, software_comparison, SlowdownReport, SoftwareComparison};
 pub use tier::{

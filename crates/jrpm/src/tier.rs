@@ -69,7 +69,7 @@ use tvm::bus::{record_batches, record_batches_hooked, TraceBus};
 use tvm::interp::FinalState;
 use tvm::isa::LoopId;
 use tvm::program::Program;
-use tvm::{CostModel, HotLocations, Interp, NoHook, NullSink, VmError};
+use tvm::{CostModel, HotLocations, Interp, NoHook, NullSink, VmError, DEFAULT_BATCH_CAPACITY};
 
 /// How the tier controller schedules promotion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -360,7 +360,7 @@ fn drive_immediate(program: &Program, cfg: &PipelineConfig) -> Result<TieredOutc
     let registry = Arc::clone(&telemetry.registry);
     registry
         .counter("pipeline.batch_capacity")
-        .record_max(cfg.bus.batch_capacity.max(1) as u64);
+        .record_max(DEFAULT_BATCH_CAPACITY as u64);
     let trace = cfg.obs.trace.then(|| Arc::clone(&telemetry.trace));
     let ptrack = trace.as_ref().map(|tr| tr.track("pipeline"));
     let mut stages = StageRecorder {
@@ -433,29 +433,17 @@ fn drive_immediate(program: &Program, cfg: &PipelineConfig) -> Result<TieredOutc
     stages.end("annotate", t);
 
     // 3. interpret the annotated program ONCE — execution pass 1 —
-    //    capturing its event stream as batches, and feed TEST from
-    //    the bus. Threaded mode drains the tracer concurrently with
-    //    interpretation; otherwise record fully, then replay.
+    //    capturing its event stream as batches, then replay them into
+    //    TEST over the bus.
     let mut tracer = TestTracer::with_masks(cfg.tracer, candidates.tracked_masks());
     if let Some(tr) = &trace {
         tracer.set_obs(Arc::clone(tr), cfg.obs.sample_every);
     }
     registry.counter("pipeline.interpreter_passes").inc();
-    let prof_run = if cfg.bus.threaded {
-        let t = stages.begin("record+profile");
-        let mut bus = TraceBus::new()
-            .channel_depth(cfg.bus.channel_depth)
-            .sink("test-tracer", &mut tracer);
-        if let Some(tr) = &trace {
-            bus = bus.observe(Arc::clone(tr));
-        }
-        let (run, report) = bus.run_threaded(&annotated, cfg.bus.batch_capacity)?;
-        stages.end("record+profile", t);
-        record_bus_report(&registry, &report);
-        run
-    } else {
+    // the block frees the recorded batches before collect and simulate
+    let prof_run = {
         let t = stages.begin("record");
-        let (run, batches) = record_batches(&annotated, cfg.bus.batch_capacity)?;
+        let (run, batches) = record_batches(&annotated, DEFAULT_BATCH_CAPACITY)?;
         stages.end("record", t);
         let t = stages.begin("replay-profile");
         let mut bus = TraceBus::new().sink("test-tracer", &mut tracer);
@@ -589,7 +577,7 @@ fn drive_online(
     let registry = Arc::clone(&telemetry.registry);
     registry
         .counter("pipeline.batch_capacity")
-        .record_max(cfg.bus.batch_capacity.max(1) as u64);
+        .record_max(DEFAULT_BATCH_CAPACITY as u64);
     let trace = cfg.obs.trace.then(|| Arc::clone(&telemetry.trace));
     let ptrack = trace.as_ref().map(|tr| tr.track("pipeline"));
     let ttrack = trace.as_ref().map(|tr| tr.track("tier"));
@@ -730,7 +718,7 @@ fn drive_online(
             None
         } else {
             let (state, batches) =
-                record_batches_hooked(patch.program(), cfg.bus.batch_capacity, &mut hot)?;
+                record_batches_hooked(patch.program(), DEFAULT_BATCH_CAPACITY, &mut hot)?;
             let mut tracer = TestTracer::with_masks(cfg.tracer, masks.clone());
             let bus = TraceBus::new().sink("test-tracer", &mut tracer);
             bus.replay(&batches);
@@ -980,7 +968,7 @@ fn drive_online(
     registry.counter("pipeline.interpreter_passes").inc();
     let t = stages.begin("record");
     let (final_state, batches) =
-        record_batches_hooked(patch.program(), cfg.bus.batch_capacity, &mut NoHook)?;
+        record_batches_hooked(patch.program(), DEFAULT_BATCH_CAPACITY, &mut NoHook)?;
     stages.end("record", t);
     let mut tracer = TestTracer::with_masks(cfg.tracer, masks);
     if let Some(tr) = &trace {

@@ -17,10 +17,10 @@
 //!   error or land at/above a configured latency quantile. Steady
 //!   state keeps nothing; the interesting traces survive.
 //! * **Alert rules** — [`evaluate_alerts`] diffs two registry
-//!   snapshots and emits structured [`AlertNote`]s for drop-rate,
-//!   contained panics, queue-depth high-water, and per-shard
-//!   starvation. A healthy run produces an empty vector (pinned by
-//!   the `live-gate` CI binary).
+//!   snapshots and emits structured [`AlertNote`]s for contained
+//!   panics, queue-depth high-water, and per-shard starvation. A
+//!   healthy run produces an empty vector (pinned by the `live-gate`
+//!   CI binary).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -386,8 +386,6 @@ impl TailSampler {
 /// Alert thresholds evaluated over registry snapshot deltas.
 #[derive(Debug, Clone, Copy)]
 pub struct AlertConfig {
-    /// Maximum tolerated `dropped_batches / batches` over the window.
-    pub max_drop_rate: f64,
     /// Maximum tolerated contained panics over the window.
     pub max_panics: u64,
     /// Queue-depth high-water mark at/above which the queue counts as
@@ -402,7 +400,6 @@ pub struct AlertConfig {
 impl Default for AlertConfig {
     fn default() -> AlertConfig {
         AlertConfig {
-            max_drop_rate: 0.0,
             max_panics: 0,
             max_queue_high_water: u64::MAX,
             starvation_min_requests: 8,
@@ -413,8 +410,7 @@ impl Default for AlertConfig {
 /// One fired alert rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlertNote {
-    /// Rule identifier (`drop_rate`, `panics`, `queue_saturated`,
-    /// `shard_starved`).
+    /// Rule identifier (`panics`, `queue_saturated`, `shard_starved`).
     pub rule: String,
     /// `warn` or `crit`.
     pub severity: String,
@@ -477,28 +473,6 @@ fn delta_sum(prev: &Snapshot, cur: &Snapshot, suffix: &str) -> u64 {
 /// Returns the fired alerts; empty on a healthy window.
 pub fn evaluate_alerts(prev: &Snapshot, cur: &Snapshot, cfg: &AlertConfig) -> Vec<AlertNote> {
     let mut out = Vec::new();
-
-    // -- drop rate: lost batches over delivered batches ----------------
-    // `.batches` also matches `bus.batches` / `bus.sink.<i>.batches`;
-    // `dropped_batches`/`lagged_batches` end in `_batches` and don't
-    let dropped = delta_sum(prev, cur, ".dropped_batches");
-    let batches = delta_sum(prev, cur, ".batches");
-    let drop_rate = if batches > 0 {
-        dropped as f64 / batches as f64
-    } else if dropped > 0 {
-        1.0
-    } else {
-        0.0
-    };
-    if dropped > 0 && drop_rate > cfg.max_drop_rate {
-        out.push(AlertNote {
-            rule: "drop_rate".to_string(),
-            severity: "crit".to_string(),
-            message: format!("{dropped} batches dropped over the window ({batches} delivered)"),
-            value: drop_rate,
-            threshold: cfg.max_drop_rate,
-        });
-    }
 
     // -- contained panics ----------------------------------------------
     let panics = delta_sum(prev, cur, ".panics");
@@ -696,22 +670,20 @@ mod tests {
         assert_eq!(doc.as_arr().unwrap().len(), 8);
     }
 
-    fn serve_snapshot(requests: &[u64], panics: u64, dropped: u64, high_water: u64) -> Snapshot {
+    fn serve_snapshot(requests: &[u64], panics: u64, high_water: u64) -> Snapshot {
         let r = Registry::new();
         for (i, &n) in requests.iter().enumerate() {
             r.counter(&format!("serve.worker.{i}.requests")).add(n);
-            r.counter(&format!("serve.worker.{i}.batches")).add(n * 4);
         }
         r.counter("serve.worker.0.panics").add(panics);
-        r.counter("serve.worker.0.dropped_batches").add(dropped);
         r.counter("serve.queue.high_water").record_max(high_water);
         r.snapshot()
     }
 
     #[test]
     fn healthy_window_fires_no_alerts() {
-        let prev = serve_snapshot(&[0, 0], 0, 0, 0);
-        let cur = serve_snapshot(&[10, 12], 0, 0, 2);
+        let prev = serve_snapshot(&[0, 0], 0, 0);
+        let cur = serve_snapshot(&[10, 12], 0, 2);
         assert_eq!(
             evaluate_alerts(&prev, &cur, &AlertConfig::default()),
             vec![]
@@ -719,9 +691,9 @@ mod tests {
     }
 
     #[test]
-    fn panic_drop_saturation_and_starvation_rules_fire() {
-        let prev = serve_snapshot(&[0, 0], 0, 0, 0);
-        let cur = serve_snapshot(&[20, 0], 2, 5, 9);
+    fn panic_saturation_and_starvation_rules_fire() {
+        let prev = serve_snapshot(&[0, 0], 0, 0);
+        let cur = serve_snapshot(&[20, 0], 2, 9);
         let cfg = AlertConfig {
             max_queue_high_water: 8,
             ..AlertConfig::default()
@@ -729,7 +701,6 @@ mod tests {
         let alerts = evaluate_alerts(&prev, &cur, &cfg);
         let rules: Vec<&str> = alerts.iter().map(|a| a.rule.as_str()).collect();
         assert!(rules.contains(&"panics"), "{rules:?}");
-        assert!(rules.contains(&"drop_rate"), "{rules:?}");
         assert!(rules.contains(&"queue_saturated"), "{rules:?}");
         assert!(rules.contains(&"shard_starved"), "{rules:?}");
         // and the JSON form parses back with every rule present
@@ -740,12 +711,12 @@ mod tests {
     #[test]
     fn idle_and_single_shard_windows_never_flag_starvation() {
         // idle: below the minimum request delta
-        let prev = serve_snapshot(&[0, 0], 0, 0, 0);
-        let cur = serve_snapshot(&[3, 0], 0, 0, 0);
+        let prev = serve_snapshot(&[0, 0], 0, 0);
+        let cur = serve_snapshot(&[3, 0], 0, 0);
         assert!(evaluate_alerts(&prev, &cur, &AlertConfig::default()).is_empty());
         // single shard: nothing to compare against
-        let prev = serve_snapshot(&[0], 0, 0, 0);
-        let cur = serve_snapshot(&[50], 0, 0, 0);
+        let prev = serve_snapshot(&[0], 0, 0);
+        let cur = serve_snapshot(&[50], 0, 0);
         assert!(evaluate_alerts(&prev, &cur, &AlertConfig::default()).is_empty());
     }
 }

@@ -15,11 +15,11 @@
 //!
 //! * [`ProfileRequest::Pipeline`] / [`ProfileRequest::Tiered`] — full
 //!   pipeline on a program, offline or tier-scheduled.
-//! * [`ProfileRequest::Replay`] — an in-memory [`Recording`] through a
-//!   fresh TEST tracer.
 //! * [`ProfileRequest::ReplayMapped`] — a recording *file*, mmapped
 //!   and streamed as borrowed batches through one reusable buffer
 //!   (zero-copy: no `Vec<Event>` is ever materialized).
+//! * [`ProfileRequest::Replay`] — an in-memory [`Recording`], encoded
+//!   and then streamed through the same batch path.
 //!
 //! Failure is typed end to end: a malformed recording, a VM error, or
 //! even a panicking request produces a [`ServeError`] on that
@@ -59,7 +59,7 @@ use test_tracer::config::TracerConfig;
 use test_tracer::stats::Profile;
 use test_tracer::tracer::TestTracer;
 use tvm::bus::DEFAULT_BATCH_CAPACITY;
-use tvm::record::{MappedRecording, Recording, RecordingError};
+use tvm::record::{MappedRecording, Recording, RecordingError, RecordingView};
 use tvm::{Program, VmError};
 
 mod http;
@@ -340,6 +340,10 @@ impl Server {
         let sampler = Arc::new(TailSampler::new(cfg.tail));
         let handles = (0..workers)
             .map(|i| {
+                // a shard counts as alive from spawn until its loop
+                // exits, so a health probe right after start never
+                // sees a worker the OS has not scheduled yet
+                registry.gauge(&format!("serve.worker.{i}.alive")).set(1);
                 let rx = Arc::clone(&rx);
                 let shared = WorkerShared {
                     registry: Arc::clone(&registry),
@@ -400,8 +404,7 @@ impl Server {
     }
 
     /// The per-worker counter registry (`serve.worker.<i>.requests`,
-    /// `.events`, `.busy_nanos`, `.panics`, `.lagged_batches`,
-    /// `.dropped_batches`).
+    /// `.events`, `.busy_nanos`, `.panics`).
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -474,7 +477,6 @@ fn worker_loop(index: usize, rx: &Mutex<Receiver<Job>>, shared: &WorkerShared) {
         ring
     });
     let alive = registry.gauge(&format!("{prefix}.alive"));
-    alive.set(1);
     let queue_depth = registry.gauge("serve.queue.depth");
     loop {
         // hold the lock only while claiming the next job, so shards
@@ -541,14 +543,9 @@ fn worker_loop(index: usize, rx: &Mutex<Receiver<Job>>, shared: &WorkerShared) {
         match &result {
             Ok(resp) => {
                 live::emit(LiveEventKind::RequestEnd, job.id, busy, 0);
-                let (events, lagged, dropped) = response_counters(resp);
-                registry.counter(&format!("{prefix}.events")).add(events);
                 registry
-                    .counter(&format!("{prefix}.lagged_batches"))
-                    .add(lagged);
-                registry
-                    .counter(&format!("{prefix}.dropped_batches"))
-                    .add(dropped);
+                    .counter(&format!("{prefix}.events"))
+                    .add(resp.profile().events);
             }
             Err(ServeError::WorkerPanicked { .. }) => {} // already emitted
             Err(_) => live::emit(LiveEventKind::RequestEnd, job.id, busy, 1),
@@ -587,21 +584,6 @@ fn worker_loop(index: usize, rx: &Mutex<Receiver<Job>>, shared: &WorkerShared) {
     live::uninstall();
 }
 
-/// Events analyzed plus per-shard bus lag/drop totals of one response.
-fn response_counters(resp: &ProfileResponse) -> (u64, u64, u64) {
-    match resp {
-        ProfileResponse::Pipeline(r) | ProfileResponse::Tiered { report: r, .. } => {
-            let (mut lagged, mut dropped) = (0, 0);
-            for s in &r.obs.bus.sinks {
-                lagged += s.lagged_batches;
-                dropped += s.dropped_batches;
-            }
-            (r.profile.events, lagged, dropped)
-        }
-        ProfileResponse::Profile { profile, .. } => (profile.events, 0, 0),
-    }
-}
-
 fn handle(id: u64, req: ProfileRequest) -> Result<ProfileResponse, ServeError> {
     match req {
         ProfileRequest::Pipeline { program, cfg } => {
@@ -616,13 +598,7 @@ fn handle(id: u64, req: ProfileRequest) -> Result<ProfileResponse, ServeError> {
             })
         }
         ProfileRequest::Replay { recording, tracer } => {
-            let mut t = TestTracer::new(tracer);
-            recording.replay(&mut t);
-            let events = recording.len() as u64;
-            Ok(ProfileResponse::Profile {
-                profile: Box::new(t.into_profile()),
-                events,
-            })
+            replay(id, &recording.to_bytes(), tracer, DEFAULT_REPLAY_BATCH)
         }
         ProfileRequest::ReplayMapped {
             path,
@@ -630,19 +606,31 @@ fn handle(id: u64, req: ProfileRequest) -> Result<ProfileResponse, ServeError> {
             batch_capacity,
         } => {
             let mapped = MappedRecording::open(&path)?;
-            let view = mapped.view()?;
-            let mut t = TestTracer::new(tracer);
-            let events = view.stream_batches(batch_capacity.max(1), |batch| {
-                use tvm::trace::TraceSink;
-                live::emit(LiveEventKind::BatchConsumed, id, batch.len() as u64, 0);
-                t.consume_batch(batch);
-            })?;
-            Ok(ProfileResponse::Profile {
-                profile: Box::new(t.into_profile()),
-                events,
-            })
+            replay(id, mapped.bytes(), tracer, batch_capacity)
         }
     }
+}
+
+/// Streams an encoded recording through a fresh TEST tracer as
+/// borrowed batches, logging each batch to the worker's flight ring.
+/// The one replay path both replay request shapes share.
+fn replay(
+    id: u64,
+    bytes: &[u8],
+    tracer: TracerConfig,
+    batch_capacity: usize,
+) -> Result<ProfileResponse, ServeError> {
+    use tvm::trace::TraceSink;
+    let view = RecordingView::parse(bytes)?;
+    let mut t = TestTracer::new(tracer);
+    let events = view.stream_batches(batch_capacity, |batch| {
+        live::emit(LiveEventKind::BatchConsumed, id, batch.len() as u64, 0);
+        t.consume_batch(batch);
+    })?;
+    Ok(ProfileResponse::Profile {
+        profile: Box::new(t.into_profile()),
+        events,
+    })
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

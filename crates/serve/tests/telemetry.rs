@@ -1,16 +1,21 @@
 //! Live-telemetry integration: the `/metrics` scrape must agree with
 //! `Registry::snapshot()`, `/healthz` must report shard liveness, the
-//! tail sampler must retain errored requests, and a panicking worker
-//! must leave a parseable flight dump on disk.
+//! tail sampler must retain errored requests, a panicking worker
+//! must leave a parseable flight dump on disk, and both replay shapes
+//! must log the same batch history.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 
-use obs::expo;
-use serve::{ProfileRequest, ProfileResponse, ServeError, Server, ServerConfig};
+use benchsuite::{all, DataSize};
+use obs::{expo, LiveEventKind};
+use serve::{
+    ProfileRequest, ProfileResponse, ServeError, Server, ServerConfig, DEFAULT_REPLAY_BATCH,
+};
 use test_tracer::config::TracerConfig;
-use tvm::record::Recording;
+use tvm::interp::Interp;
+use tvm::record::{Recording, RecordingSink};
 
 /// One blocking HTTP/1.0 GET against the endpoint; returns
 /// `(status_line, body)`.
@@ -206,4 +211,72 @@ fn ticket_ids_are_unique_and_increasing() {
         t.wait().expect("replay succeeds");
     }
     server.shutdown();
+}
+
+/// An owned `Replay` and a `ReplayMapped` of the same recording run one
+/// batch path: the same profile, and the same `BatchConsumed` history
+/// in the worker's flight ring.
+#[test]
+fn owned_and_mapped_replays_record_the_same_batch_history() {
+    let dir = fresh_dir("replay-history");
+    let program = (all()[0].build)(DataSize::Small);
+    let mut sink = RecordingSink::new();
+    Interp::run(&program, &mut sink).expect("benchmark runs");
+    let recording = sink.into_recording();
+    assert!(!recording.is_empty());
+    let path = dir.join("replay.tvmr");
+    recording.save(&path).expect("recording saves");
+    let events = recording.len() as u64;
+
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_depth: 4,
+        ring_capacity: 1 << 12,
+        dump_dir: None,
+        ..ServerConfig::default()
+    });
+    let owned = server
+        .submit(ProfileRequest::Replay {
+            recording,
+            tracer: TracerConfig::default(),
+        })
+        .expect("submits");
+    let owned_id = owned.id();
+    let owned = owned.wait().expect("owned replay succeeds");
+    let mapped = server
+        .submit(ProfileRequest::ReplayMapped {
+            path,
+            tracer: TracerConfig::default(),
+            batch_capacity: DEFAULT_REPLAY_BATCH,
+        })
+        .expect("submits");
+    let mapped_id = mapped.id();
+    let mapped = mapped.wait().expect("mapped replay succeeds");
+    assert_eq!(owned.profile(), mapped.profile());
+
+    // a panicking request drains the single worker's ring, which still
+    // holds both replays' history
+    let err = server
+        .profile(panicking_replay())
+        .expect_err("panicking request errors");
+    let ServeError::WorkerPanicked {
+        dump: Some(dump), ..
+    } = err
+    else {
+        panic!("expected WorkerPanicked with a dump, got {err:?}");
+    };
+    let batches = |id: u64| -> Vec<u64> {
+        dump.events
+            .iter()
+            .filter(|e| e.kind == LiveEventKind::BatchConsumed && e.a == id)
+            .map(|e| e.b)
+            .collect()
+    };
+    let (owned_batches, mapped_batches) = (batches(owned_id), batches(mapped_id));
+    assert!(!owned_batches.is_empty(), "owned replay logs its batches");
+    assert_eq!(owned_batches.len(), mapped_batches.len());
+    assert_eq!(owned_batches.iter().sum::<u64>(), events);
+    assert_eq!(mapped_batches.iter().sum::<u64>(), events);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,18 +12,14 @@
 //! * [`Batcher`] — a [`TraceSink`] that groups an emission stream into
 //!   batches and hands each full batch to a flush callback;
 //! * [`Tee`] — a fan-out combinator: one emission feeds N sinks;
-//! * [`TraceBus`] — the orchestrator. It replays batches into labelled
-//!   sinks either inline ([`TraceBus::replay`]) or with one thread per
-//!   sink draining bounded channels ([`TraceBus::replay_threaded`]),
-//!   and can drive the interpreter directly so consumers drain batches
-//!   *while the program still executes*
-//!   ([`TraceBus::run_threaded`]). Every mode produces a [`BusReport`]
-//!   with per-sink event counts, drain times and (in threaded mode)
-//!   lag/drop counters.
+//! * [`TraceBus`] — the orchestrator. [`record_batches`] captures a
+//!   run once; [`TraceBus::replay`] then delivers every batch to each
+//!   labelled sink in turn on the calling thread, and returns a
+//!   [`BusReport`] with per-sink event counts and drain times.
 //!
 //! Replay order is the emission order, so any sink observes exactly
 //! the stream a direct [`crate::interp::Interp`] run would have fed
-//! it — analyses are bit-identical across modes.
+//! it — analyses are bit-identical to direct profiling.
 
 use crate::cost::CostModel;
 use crate::hotloc::LocationHook;
@@ -34,16 +30,11 @@ use crate::record::Event;
 use crate::trace::{Addr, Cycles, TraceSink};
 use crate::VmError;
 use obs::{Trace as ObsTrace, TrackId};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Default number of events per [`EventBatch`].
 pub const DEFAULT_BATCH_CAPACITY: usize = 4096;
-
-/// Default bound of the per-sink batch channel in threaded modes.
-pub const DEFAULT_CHANNEL_DEPTH: usize = 8;
 
 /// The discriminant of a trace event, for per-kind accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -292,20 +283,7 @@ impl EventBatch {
                     heap += 1;
                 }
                 Ctrl::Misc => {
-                    match self.misc[misc] {
-                        Event::LocalLoad(v, act, t, pc) => sink.local_load(v, act, t, pc),
-                        Event::LocalStore(v, act, t, pc) => sink.local_store(v, act, t, pc),
-                        Event::LoopEnter(l, n, act, t) => sink.loop_enter(l, n, act, t),
-                        Event::LoopIter(l, t) => sink.loop_iter(l, t),
-                        Event::LoopExit(l, t) => sink.loop_exit(l, t),
-                        Event::StatsRead(l, t) => sink.stats_read(l, t),
-                        Event::CallEnter(pc, act, t) => sink.call_enter(pc, act, t),
-                        Event::CallExit(pc, t) => sink.call_exit(pc, t),
-                        Event::CallResultUse(pc, t) => sink.call_result_use(pc, t),
-                        Event::HeapLoad(..) | Event::HeapStore(..) => {
-                            unreachable!("heap events live in the SoA columns, never in misc")
-                        }
-                    }
+                    self.misc[misc].deliver(sink);
                     misc += 1;
                 }
             }
@@ -579,7 +557,7 @@ pub fn record_batches_hooked<H: LocationHook>(
 /// registration order.
 #[derive(Default)]
 pub struct Tee<'a> {
-    sinks: Vec<&'a mut (dyn TraceSink + Send)>,
+    sinks: Vec<&'a mut dyn TraceSink>,
 }
 
 impl<'a> Tee<'a> {
@@ -590,7 +568,7 @@ impl<'a> Tee<'a> {
 
     /// Adds a sink; events are forwarded in registration order.
     #[must_use]
-    pub fn sink(mut self, sink: &'a mut (dyn TraceSink + Send)) -> Tee<'a> {
+    pub fn sink(mut self, sink: &'a mut dyn TraceSink) -> Tee<'a> {
         self.sinks.push(sink);
         self
     }
@@ -643,23 +621,13 @@ pub struct SinkStats {
     pub by_kind: KindCounts,
     /// Batches delivered.
     pub batches: u64,
-    /// Threaded mode: batches for which the producer found this sink's
-    /// channel full and had to wait (back-pressure).
-    pub lagged_batches: u64,
-    /// Threaded mode: batches lost because the consumer disappeared.
-    /// Always 0 in normal operation — consumers drain to completion.
-    pub dropped_batches: u64,
     /// Wall time spent inside the sink's callbacks, in nanoseconds.
     pub drain_nanos: u64,
-    /// Threaded mode: the deepest this sink's bounded channel got
-    /// (batches enqueued and not yet drained). 0 in unthreaded modes,
-    /// which have no queue.
-    pub queue_depth_high_water: u64,
 }
 
 impl SinkStats {
     /// Mean events per delivered batch. Returns 0.0 for a sink that
-    /// received nothing (e.g. a panicked consumer), never `NaN`.
+    /// received nothing, never `NaN`.
     pub fn avg_batch_occupancy(&self) -> f64 {
         if self.batches == 0 {
             0.0
@@ -679,7 +647,7 @@ impl SinkStats {
     }
 }
 
-/// Observability summary of one bus run (replay or live).
+/// Observability summary of one bus replay.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BusReport {
     /// Batches that crossed the bus.
@@ -692,8 +660,6 @@ pub struct BusReport {
     pub by_kind: KindCounts,
     /// Per-sink counters, in registration order.
     pub sinks: Vec<SinkStats>,
-    /// True when consumers ran on their own threads.
-    pub threaded: bool,
 }
 
 impl BusReport {
@@ -742,51 +708,35 @@ impl BusReport {
 /// ```
 #[derive(Default)]
 pub struct TraceBus<'a> {
-    sinks: Vec<(String, &'a mut (dyn TraceSink + Send))>,
-    channel_depth: usize,
+    sinks: Vec<(String, &'a mut dyn TraceSink)>,
     trace: Option<Arc<ObsTrace>>,
 }
 
 impl<'a> TraceBus<'a> {
-    /// Creates a bus with no sinks and the default channel depth.
+    /// Creates a bus with no sinks.
     pub fn new() -> TraceBus<'a> {
-        TraceBus {
-            sinks: Vec::new(),
-            channel_depth: DEFAULT_CHANNEL_DEPTH,
-            trace: None,
-        }
+        TraceBus::default()
     }
 
     /// Records this run into `trace`: each sink becomes a wall-clock
     /// track named `sink:<label>` carrying a `drain` span per batch and
-    /// a cumulative `events` counter series; threaded modes add a
-    /// `bus:producer` track with per-batch `batch_len` samples, a
-    /// cumulative `lagged` counter, and a `lag sink <i>` instant per
-    /// back-pressure stall.
+    /// a cumulative `events` counter series.
     #[must_use]
     pub fn observe(mut self, trace: Arc<ObsTrace>) -> TraceBus<'a> {
         self.trace = Some(trace);
         self
     }
 
-    /// Sets the bound of each consumer's batch channel (threaded
-    /// modes). A zero depth is promoted to 1.
-    #[must_use]
-    pub fn channel_depth(mut self, depth: usize) -> TraceBus<'a> {
-        self.channel_depth = depth.max(1);
-        self
-    }
-
     /// Registers a labelled consumer.
     #[must_use]
-    pub fn sink(mut self, label: &str, sink: &'a mut (dyn TraceSink + Send)) -> TraceBus<'a> {
+    pub fn sink(mut self, label: &str, sink: &'a mut dyn TraceSink) -> TraceBus<'a> {
         self.sinks.push((label.to_string(), sink));
         self
     }
 
     /// Replays `batches` into every sink on the calling thread. Each
     /// batch is delivered to all sinks (in registration order) before
-    /// the next batch, mirroring the threaded delivery order.
+    /// the next batch.
     pub fn replay(mut self, batches: &[EventBatch]) -> BusReport {
         let trace = self.trace.clone();
         let mut report = BusReport {
@@ -832,279 +782,6 @@ impl<'a> TraceBus<'a> {
         }
         report.sinks = stats;
         report
-    }
-
-    /// Replays `batches` with one draining thread per sink, fed
-    /// through bounded channels. Every sink still observes the exact
-    /// emission order; back-pressure is counted per sink as
-    /// [`SinkStats::lagged_batches`], never resolved by dropping.
-    pub fn replay_threaded(self, batches: &[EventBatch]) -> BusReport {
-        let capacity = batches.iter().map(EventBatch::len).max().unwrap_or(0);
-        let depth = self.channel_depth;
-        let trace = self.trace.clone();
-        let mut report = BusReport {
-            batch_capacity: capacity,
-            threaded: true,
-            ..BusReport::default()
-        };
-        for batch in batches {
-            report.batches += 1;
-            report.events += batch.len() as u64;
-            report.by_kind.merge(&batch.kind_counts());
-        }
-        let sinks = self.sinks;
-        let mut out: Vec<SinkStats> = Vec::with_capacity(sinks.len());
-        // per-sink in-flight batch counters, shared producer/consumer;
-        // the producer derives each channel's depth high-water from
-        // them (obs cannot be a tvm dependency, so plain atomics here
-        // and the registry copy happens in jrpm's bus recording)
-        let inflight: Vec<AtomicU64> = (0..sinks.len()).map(|_| AtomicU64::new(0)).collect();
-        std::thread::scope(|scope| {
-            let mut txs = Vec::with_capacity(sinks.len());
-            let mut handles = Vec::with_capacity(sinks.len());
-            let mut labels = Vec::with_capacity(sinks.len());
-            for (i, (label, sink)) in sinks.into_iter().enumerate() {
-                labels.push(label.clone());
-                let (tx, rx) = sync_channel::<&EventBatch>(depth);
-                txs.push(tx);
-                let thread_trace = trace.clone();
-                let inflight = &inflight[i];
-                handles.push(scope.spawn(move || {
-                    let track = thread_trace
-                        .as_ref()
-                        .map(|tr| tr.track(&format!("sink:{label}")));
-                    let mut st = SinkStats {
-                        label,
-                        ..SinkStats::default()
-                    };
-                    while let Ok(batch) = rx.recv() {
-                        inflight.fetch_sub(1, AtomicOrdering::Relaxed);
-                        if let (Some(tr), Some(t)) = (&thread_trace, track) {
-                            tr.begin(t, "drain");
-                        }
-                        let t = Instant::now();
-                        sink.consume_batch(batch);
-                        st.drain_nanos += t.elapsed().as_nanos() as u64;
-                        st.batches += 1;
-                        st.events += batch.len() as u64;
-                        st.by_kind.merge(&batch.kind_counts());
-                        if let (Some(tr), Some(t)) = (&thread_trace, track) {
-                            tr.end(t, "drain");
-                            tr.counter(t, "events", st.events);
-                        }
-                    }
-                    st
-                }));
-            }
-            let producer = trace.as_ref().map(|tr| tr.track("bus:producer"));
-            let mut lagged = vec![0u64; txs.len()];
-            let mut dropped = vec![0u64; txs.len()];
-            let mut high_water = vec![0u64; txs.len()];
-            for batch in batches {
-                if let (Some(tr), Some(t)) = (&trace, producer) {
-                    tr.counter(t, "batch_len", batch.len() as u64);
-                }
-                for (i, tx) in txs.iter().enumerate() {
-                    // count the batch in-flight *before* handing it
-                    // over: the consumer's decrement is ordered after
-                    // its recv, so the counter never underflows
-                    let d = inflight[i].fetch_add(1, AtomicOrdering::Relaxed) + 1;
-                    high_water[i] = high_water[i].max(d);
-                    let sent = match tx.try_send(batch) {
-                        Ok(()) => true,
-                        Err(TrySendError::Full(b)) => {
-                            lagged[i] += 1;
-                            if let (Some(tr), Some(t)) = (&trace, producer) {
-                                tr.instant(t, &format!("lag sink {i}"));
-                                tr.counter(t, "lagged", lagged.iter().sum());
-                            }
-                            if tx.send(b).is_err() {
-                                dropped[i] += 1;
-                                false
-                            } else {
-                                true
-                            }
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            dropped[i] += 1;
-                            false
-                        }
-                    };
-                    if !sent {
-                        inflight[i].fetch_sub(1, AtomicOrdering::Relaxed);
-                    }
-                }
-            }
-            drop(txs);
-            for (i, h) in handles.into_iter().enumerate() {
-                // A panicking sink must not take down the bus (or, at
-                // service scale, the whole server loop): synthesize
-                // its stats instead, marking the full stream as
-                // dropped since its analysis state is unusable.
-                let mut st = match h.join() {
-                    Ok(mut st) => {
-                        st.dropped_batches = dropped[i];
-                        st
-                    }
-                    Err(_) => SinkStats {
-                        label: labels[i].clone(),
-                        dropped_batches: report.batches,
-                        ..SinkStats::default()
-                    },
-                };
-                st.lagged_batches = lagged[i];
-                st.queue_depth_high_water = high_water[i];
-                out.push(st);
-            }
-        });
-        report.sinks = out;
-        report
-    }
-
-    /// Interprets `program` while consumers drain its batches
-    /// concurrently: the interpreter produces [`EventBatch`]es of
-    /// `capacity` events into each sink's bounded channel, one thread
-    /// per sink. Equivalent to record-then-[`TraceBus::replay`] but
-    /// overlaps interpretation with analysis and never materializes
-    /// the whole recording.
-    ///
-    /// # Errors
-    ///
-    /// Any [`VmError`] from the underlying execution. Consumers drain
-    /// whatever was produced before the error.
-    pub fn run_threaded(
-        self,
-        program: &Program,
-        capacity: usize,
-    ) -> Result<(RunResult, BusReport), VmError> {
-        let depth = self.channel_depth;
-        let trace = self.trace.clone();
-        let sinks = self.sinks;
-        let mut report = BusReport {
-            batch_capacity: capacity.max(1),
-            threaded: true,
-            ..BusReport::default()
-        };
-        let mut out: Vec<SinkStats> = Vec::with_capacity(sinks.len());
-        // same in-flight accounting as replay_threaded
-        let inflight: Vec<AtomicU64> = (0..sinks.len()).map(|_| AtomicU64::new(0)).collect();
-        let run = std::thread::scope(|scope| {
-            let mut txs = Vec::with_capacity(sinks.len());
-            let mut handles = Vec::with_capacity(sinks.len());
-            let mut labels = Vec::with_capacity(sinks.len());
-            for (i, (label, sink)) in sinks.into_iter().enumerate() {
-                labels.push(label.clone());
-                let (tx, rx) = sync_channel::<Arc<EventBatch>>(depth);
-                txs.push(tx);
-                let thread_trace = trace.clone();
-                let inflight = &inflight[i];
-                handles.push(scope.spawn(move || {
-                    let track = thread_trace
-                        .as_ref()
-                        .map(|tr| tr.track(&format!("sink:{label}")));
-                    let mut st = SinkStats {
-                        label,
-                        ..SinkStats::default()
-                    };
-                    while let Ok(batch) = rx.recv() {
-                        inflight.fetch_sub(1, AtomicOrdering::Relaxed);
-                        if let (Some(tr), Some(t)) = (&thread_trace, track) {
-                            tr.begin(t, "drain");
-                        }
-                        let t = Instant::now();
-                        sink.consume_batch(&batch);
-                        st.drain_nanos += t.elapsed().as_nanos() as u64;
-                        st.batches += 1;
-                        st.events += batch.len() as u64;
-                        st.by_kind.merge(&batch.kind_counts());
-                        if let (Some(tr), Some(t)) = (&thread_trace, track) {
-                            tr.end(t, "drain");
-                            tr.counter(t, "events", st.events);
-                        }
-                    }
-                    st
-                }));
-            }
-            let producer = trace.as_ref().map(|tr| tr.track("bus:producer"));
-            let mut lagged = vec![0u64; txs.len()];
-            let mut dropped = vec![0u64; txs.len()];
-            let mut high_water = vec![0u64; txs.len()];
-            let mut by_kind = KindCounts::default();
-            let mut batches = 0u64;
-            let mut events = 0u64;
-            let run = {
-                let trace = &trace;
-                let inflight = &inflight;
-                let high_water = &mut high_water;
-                let mut batcher = Batcher::new(capacity, |batch: EventBatch| {
-                    by_kind.merge(&batch.kind_counts());
-                    batches += 1;
-                    events += batch.len() as u64;
-                    if let (Some(tr), Some(t)) = (trace, producer) {
-                        tr.counter(t, "batch_len", batch.len() as u64);
-                    }
-                    let shared = Arc::new(batch);
-                    for (i, tx) in txs.iter().enumerate() {
-                        // increment-before-send, exactly as in
-                        // replay_threaded, to keep the counter from
-                        // racing the consumer's decrement
-                        let d = inflight[i].fetch_add(1, AtomicOrdering::Relaxed) + 1;
-                        high_water[i] = high_water[i].max(d);
-                        let sent = match tx.try_send(Arc::clone(&shared)) {
-                            Ok(()) => true,
-                            Err(TrySendError::Full(b)) => {
-                                lagged[i] += 1;
-                                if let (Some(tr), Some(t)) = (trace, producer) {
-                                    tr.instant(t, &format!("lag sink {i}"));
-                                    tr.counter(t, "lagged", lagged.iter().sum());
-                                }
-                                if tx.send(b).is_err() {
-                                    dropped[i] += 1;
-                                    false
-                                } else {
-                                    true
-                                }
-                            }
-                            Err(TrySendError::Disconnected(_)) => {
-                                dropped[i] += 1;
-                                false
-                            }
-                        };
-                        if !sent {
-                            inflight[i].fetch_sub(1, AtomicOrdering::Relaxed);
-                        }
-                    }
-                });
-                let run = Interp::run(program, &mut batcher);
-                batcher.finish();
-                run
-            };
-            drop(txs);
-            for (i, h) in handles.into_iter().enumerate() {
-                // Same panic isolation as replay_threaded: a dead
-                // consumer yields synthesized stats, never a bus panic.
-                let mut st = match h.join() {
-                    Ok(mut st) => {
-                        st.dropped_batches = dropped[i];
-                        st
-                    }
-                    Err(_) => SinkStats {
-                        label: labels[i].clone(),
-                        dropped_batches: batches,
-                        ..SinkStats::default()
-                    },
-                };
-                st.lagged_batches = lagged[i];
-                st.queue_depth_high_water = high_water[i];
-                out.push(st);
-            }
-            report.by_kind = by_kind;
-            report.batches = batches;
-            report.events = events;
-            run
-        })?;
-        report.sinks = out;
-        Ok((run, report))
     }
 }
 
@@ -1204,52 +881,25 @@ mod tests {
     }
 
     #[test]
-    fn replay_and_threaded_replay_agree_with_direct() {
+    fn replay_agrees_with_direct() {
         let p = sample_program();
         let mut direct = CountingSink::default();
         Interp::run(&p, &mut direct).unwrap();
 
         let (_run, batches) = record_batches(&p, 16).unwrap();
-        let mut single = CountingSink::default();
-        let r1 = TraceBus::new().sink("count", &mut single).replay(&batches);
-        assert_eq!(single, direct);
-        assert_eq!(r1.sinks[0].events, r1.events);
-        assert!(!r1.threaded);
-
-        let mut threaded = CountingSink::default();
+        let mut count = CountingSink::default();
         let mut extra = CountingSink::default();
-        let r2 = TraceBus::new()
-            .channel_depth(2)
-            .sink("count", &mut threaded)
+        let report = TraceBus::new()
+            .sink("count", &mut count)
             .sink("extra", &mut extra)
-            .replay_threaded(&batches);
-        assert_eq!(threaded, direct);
+            .replay(&batches);
+        assert_eq!(count, direct);
         assert_eq!(extra, direct);
-        assert!(r2.threaded);
-        assert_eq!(r2.sinks.len(), 2);
-        for s in &r2.sinks {
-            assert_eq!(s.dropped_batches, 0, "bounded channels never drop");
-            assert_eq!(s.events, r2.events);
+        assert_eq!(report.sinks.len(), 2);
+        for s in &report.sinks {
+            assert_eq!(s.events, report.events);
+            assert_eq!(s.batches, report.batches);
         }
-    }
-
-    #[test]
-    fn run_threaded_matches_direct_execution() {
-        let p = sample_program();
-        let mut direct = CountingSink::default();
-        let direct_run = Interp::run(&p, &mut direct).unwrap();
-
-        let mut live = CountingSink::default();
-        let (run, report) = TraceBus::new()
-            .channel_depth(2)
-            .sink("count", &mut live)
-            .run_threaded(&p, 8)
-            .unwrap();
-        assert_eq!(run.cycles, direct_run.cycles);
-        assert_eq!(live, direct);
-        assert!(report.batches > 0);
-        assert!(report.avg_batch_occupancy() > 0.0);
-        assert_eq!(report.sinks[0].dropped_batches, 0);
     }
 
     #[test]
@@ -1260,16 +910,13 @@ mod tests {
         let mut a = CountingSink::default();
         let mut b = CountingSink::default();
         let report = TraceBus::new()
-            .channel_depth(1)
             .observe(Arc::clone(&trace))
             .sink("a", &mut a)
             .sink("b", &mut b)
-            .replay_threaded(&batches);
+            .replay(&batches);
         let tracks = trace.tracks();
         let names: Vec<&str> = tracks.iter().map(|t| t.name.as_str()).collect();
-        assert!(names.contains(&"sink:a"));
-        assert!(names.contains(&"sink:b"));
-        assert!(names.contains(&"bus:producer"));
+        assert_eq!(names, ["sink:a", "sink:b"]);
         for t in &tracks {
             assert!(t.open.is_empty(), "unclosed drain span on {}", t.name);
         }
@@ -1348,77 +995,11 @@ mod tests {
         for b in &batches {
             assert_eq!(b.len(), 1, "zero capacity is promoted to 1");
         }
-        // zero channel depth likewise serves, never panics
         let mut count = CountingSink::default();
-        let report = TraceBus::new()
-            .channel_depth(0)
-            .sink("count", &mut count)
-            .replay_threaded(&batches);
-        assert_eq!(report.sinks[0].dropped_batches, 0);
+        TraceBus::new().sink("count", &mut count).replay(&batches);
         let mut direct = CountingSink::default();
         Interp::run(&p, &mut direct).unwrap();
         assert_eq!(count, direct);
-    }
-
-    /// A sink that panics after observing `fuse` heap stores.
-    struct PanickingSink {
-        fuse: u64,
-    }
-
-    impl TraceSink for PanickingSink {
-        fn heap_store(&mut self, _addr: Addr, _now: Cycles, _pc: Pc) {
-            if self.fuse == 0 {
-                panic!("sink blew its fuse");
-            }
-            self.fuse -= 1;
-        }
-    }
-
-    #[test]
-    fn panicking_sink_does_not_take_down_the_threaded_bus() {
-        let p = sample_program();
-        let (_run, batches) = record_batches(&p, 4).unwrap();
-        let mut healthy = CountingSink::default();
-        let mut bomb = PanickingSink { fuse: 2 };
-        let report = TraceBus::new()
-            .channel_depth(2)
-            .sink("healthy", &mut healthy)
-            .sink("bomb", &mut bomb)
-            .replay_threaded(&batches);
-
-        // the healthy sink drained the full stream
-        let mut direct = CountingSink::default();
-        Interp::run(&p, &mut direct).unwrap();
-        assert_eq!(healthy, direct);
-        let h = report.sinks.iter().find(|s| s.label == "healthy").unwrap();
-        assert_eq!(h.events, report.events);
-        assert_eq!(h.dropped_batches, 0);
-
-        // the panicked sink got synthesized stats: full stream dropped
-        let b = report.sinks.iter().find(|s| s.label == "bomb").unwrap();
-        assert_eq!(b.events, 0);
-        assert_eq!(b.dropped_batches, report.batches);
-        assert_eq!(b.avg_batch_occupancy(), 0.0);
-    }
-
-    #[test]
-    fn panicking_sink_does_not_take_down_the_live_bus() {
-        let p = sample_program();
-        let mut healthy = CountingSink::default();
-        let mut bomb = PanickingSink { fuse: 0 };
-        let (run, report) = TraceBus::new()
-            .channel_depth(2)
-            .sink("healthy", &mut healthy)
-            .sink("bomb", &mut bomb)
-            .run_threaded(&p, 4)
-            .unwrap();
-        let mut direct = CountingSink::default();
-        let direct_run = Interp::run(&p, &mut direct).unwrap();
-        assert_eq!(run.cycles, direct_run.cycles);
-        assert_eq!(healthy, direct);
-        let b = report.sinks.iter().find(|s| s.label == "bomb").unwrap();
-        assert_eq!(b.dropped_batches, report.batches);
-        assert_eq!(b.events_per_sec(), 0.0);
     }
 
     #[test]

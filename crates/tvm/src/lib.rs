@@ -75,7 +75,7 @@ pub use alloc::{AllocSite, AllocSites, SiteId, SiteKind};
 pub use build::{FnBuilder, ProgramBuilder};
 pub use bus::{
     record_batches, record_batches_hooked, Batcher, BusReport, EventBatch, EventKind, KindCounts,
-    SinkStats, Tee, TraceBus, DEFAULT_BATCH_CAPACITY, DEFAULT_CHANNEL_DEPTH,
+    SinkStats, Tee, TraceBus, DEFAULT_BATCH_CAPACITY,
 };
 pub use cost::CostModel;
 pub use error::VmError;

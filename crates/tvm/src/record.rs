@@ -47,6 +47,27 @@ pub enum Event {
     CallResultUse(Pc, Cycles),
 }
 
+impl Event {
+    /// Feeds this event into `sink` through the matching callback. The
+    /// one `Event` → [`TraceSink`] dispatch every replay path shares.
+    #[inline]
+    pub fn deliver<S: TraceSink + ?Sized>(self, sink: &mut S) {
+        match self {
+            Event::HeapLoad(a, t, pc) => sink.heap_load(a, t, pc),
+            Event::HeapStore(a, t, pc) => sink.heap_store(a, t, pc),
+            Event::LocalLoad(v, act, t, pc) => sink.local_load(v, act, t, pc),
+            Event::LocalStore(v, act, t, pc) => sink.local_store(v, act, t, pc),
+            Event::LoopEnter(l, n, act, t) => sink.loop_enter(l, n, act, t),
+            Event::LoopIter(l, t) => sink.loop_iter(l, t),
+            Event::LoopExit(l, t) => sink.loop_exit(l, t),
+            Event::StatsRead(l, t) => sink.stats_read(l, t),
+            Event::CallEnter(pc, act, t) => sink.call_enter(pc, act, t),
+            Event::CallExit(pc, t) => sink.call_exit(pc, t),
+            Event::CallResultUse(pc, t) => sink.call_result_use(pc, t),
+        }
+    }
+}
+
 /// A captured event stream.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Recording {
@@ -57,20 +78,8 @@ pub struct Recording {
 impl Recording {
     /// Feeds every event into `sink`, in order.
     pub fn replay<S: TraceSink>(&self, sink: &mut S) {
-        for e in &self.events {
-            match *e {
-                Event::HeapLoad(a, t, pc) => sink.heap_load(a, t, pc),
-                Event::HeapStore(a, t, pc) => sink.heap_store(a, t, pc),
-                Event::LocalLoad(v, act, t, pc) => sink.local_load(v, act, t, pc),
-                Event::LocalStore(v, act, t, pc) => sink.local_store(v, act, t, pc),
-                Event::LoopEnter(l, n, act, t) => sink.loop_enter(l, n, act, t),
-                Event::LoopIter(l, t) => sink.loop_iter(l, t),
-                Event::LoopExit(l, t) => sink.loop_exit(l, t),
-                Event::StatsRead(l, t) => sink.stats_read(l, t),
-                Event::CallEnter(pc, act, t) => sink.call_enter(pc, act, t),
-                Event::CallExit(pc, t) => sink.call_exit(pc, t),
-                Event::CallResultUse(pc, t) => sink.call_result_use(pc, t),
-            }
+        for &e in &self.events {
+            e.deliver(sink);
         }
     }
 
@@ -280,19 +289,7 @@ impl<'a> RecordingView<'a> {
         let mut decoder = self.decoder();
         let mut n = 0u64;
         while let Some(e) = decoder.next_event()? {
-            match e {
-                Event::HeapLoad(a, t, pc) => sink.heap_load(a, t, pc),
-                Event::HeapStore(a, t, pc) => sink.heap_store(a, t, pc),
-                Event::LocalLoad(v, act, t, pc) => sink.local_load(v, act, t, pc),
-                Event::LocalStore(v, act, t, pc) => sink.local_store(v, act, t, pc),
-                Event::LoopEnter(l, nl, act, t) => sink.loop_enter(l, nl, act, t),
-                Event::LoopIter(l, t) => sink.loop_iter(l, t),
-                Event::LoopExit(l, t) => sink.loop_exit(l, t),
-                Event::StatsRead(l, t) => sink.stats_read(l, t),
-                Event::CallEnter(pc, act, t) => sink.call_enter(pc, act, t),
-                Event::CallExit(pc, t) => sink.call_exit(pc, t),
-                Event::CallResultUse(pc, t) => sink.call_result_use(pc, t),
-            }
+            e.deliver(sink);
             n += 1;
         }
         Ok(n)
@@ -831,6 +828,49 @@ mod tests {
         let mut replayed = CountingSink::default();
         recording.replay(&mut replayed);
         assert_eq!(live, replayed);
+
+        // every variant survives all three replay entry points exactly
+        let pc = Pc {
+            func: FuncId(1),
+            idx: 7,
+        };
+        let (l, t) = (LoopId(3), 40);
+        let every_kind = Recording {
+            events: vec![
+                Event::HeapLoad(64, t, pc),
+                Event::HeapStore(72, t + 1, pc),
+                Event::LocalLoad(2, 5, t + 2, pc),
+                Event::LocalStore(2, 5, t + 3, pc),
+                Event::LoopEnter(l, 4, 5, t + 4),
+                Event::LoopIter(l, t + 5),
+                Event::LoopExit(l, t + 6),
+                Event::StatsRead(l, t + 7),
+                Event::CallEnter(pc, 6, t + 8),
+                Event::CallExit(pc, t + 9),
+                Event::CallResultUse(pc, t + 10),
+            ],
+        };
+        let kinds: std::collections::BTreeSet<_> =
+            every_kind.events.iter().map(Event::kind).collect();
+        assert_eq!(kinds.len(), crate::bus::N_EVENT_KINDS);
+
+        let mut owned = RecordingSink::new();
+        every_kind.replay(&mut owned);
+        assert_eq!(owned.into_recording(), every_kind);
+
+        let bytes = every_kind.to_bytes();
+        let mut viewed = RecordingSink::new();
+        RecordingView::parse(&bytes)
+            .unwrap()
+            .replay(&mut viewed)
+            .unwrap();
+        assert_eq!(viewed.into_recording(), every_kind);
+
+        let mut batched = RecordingSink::new();
+        for b in every_kind.to_batches(4) {
+            b.replay_into(&mut batched);
+        }
+        assert_eq!(batched.into_recording(), every_kind);
     }
 
     #[test]

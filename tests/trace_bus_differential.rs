@@ -1,15 +1,13 @@
 //! Differential test: the trace bus must be an invisible transport.
 //!
-//! For every benchsuite program, profiling through the bus — batched
-//! single-thread replay, threaded fan-out replay, and live threaded
-//! execution — produces a `Profile` bit-identical to feeding the
-//! `TestTracer` callbacks directly from the interpreter, and the
-//! pipeline's derived sequential baseline equals a real run of the
-//! un-annotated program.
+//! For every benchsuite program, profiling through the bus — a batched
+//! recording replayed into the tracer and a second sink — produces a
+//! `Profile` bit-identical to feeding the `TestTracer` callbacks
+//! directly from the interpreter, and the pipeline's derived
+//! sequential baseline equals a real run of the un-annotated program.
 
 use benchsuite::DataSize;
 use jrpm::annotate::{annotate, AnnotateOptions};
-use jrpm::pipeline::{run_pipeline, BusConfig, PipelineConfig};
 use test_tracer::{TestTracer, TracerConfig};
 use tvm::bus::{record_batches, TraceBus, DEFAULT_BATCH_CAPACITY};
 use tvm::trace::CountingSink;
@@ -38,10 +36,12 @@ fn bus_replay_matches_direct_profiling_on_the_whole_suite() {
         );
         let events: u64 = batches.iter().map(|batch| batch.len() as u64).sum();
 
-        // single-thread batched replay
+        // batched replay fanned out to the profiler plus a second sink
         let mut serial = tracer(&cands);
-        TraceBus::new()
+        let mut counter = CountingSink::default();
+        let report = TraceBus::new()
             .sink("profile", &mut serial)
+            .sink("count", &mut counter)
             .replay(&batches);
         assert_eq!(
             serial.into_profile(),
@@ -49,49 +49,13 @@ fn bus_replay_matches_direct_profiling_on_the_whole_suite() {
             "{}: serial bus replay diverged",
             b.name
         );
-
-        // threaded fan-out: the profiler plus a second sink, each on
-        // its own consumer thread behind a shallow channel
-        let mut threaded = tracer(&cands);
-        let mut counter = CountingSink::default();
-        let report = TraceBus::new()
-            .channel_depth(2)
-            .sink("profile", &mut threaded)
-            .sink("count", &mut counter)
-            .replay_threaded(&batches);
-        assert_eq!(
-            threaded.into_profile(),
-            direct,
-            "{}: threaded fan-out replay diverged",
-            b.name
-        );
         for sink in &report.sinks {
-            assert_eq!(
-                sink.dropped_batches, 0,
-                "{}: {} dropped",
-                b.name, sink.label
-            );
             assert_eq!(
                 sink.events, events,
                 "{}: {} lost events",
                 b.name, sink.label
             );
         }
-
-        // live threaded execution (no materialized recording)
-        let mut live = tracer(&cands);
-        let (live_run, live_report) = TraceBus::new()
-            .sink("profile", &mut live)
-            .run_threaded(&ann, 512)
-            .expect("live threaded run");
-        assert_eq!(live_run.cycles, run.cycles, "{}", b.name);
-        assert_eq!(
-            live.into_profile(),
-            direct,
-            "{}: live threaded run diverged",
-            b.name
-        );
-        assert_eq!(live_report.sinks[0].dropped_batches, 0, "{}", b.name);
 
         // the derived sequential baseline is exact: annotated cycles
         // minus tallied annotation overhead equals a real plain run
@@ -102,43 +66,5 @@ fn bus_replay_matches_direct_profiling_on_the_whole_suite() {
             "{}: derived sequential baseline broke",
             b.name
         );
-    }
-}
-
-#[test]
-fn threaded_pipeline_matches_serial_numerics() {
-    for name in ["Huffman", "compress", "MipsSimulator", "db"] {
-        let b = benchsuite::by_name(name).expect("benchmark exists");
-        let program = (b.build)(DataSize::Small);
-        let serial = run_pipeline(&program, &PipelineConfig::default()).expect("serial pipeline");
-        let threaded_cfg = PipelineConfig {
-            bus: BusConfig {
-                batch_capacity: 1024,
-                channel_depth: 4,
-                threaded: true,
-            },
-            ..PipelineConfig::default()
-        };
-        let threaded = run_pipeline(&program, &threaded_cfg).expect("threaded pipeline");
-
-        assert_eq!(serial.profile, threaded.profile, "{name}: profile");
-        assert_eq!(serial.seq_cycles, threaded.seq_cycles, "{name}: seq");
-        assert_eq!(
-            serial.profile_cycles, threaded.profile_cycles,
-            "{name}: profile cycles"
-        );
-        let chosen = |r: &jrpm::pipeline::PipelineReport| -> Vec<tvm::LoopId> {
-            r.selection.chosen.iter().map(|c| c.loop_id).collect()
-        };
-        assert_eq!(chosen(&serial), chosen(&threaded), "{name}: selection");
-        assert_eq!(
-            serial.actual.baseline_cycles, threaded.actual.baseline_cycles,
-            "{name}: baseline"
-        );
-        assert_eq!(
-            serial.actual.tls_cycles, threaded.actual.tls_cycles,
-            "{name}: tls cycles"
-        );
-        assert!(threaded.obs.interpreter_passes <= 2, "{name}: pass count");
     }
 }

@@ -43,7 +43,9 @@ pub struct Access {
 pub struct IterTrace {
     /// Sequential execution cycles of this iteration.
     pub cycles: u32,
-    /// Accesses in execution order.
+    /// Accesses in execution order, so `rel` is nondecreasing: the
+    /// collector stamps them from a cycle clock that only moves
+    /// forward, and [`crate::sim::simulate_entry`] relies on it.
     pub accesses: Vec<Access>,
 }
 

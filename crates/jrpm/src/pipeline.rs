@@ -4,16 +4,20 @@
 //! The pipeline is a sequence of explicit stages — extract, rescue,
 //! annotate, record, replay-profile, select, collect, simulate — with the
 //! trace-event stream as the IR between execution and analysis. The
-//! annotated program is interpreted **once**; its event stream is
-//! captured as [`tvm::bus::EventBatch`]es and replayed into the TEST
-//! tracer (and any other consumer) through a [`tvm::bus::TraceBus`].
+//! annotated program is interpreted **once**, streaming its events
+//! into the TEST tracer through a [`tvm::bus::TraceBus`]: the
+//! interpreter fills one reused [`tvm::bus::EventBatch`] and each full
+//! batch is profiled before execution continues, so the trace is never
+//! stored. That one pass is timed as two stages: `replay-profile` is
+//! the time spent inside the tracer (the bus's drain time) and
+//! `record` the rest of the pass.
 //! The plain sequential baseline is *derived*, not re-executed: the
 //! interpreter tallies annotation-instruction cycles separately
 //! ([`AnnotationCycles`]), and since the annotation pass only inserts
 //! annotation instructions, `annotated − annotation = plain` exactly.
 //! That cuts the pipeline from three interpreter executions to two
 //! (profiling + TLS collection; the latter runs a differently
-//! annotated program, so it cannot share the recording without
+//! annotated program, so it cannot share the profiling stream without
 //! changing timestamps).
 //!
 //! Every run writes its measurements into an [`obs::Registry`] (and,
@@ -247,14 +251,33 @@ impl StageRecorder<'_> {
     }
 
     pub(crate) fn end(&mut self, name: &str, started: Instant) {
-        let nanos = started.elapsed().as_nanos() as u64;
+        self.count(name, started.elapsed().as_nanos() as u64);
+        if let Some((tr, t)) = self.trace {
+            tr.end(t, name);
+        }
+    }
+
+    /// Ends a streamed profiling pass begun as `record`. Its wall time
+    /// splits into `record` (interpreting and batching) and
+    /// `replay-profile` (the sinks' drain time), so the stage counters
+    /// still sum to the wall time; one `record` span covers the pass.
+    /// Returns the pass's wall time, in nanoseconds.
+    pub(crate) fn end_streamed(&mut self, started: Instant, report: &BusReport) -> u64 {
+        let wall = started.elapsed().as_nanos() as u64;
+        let drain: u64 = report.sinks.iter().map(|s| s.drain_nanos).sum();
+        self.count("record", wall.saturating_sub(drain));
+        self.count("replay-profile", drain);
+        if let Some((tr, t)) = self.trace {
+            tr.end(t, "record");
+        }
+        wall
+    }
+
+    fn count(&mut self, name: &str, nanos: u64) {
         self.registry
             .counter(&format!("pipeline.stage.{:02}.{name}", self.seq))
             .add(nanos);
         self.seq += 1;
-        if let Some((tr, t)) = self.trace {
-            tr.end(t, name);
-        }
     }
 }
 
@@ -468,7 +491,7 @@ pub(crate) fn collect_and_simulate(
     }
     // recompile only the selected loops and collect TLS traces. This
     // interprets a *differently annotated* program (different
-    // timestamps), so it cannot replay the profiling recording.
+    // timestamps), so it cannot reuse the profiling stream.
     let t = stages.begin("collect");
     let spec = annotate(program, candidates, &AnnotateOptions::only(chosen.clone()))?;
     let mut collector = TlsTraceCollector::with_masks(chosen, candidates.tracked_masks());
@@ -501,7 +524,8 @@ pub(crate) fn collect_and_simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tvm::{ElemKind, NullSink, ProgramBuilder};
+    use tvm::trace::CountingSink;
+    use tvm::{ElemKind, NoHook, NullSink, ProgramBuilder, TraceBus};
 
     /// A loop with abundant parallelism: disjoint writes per iteration.
     fn parallel_program(iters: i64) -> Program {
@@ -690,6 +714,35 @@ mod tests {
 
         let serial = run_pipeline(&serial_program(100), &PipelineConfig::default()).unwrap();
         assert_eq!(serial.obs.interpreter_passes, 1, "nothing chosen");
+    }
+
+    #[test]
+    fn streamed_pass_splits_its_wall_time_between_record_and_replay_profile() {
+        let p = parallel_program(100);
+        let registry = Registry::new();
+        let mut stages = StageRecorder {
+            registry: &registry,
+            trace: None,
+            seq: 0,
+        };
+        let mut sink = CountingSink::default();
+        let t = stages.begin("record");
+        let (_, report) = TraceBus::new()
+            .sink("count", &mut sink)
+            .run(&p, &mut NoHook)
+            .unwrap();
+        let wall = stages.end_streamed(t, &report);
+        let obs = PipelineObservability::from_snapshot(&registry.snapshot());
+        let names: Vec<&str> = obs.stages.iter().map(|s| s.stage.as_str()).collect();
+        assert_eq!(names, ["record", "replay-profile"]);
+        assert_eq!(
+            obs.stage_nanos("record") + obs.stage_nanos("replay-profile"),
+            wall
+        );
+        assert_eq!(
+            obs.stage_nanos("replay-profile"),
+            report.sinks[0].drain_nanos
+        );
     }
 
     #[test]

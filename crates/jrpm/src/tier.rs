@@ -61,11 +61,11 @@ use cfgir::{
     distance_floors, extract_candidates, extract_candidates_with,
     prescreen_candidate_with_distance, rescue_program, PointsTo, Prescreen, StaticVerdict,
 };
-use obs::Telemetry;
+use obs::{Telemetry, Trace as ObsTrace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use test_tracer::{select_with_distances, SelectionWindow, TestTracer};
-use tvm::bus::{record_batches, record_batches_hooked, TraceBus};
+use test_tracer::{select_with_distances, Profile, SelectionWindow, TestTracer};
+use tvm::bus::TraceBus;
 use tvm::interp::FinalState;
 use tvm::isa::LoopId;
 use tvm::program::Program;
@@ -433,30 +433,20 @@ fn drive_immediate(program: &Program, cfg: &PipelineConfig) -> Result<TieredOutc
     stages.end("annotate", t);
 
     // 3. interpret the annotated program ONCE — execution pass 1 —
-    //    capturing its event stream as batches, then replay them into
-    //    TEST over the bus.
-    let mut tracer = TestTracer::with_masks(cfg.tracer, candidates.tracked_masks());
-    if let Some(tr) = &trace {
-        tracer.set_obs(Arc::clone(tr), cfg.obs.sample_every);
-    }
-    registry.counter("pipeline.interpreter_passes").inc();
-    // the block frees the recorded batches before collect and simulate
-    let prof_run = {
-        let t = stages.begin("record");
-        let (run, batches) = record_batches(&annotated, DEFAULT_BATCH_CAPACITY)?;
-        stages.end("record", t);
-        let t = stages.begin("replay-profile");
-        let mut bus = TraceBus::new().sink("test-tracer", &mut tracer);
-        if let Some(tr) = &trace {
-            bus = bus.observe(Arc::clone(tr));
-        }
-        let report = bus.replay(&batches);
-        stages.end("replay-profile", t);
-        record_bus_report(&registry, &report);
-        run
-    };
-    let profile = tracer.into_profile();
-    record_tracer_profile(&registry, &profile);
+    //    streaming its events into TEST over the bus, one batch at a
+    //    time.
+    let (
+        FinalState {
+            result: prof_run, ..
+        },
+        profile,
+    ) = profile_pass(
+        &annotated,
+        candidates.tracked_masks(),
+        cfg,
+        trace.as_ref(),
+        &mut stages,
+    )?;
 
     // the plain sequential baseline, exactly: the annotation pass
     // only inserts annotation instructions, and the interpreter
@@ -560,6 +550,36 @@ fn drive_immediate(program: &Program, cfg: &PipelineConfig) -> Result<TieredOutc
         tiers,
         final_state: None,
     })
+}
+
+/// The profiling pass, shared by both schedules: one run of `image`
+/// streamed into a fresh TEST tracer (with its spans and series when
+/// the run is traced), timed as the `record` and `replay-profile`
+/// stages, with the bus and tracer counters recorded.
+fn profile_pass(
+    image: &Program,
+    masks: Vec<(LoopId, u64)>,
+    cfg: &PipelineConfig,
+    trace: Option<&Arc<ObsTrace>>,
+    stages: &mut StageRecorder<'_>,
+) -> Result<(FinalState, Profile), VmError> {
+    let registry = stages.registry;
+    registry.counter("pipeline.interpreter_passes").inc();
+    let mut tracer = TestTracer::with_masks(cfg.tracer, masks);
+    if let Some(tr) = trace {
+        tracer.set_obs(Arc::clone(tr), cfg.obs.sample_every);
+    }
+    let t = stages.begin("record");
+    let mut bus = TraceBus::new().sink("test-tracer", &mut tracer);
+    if let Some(tr) = trace {
+        bus = bus.observe(Arc::clone(tr));
+    }
+    let (state, report) = bus.run(image, &mut NoHook)?;
+    stages.end_streamed(t, &report);
+    record_bus_report(registry, &report);
+    let profile = tracer.into_profile();
+    record_tracer_profile(registry, &profile);
+    Ok((state, profile))
 }
 
 /// The online schedule: repeated execution epochs of an incrementally
@@ -702,9 +722,8 @@ fn drive_online(
 
         // one deterministic execution epoch of the current image.
         // With nothing patched in yet this is a pure counting-tier run
-        // (no event stream, no tracer); otherwise the epoch records
-        // and replays into a fresh tracer exactly like the offline
-        // profiling pass.
+        // (no event stream, no tracer); otherwise the epoch streams
+        // into a fresh tracer exactly like the offline profiling pass.
         registry.counter("pipeline.interpreter_passes").inc();
         let profile = if patch.annotated().is_empty() {
             counting_epochs += 1;
@@ -717,11 +736,10 @@ fn drive_online(
             )?;
             None
         } else {
-            let (state, batches) =
-                record_batches_hooked(patch.program(), DEFAULT_BATCH_CAPACITY, &mut hot)?;
             let mut tracer = TestTracer::with_masks(cfg.tracer, masks.clone());
-            let bus = TraceBus::new().sink("test-tracer", &mut tracer);
-            bus.replay(&batches);
+            let (state, _) = TraceBus::new()
+                .sink("test-tracer", &mut tracer)
+                .run(patch.program(), &mut hot)?;
             Some((tracer.into_profile(), state.result.cycles))
         };
 
@@ -965,25 +983,8 @@ fn drive_online(
     stages.end("annotate", t);
 
     // the authoritative epoch: the full image, probes off
-    registry.counter("pipeline.interpreter_passes").inc();
-    let t = stages.begin("record");
-    let (final_state, batches) =
-        record_batches_hooked(patch.program(), DEFAULT_BATCH_CAPACITY, &mut NoHook)?;
-    stages.end("record", t);
-    let mut tracer = TestTracer::with_masks(cfg.tracer, masks);
-    if let Some(tr) = &trace {
-        tracer.set_obs(Arc::clone(tr), cfg.obs.sample_every);
-    }
-    let t = stages.begin("replay-profile");
-    let mut bus = TraceBus::new().sink("test-tracer", &mut tracer);
-    if let Some(tr) = &trace {
-        bus = bus.observe(Arc::clone(tr));
-    }
-    let report = bus.replay(&batches);
-    stages.end("replay-profile", t);
-    record_bus_report(&registry, &report);
-    let profile = tracer.into_profile();
-    record_tracer_profile(&registry, &profile);
+    let (final_state, profile) =
+        profile_pass(patch.program(), masks, cfg, trace.as_ref(), &mut stages)?;
     let prof_run = final_state.result.clone();
     let seq_cycles = prof_run.cycles - prof_run.annotation_cycles.total();
 

@@ -3,8 +3,8 @@
 //!
 //! The TEST hardware observes one sequential execution; every analysis
 //! is a *consumer* of that single event stream. This module promotes
-//! the stream from transient virtual-dispatch callbacks to a durable,
-//! batched IR so the pipeline can **record once and replay many**:
+//! the stream from transient virtual-dispatch callbacks to a batched
+//! IR that can be streamed, or recorded once and replayed many times:
 //!
 //! * [`EventBatch`] — a fixed-capacity chunk of [`Event`]s with a
 //!   struct-of-arrays fast path for heap loads/stores (which dominate
@@ -12,12 +12,17 @@
 //! * [`Batcher`] — a [`TraceSink`] that groups an emission stream into
 //!   batches and hands each full batch to a flush callback;
 //! * [`Tee`] — a fan-out combinator: one emission feeds N sinks;
-//! * [`TraceBus`] — the orchestrator. [`record_batches`] captures a
-//!   run once; [`TraceBus::replay`] then delivers every batch to each
-//!   labelled sink in turn on the calling thread, and returns a
+//! * [`TraceBus`] — the orchestrator: labelled sinks, each batch
+//!   delivered to every sink in turn on the calling thread, and a
 //!   [`BusReport`] with per-sink event counts and drain times.
+//!   [`TraceBus::run`] streams a live run: the interpreter fills one
+//!   reused batch and each full batch is delivered before execution
+//!   goes on, so no trace is stored (the profiling pass). For
+//!   consumers that need the stream more than once, [`record_batches`]
+//!   captures a run and [`TraceBus::replay`] delivers the recording;
+//!   the two paths cut and deliver identical batches.
 //!
-//! Replay order is the emission order, so any sink observes exactly
+//! Delivery order is the emission order, so any sink observes exactly
 //! the stream a direct [`crate::interp::Interp`] run would have fed
 //! it — analyses are bit-identical to direct profiling.
 
@@ -408,7 +413,11 @@ impl ExactSizeIterator for EventBatchIter<'_> {}
 /// A [`TraceSink`] that groups the event stream into fixed-capacity
 /// [`EventBatch`]es and hands each full batch to `flush`. Call
 /// [`Batcher::finish`] to flush the final partial batch.
-pub struct Batcher<F: FnMut(EventBatch)> {
+///
+/// `flush` receives the batch in place: it may take it (leaving a
+/// fresh one) or only read it. Whatever it leaves is cleared and
+/// refilled, so a reader keeps one buffer for the whole run.
+pub struct Batcher<F: FnMut(&mut EventBatch)> {
     capacity: usize,
     batch: EventBatch,
     flush: F,
@@ -416,7 +425,7 @@ pub struct Batcher<F: FnMut(EventBatch)> {
     events: u64,
 }
 
-impl<F: FnMut(EventBatch)> Batcher<F> {
+impl<F: FnMut(&mut EventBatch)> Batcher<F> {
     /// Creates a batcher emitting batches of up to `capacity` events.
     /// A zero capacity is promoted to 1.
     pub fn new(capacity: usize, flush: F) -> Batcher<F> {
@@ -433,27 +442,28 @@ impl<F: FnMut(EventBatch)> Batcher<F> {
     #[inline]
     fn roll(&mut self) {
         if self.batch.len() >= self.capacity {
-            let full = std::mem::replace(&mut self.batch, EventBatch::with_capacity(self.capacity));
-            self.batches += 1;
-            self.events += full.len() as u64;
-            (self.flush)(full);
+            self.flush_batch();
         }
+    }
+
+    fn flush_batch(&mut self) {
+        self.batches += 1;
+        self.events += self.batch.len() as u64;
+        (self.flush)(&mut self.batch);
+        self.batch.clear();
     }
 
     /// Flushes the trailing partial batch and returns
     /// `(batches, events)` totals.
     pub fn finish(mut self) -> (u64, u64) {
         if !self.batch.is_empty() {
-            let last = std::mem::take(&mut self.batch);
-            self.batches += 1;
-            self.events += last.len() as u64;
-            (self.flush)(last);
+            self.flush_batch();
         }
         (self.batches, self.events)
     }
 }
 
-impl<F: FnMut(EventBatch)> TraceSink for Batcher<F> {
+impl<F: FnMut(&mut EventBatch)> TraceSink for Batcher<F> {
     fn heap_load(&mut self, addr: Addr, now: Cycles, pc: Pc) {
         self.batch.push_heap_load(addr, now, pc);
         self.roll();
@@ -508,7 +518,9 @@ impl<F: FnMut(EventBatch)> TraceSink for Batcher<F> {
 }
 
 /// Interprets `program` once, capturing its full event stream as
-/// batches of `capacity` events.
+/// batches of `capacity` events. This is the record-once half of
+/// record-once/replay-many; a single consumer streams instead
+/// ([`TraceBus::run`]).
 ///
 /// # Errors
 ///
@@ -518,39 +530,12 @@ pub fn record_batches(
     capacity: usize,
 ) -> Result<(RunResult, Vec<EventBatch>), VmError> {
     let mut batches = Vec::new();
-    let mut batcher = Batcher::new(capacity, |b| batches.push(b));
+    let mut batcher = Batcher::new(capacity, |b: &mut EventBatch| {
+        batches.push(std::mem::replace(b, EventBatch::with_capacity(capacity)));
+    });
     let run = Interp::run(program, &mut batcher)?;
     batcher.finish();
     Ok((run, batches))
-}
-
-/// Like [`record_batches`], but with a [`LocationHook`] observing the
-/// run, and returning the final memory image alongside the batches.
-/// The recorded event stream is bit-identical to an un-hooked
-/// recording: hooks are free in simulated time.
-///
-/// This is the online tier's epoch driver — one call per execution
-/// epoch, with the tier controller's hot-location table as the hook.
-///
-/// # Errors
-///
-/// Any [`VmError`] from the underlying execution.
-pub fn record_batches_hooked<H: LocationHook>(
-    program: &Program,
-    capacity: usize,
-    hook: &mut H,
-) -> Result<(FinalState, Vec<EventBatch>), VmError> {
-    let mut batches = Vec::new();
-    let mut batcher = Batcher::new(capacity, |b| batches.push(b));
-    let state = Interp::run_to_state_hooked(
-        program,
-        &mut batcher,
-        CostModel::default(),
-        Interp::DEFAULT_FUEL,
-        hook,
-    )?;
-    batcher.finish();
-    Ok((state, batches))
 }
 
 /// Fan-out combinator: forwards every event to each inner sink, in
@@ -738,50 +723,89 @@ impl<'a> TraceBus<'a> {
     /// batch is delivered to all sinks (in registration order) before
     /// the next batch.
     pub fn replay(mut self, batches: &[EventBatch]) -> BusReport {
-        let trace = self.trace.clone();
-        let mut report = BusReport {
-            batch_capacity: batches.iter().map(EventBatch::len).max().unwrap_or(0),
-            ..BusReport::default()
-        };
-        let mut stats: Vec<SinkStats> = self
-            .sinks
-            .iter()
-            .map(|(label, _)| SinkStats {
-                label: label.clone(),
-                ..SinkStats::default()
-            })
-            .collect();
-        let tracks: Vec<Option<TrackId>> = match &trace {
-            Some(tr) => self
+        let (mut report, tracks) = self.open();
+        for batch in batches {
+            self.deliver(batch, &mut report, &tracks);
+        }
+        report
+    }
+
+    /// Interprets `program` once with `hook` observing it, streaming
+    /// its events into every sink: the interpreter fills one reused
+    /// batch of [`DEFAULT_BATCH_CAPACITY`] events, and each full batch
+    /// (then the final partial one) is delivered before execution goes
+    /// on. The batches, and every count in the report, are exactly
+    /// those of [`record_batches`] followed by [`TraceBus::replay`], but
+    /// the run never holds more than one batch.
+    ///
+    /// # Errors
+    ///
+    /// Any [`VmError`] from the underlying execution.
+    pub fn run<H: LocationHook>(
+        mut self,
+        program: &Program,
+        hook: &mut H,
+    ) -> Result<(FinalState, BusReport), VmError> {
+        let (mut report, tracks) = self.open();
+        let mut batcher = Batcher::new(DEFAULT_BATCH_CAPACITY, |b: &mut EventBatch| {
+            self.deliver(b, &mut report, &tracks);
+        });
+        let state = Interp::run_to_state_hooked(
+            program,
+            &mut batcher,
+            CostModel::default(),
+            Interp::DEFAULT_FUEL,
+            hook,
+        )?;
+        batcher.finish();
+        Ok((state, report))
+    }
+
+    /// An empty report with one labelled [`SinkStats`] per sink, and
+    /// each sink's `sink:<label>` track when observed.
+    fn open(&self) -> (BusReport, Vec<Option<TrackId>>) {
+        let report = BusReport {
+            sinks: self
                 .sinks
                 .iter()
-                .map(|(l, _)| Some(tr.track(&format!("sink:{l}"))))
+                .map(|(label, _)| SinkStats {
+                    label: label.clone(),
+                    ..SinkStats::default()
+                })
                 .collect(),
-            None => vec![None; self.sinks.len()],
+            ..BusReport::default()
         };
-        for batch in batches {
-            let counts = batch.kind_counts();
-            report.batches += 1;
-            report.events += batch.len() as u64;
-            report.by_kind.merge(&counts);
-            for (i, ((_, sink), st)) in self.sinks.iter_mut().zip(stats.iter_mut()).enumerate() {
-                if let (Some(tr), Some(track)) = (&trace, tracks[i]) {
-                    tr.begin(track, "drain");
-                }
-                let t = Instant::now();
-                sink.consume_batch(batch);
-                st.drain_nanos += t.elapsed().as_nanos() as u64;
-                st.batches += 1;
-                st.events += batch.len() as u64;
-                st.by_kind.merge(&counts);
-                if let (Some(tr), Some(track)) = (&trace, tracks[i]) {
-                    tr.end(track, "drain");
-                    tr.counter(track, "events", st.events);
-                }
+        let tracks = self
+            .sinks
+            .iter()
+            .map(|(l, _)| self.trace.as_ref().map(|tr| tr.track(&format!("sink:{l}"))))
+            .collect();
+        (report, tracks)
+    }
+
+    /// Delivers one batch to every sink, in registration order.
+    fn deliver(&mut self, batch: &EventBatch, report: &mut BusReport, tracks: &[Option<TrackId>]) {
+        let counts = batch.kind_counts();
+        report.batches += 1;
+        report.events += batch.len() as u64;
+        report.batch_capacity = report.batch_capacity.max(batch.len());
+        report.by_kind.merge(&counts);
+        let trace = self.trace.as_deref();
+        for (((_, sink), st), track) in self.sinks.iter_mut().zip(&mut report.sinks).zip(tracks) {
+            if let (Some(tr), Some(track)) = (trace, *track) {
+                tr.begin(track, "drain");
+            }
+            let t = Instant::now();
+            sink.consume_batch(batch);
+            st.drain_nanos += t.elapsed().as_nanos() as u64;
+            st.batches += 1;
+            st.events += batch.len() as u64;
+            st.by_kind.merge(&counts);
+            if let (Some(tr), Some(track)) = (trace, *track) {
+                tr.end(track, "drain");
+                tr.counter(track, "events", st.events);
             }
         }
-        report.sinks = stats;
-        report
     }
 }
 
@@ -789,6 +813,7 @@ impl<'a> TraceBus<'a> {
 mod tests {
     use super::*;
     use crate::build::ProgramBuilder;
+    use crate::hotloc::NoHook;
     use crate::record::RecordingSink;
     use crate::trace::CountingSink;
     use crate::ElemKind;
@@ -900,6 +925,32 @@ mod tests {
             assert_eq!(s.events, report.events);
             assert_eq!(s.batches, report.batches);
         }
+    }
+
+    #[test]
+    fn streamed_run_delivers_what_a_recording_replays() {
+        let p = sample_program();
+        let (run, batches) = record_batches(&p, DEFAULT_BATCH_CAPACITY).unwrap();
+        let mut replayed = RecordingSink::new();
+        let replay = TraceBus::new().sink("rec", &mut replayed).replay(&batches);
+        let trace = Arc::new(ObsTrace::new());
+        let mut streamed = RecordingSink::new();
+        let (state, stream) = TraceBus::new()
+            .observe(Arc::clone(&trace))
+            .sink("rec", &mut streamed)
+            .run(&p, &mut NoHook)
+            .unwrap();
+        assert_eq!(state.result, run);
+        assert_eq!(streamed.into_recording(), replayed.into_recording());
+        assert_eq!(
+            (stream.batches, stream.events, stream.batch_capacity),
+            (replay.batches, replay.events, replay.batch_capacity)
+        );
+        assert_eq!(stream.sinks[0].events, replay.sinks[0].events);
+        let tracks = trace.tracks();
+        assert_eq!(tracks.len(), 1);
+        assert_eq!(tracks[0].name, "sink:rec");
+        assert!(tracks[0].open.is_empty());
     }
 
     #[test]

@@ -5,13 +5,16 @@
 //! `Profile` bit-identical to feeding the `TestTracer` callbacks
 //! directly from the interpreter, and the pipeline's derived
 //! sequential baseline equals a real run of the un-annotated program.
+//! Streaming the same run through the bus (`TraceBus::run`, what the
+//! pipeline's profiling pass does) delivers exactly the batches a
+//! recording replays.
 
 use benchsuite::DataSize;
 use jrpm::annotate::{annotate, AnnotateOptions};
 use test_tracer::{TestTracer, TracerConfig};
-use tvm::bus::{record_batches, TraceBus, DEFAULT_BATCH_CAPACITY};
+use tvm::bus::{record_batches, BusReport, TraceBus, DEFAULT_BATCH_CAPACITY};
 use tvm::trace::CountingSink;
-use tvm::{Interp, NullSink};
+use tvm::{Interp, NoHook, NullSink};
 
 fn tracer(cands: &cfgir::ProgramCandidates) -> TestTracer {
     TestTracer::with_masks(TracerConfig::default(), cands.tracked_masks())
@@ -66,5 +69,50 @@ fn bus_replay_matches_direct_profiling_on_the_whole_suite() {
             "{}: derived sequential baseline broke",
             b.name
         );
+    }
+}
+
+/// Every count of a report: all of it but the sinks' drain times.
+fn counts(r: &BusReport) -> impl PartialEq + std::fmt::Debug {
+    let sinks: Vec<_> = r
+        .sinks
+        .iter()
+        .map(|s| (s.label.clone(), s.events, s.batches, s.by_kind))
+        .collect();
+    (r.batches, r.events, r.batch_capacity, r.by_kind, sinks)
+}
+
+#[test]
+fn streamed_run_matches_record_then_replay_on_the_whole_suite() {
+    for b in benchsuite::all() {
+        let program = (b.build)(DataSize::Small);
+        let cands = cfgir::extract_candidates(&program);
+        let ann = annotate(&program, &cands, &AnnotateOptions::profiling()).expect("annotate");
+
+        let (rec_run, batches) = record_batches(&ann, DEFAULT_BATCH_CAPACITY).expect("record");
+        let mut replayed = tracer(&cands);
+        let mut replayed_count = CountingSink::default();
+        let replay = TraceBus::new()
+            .sink("profile", &mut replayed)
+            .sink("count", &mut replayed_count)
+            .replay(&batches);
+
+        let mut streamed = tracer(&cands);
+        let mut streamed_count = CountingSink::default();
+        let (state, stream) = TraceBus::new()
+            .sink("profile", &mut streamed)
+            .sink("count", &mut streamed_count)
+            .run(&ann, &mut NoHook)
+            .expect("streamed run");
+
+        assert_eq!(state.result, rec_run, "{}: run outcome", b.name);
+        assert_eq!(
+            streamed.into_profile(),
+            replayed.into_profile(),
+            "{}: profile",
+            b.name
+        );
+        assert_eq!(streamed_count, replayed_count, "{}: sink stream", b.name);
+        assert_eq!(counts(&stream), counts(&replay), "{}: bus report", b.name);
     }
 }

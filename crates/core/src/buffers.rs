@@ -6,7 +6,8 @@
 //! evaluation: the paper measures how much precision the analysis loses
 //! to FIFO eviction and direct-mapped aliasing (§6.2).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use tvm::hash::{keyed_map, KeyedMap};
 use tvm::trace::{Addr, Cycles};
 use tvm::{line_of, LINE_WORDS, WORD_BYTES};
 
@@ -17,21 +18,36 @@ use tvm::{line_of, LINE_WORDS, WORD_BYTES};
 /// Looking up an address whose line has been evicted returns `None` —
 /// the dependency is simply not seen, one of the documented sources of
 /// imprecision.
+///
+/// The lines sit in a ring in arrival order; a keyed-hash index maps
+/// each buffered line to its ring position. The ring grows with the
+/// lines actually buffered and is never sized to `capacity` up front,
+/// so an effectively unbounded FIFO costs only what it holds. A
+/// capacity of 0 holds one line, as a capacity of 1 does.
 #[derive(Debug, Clone)]
 pub struct StoreTimestampFifo {
     capacity: usize,
-    lines: HashMap<u32, [Option<Cycles>; LINE_WORDS as usize]>,
-    order: VecDeque<u32>,
+    ring: Vec<BufferedLine>,
+    /// Ring position of the oldest line once the ring is full.
+    oldest: usize,
+    index: KeyedMap<u32, usize>,
     evictions: u64,
+}
+
+#[derive(Debug, Clone)]
+struct BufferedLine {
+    line: u32,
+    words: [Option<Cycles>; LINE_WORDS as usize],
 }
 
 impl StoreTimestampFifo {
     /// Creates a FIFO holding at most `capacity` lines.
     pub fn new(capacity: usize) -> Self {
         StoreTimestampFifo {
-            capacity,
-            lines: HashMap::new(),
-            order: VecDeque::new(),
+            capacity: capacity.max(1),
+            ring: Vec::new(),
+            oldest: 0,
+            index: keyed_map(),
             evictions: 0,
         }
     }
@@ -42,20 +58,28 @@ impl StoreTimestampFifo {
     pub fn record(&mut self, addr: Addr, now: Cycles) {
         let line = line_of(addr);
         let word = ((addr / WORD_BYTES) % LINE_WORDS) as usize;
-        if let Some(entry) = self.lines.get_mut(&line) {
-            entry[word] = Some(now);
-            return;
-        }
-        if self.order.len() >= self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.lines.remove(&old);
-                self.evictions += 1;
+        let fresh = || {
+            let mut words = [None; LINE_WORDS as usize];
+            words[word] = Some(now);
+            BufferedLine { line, words }
+        };
+        let pos = match self.index.entry(line) {
+            Entry::Occupied(e) => {
+                self.ring[*e.get()].words[word] = Some(now);
+                return;
             }
-        }
-        let mut entry = [None; LINE_WORDS as usize];
-        entry[word] = Some(now);
-        self.lines.insert(line, entry);
-        self.order.push_back(line);
+            Entry::Vacant(e) if self.ring.len() < self.capacity => {
+                e.insert(self.ring.len());
+                self.ring.push(fresh());
+                return;
+            }
+            Entry::Vacant(_) => self.oldest,
+        };
+        let old = std::mem::replace(&mut self.ring[pos], fresh());
+        self.index.remove(&old.line);
+        self.index.insert(line, pos);
+        self.oldest = (pos + 1) % self.ring.len();
+        self.evictions += 1;
     }
 
     /// The last store timestamp recorded for the word at `addr`, if its
@@ -63,7 +87,9 @@ impl StoreTimestampFifo {
     pub fn lookup(&self, addr: Addr) -> Option<Cycles> {
         let line = line_of(addr);
         let word = ((addr / WORD_BYTES) % LINE_WORDS) as usize;
-        self.lines.get(&line).and_then(|e| e[word])
+        self.index
+            .get(&line)
+            .and_then(|&pos| self.ring[pos].words[word])
     }
 
     /// Number of lines evicted so far (history lost).
@@ -73,12 +99,12 @@ impl StoreTimestampFifo {
 
     /// Lines currently buffered.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.ring.len()
     }
 
     /// True if no store has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.ring.is_empty()
     }
 }
 
@@ -254,9 +280,72 @@ impl LocalVarTimestamps {
     }
 }
 
+/// The FIFO as a std `HashMap` of lines beside a `VecDeque` of their
+/// arrival order, kept as the executable specification of
+/// [`StoreTimestampFifo`]; a property test compares the two after every
+/// operation.
+#[cfg(test)]
+mod reference {
+    use std::collections::{HashMap, VecDeque};
+    use tvm::trace::{Addr, Cycles};
+    use tvm::{line_of, LINE_WORDS, WORD_BYTES};
+
+    pub(super) struct StoreTimestampFifo {
+        capacity: usize,
+        lines: HashMap<u32, [Option<Cycles>; LINE_WORDS as usize]>,
+        order: VecDeque<u32>,
+        evictions: u64,
+    }
+
+    impl StoreTimestampFifo {
+        pub(super) fn new(capacity: usize) -> Self {
+            StoreTimestampFifo {
+                capacity,
+                lines: HashMap::new(),
+                order: VecDeque::new(),
+                evictions: 0,
+            }
+        }
+
+        pub(super) fn record(&mut self, addr: Addr, now: Cycles) {
+            let line = line_of(addr);
+            let word = ((addr / WORD_BYTES) % LINE_WORDS) as usize;
+            if let Some(entry) = self.lines.get_mut(&line) {
+                entry[word] = Some(now);
+                return;
+            }
+            if self.order.len() >= self.capacity {
+                if let Some(old) = self.order.pop_front() {
+                    self.lines.remove(&old);
+                    self.evictions += 1;
+                }
+            }
+            let mut entry = [None; LINE_WORDS as usize];
+            entry[word] = Some(now);
+            self.lines.insert(line, entry);
+            self.order.push_back(line);
+        }
+
+        pub(super) fn lookup(&self, addr: Addr) -> Option<Cycles> {
+            let line = line_of(addr);
+            let word = ((addr / WORD_BYTES) % LINE_WORDS) as usize;
+            self.lines.get(&line).and_then(|e| e[word])
+        }
+
+        pub(super) fn evictions(&self) -> u64 {
+            self.evictions
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.order.len()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fifo_roundtrip_and_word_granularity() {
@@ -290,6 +379,60 @@ mod tests {
         f.record(0x040, 6); // still evicts the 0x000 line (oldest)
         assert_eq!(f.lookup(0x008), None);
         assert_eq!(f.lookup(0x020), Some(2));
+    }
+
+    #[test]
+    fn fifo_capacity_zero_holds_one_line() {
+        for capacity in [0, 1] {
+            let mut f = StoreTimestampFifo::new(capacity);
+            f.record(0x000, 1);
+            assert_eq!((f.len(), f.evictions()), (1, 0));
+            f.record(0x008, 2); // same line: merged
+            f.record(0x020, 3); // a second line evicts the first
+            assert_eq!((f.len(), f.evictions()), (1, 1));
+            assert_eq!(f.lookup(0x000), None);
+            assert_eq!(f.lookup(0x020), Some(3));
+        }
+    }
+
+    /// Store addresses over a few dense lines (word merges), lines that
+    /// differ from them only in high bits, and a 300-line spread that
+    /// overruns a 192-line FIFO, so lines are evicted and stored again.
+    fn arb_addr() -> impl Strategy<Value = Addr> {
+        prop_oneof![
+            (0u32..16).prop_map(|w| 0x40 + w * 8),
+            (0u32..4).prop_map(|k| (k << 20) + 0x40),
+            (0u32..300).prop_map(|l| 0x1000 + l * 32),
+        ]
+    }
+
+    fn arb_capacity() -> impl Strategy<Value = usize> {
+        prop_oneof![Just(0), Just(1), Just(2), Just(192), Just(usize::MAX / 2)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn fifo_matches_the_reference(
+            capacity in arb_capacity(),
+            ops in prop::collection::vec((arb_addr(), prop::bool::ANY), 0..800),
+        ) {
+            let mut fifo = StoreTimestampFifo::new(capacity);
+            let mut spec = reference::StoreTimestampFifo::new(capacity);
+            for (now, &(addr, store)) in ops.iter().enumerate() {
+                if store {
+                    fifo.record(addr, now as Cycles);
+                    spec.record(addr, now as Cycles);
+                }
+                prop_assert_eq!(fifo.lookup(addr), spec.lookup(addr), "op {}", now);
+                prop_assert_eq!(fifo.len(), spec.len(), "op {}", now);
+                prop_assert_eq!(fifo.evictions(), spec.evictions(), "op {}", now);
+            }
+            for &(addr, _) in &ops {
+                prop_assert_eq!(fifo.lookup(addr), spec.lookup(addr));
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! size and memory accesses. [`crate::sim`] replays those traces under
 //! the TLS execution model.
 //!
+//! [`TlsTraceCollector`] appends every closed entry to its public
+//! `entries`, so a caller can read a whole run (the fuzz oracle, the
+//! benches and the tests do). The Jrpm pipeline instead drains
+//! `entries` after every `loop_exit` and simulates each entry at once,
+//! so its memory is bounded by the largest single entry.
+//!
 //! Local variables the speculative compiler *globalizes* (the
 //! `lwl`/`swl`-annotated ones) are recorded as accesses to synthetic
 //! per-variable addresses — in real Hydra they really do become memory
@@ -83,6 +89,8 @@ struct ActiveEntry {
     current: IterTrace,
     /// nesting depth of non-target loops inside the target
     depth: u32,
+    /// the loop's tracked-variable slot mask, looked up at entry
+    local_mask: u64,
 }
 
 /// A [`TraceSink`] that records [`EntryTrace`]s for a set of target
@@ -140,15 +148,9 @@ impl TlsTraceCollector {
     }
 
     fn local_in_mask(&self, var: u16) -> bool {
-        let Some(a) = self.active.as_ref() else {
-            return false;
-        };
-        let mask = self
-            .local_masks
-            .get(&a.loop_id)
-            .copied()
-            .unwrap_or(u64::MAX);
-        var < 64 && mask & (1u64 << var) != 0
+        self.active
+            .as_ref()
+            .is_some_and(|a| var < 64 && a.local_mask & (1u64 << var) != 0)
     }
 
     fn record(&mut self, addr: Addr, kind: AccessKind, now: Cycles) {
@@ -194,6 +196,7 @@ impl TraceSink for TlsTraceCollector {
                     iters: Vec::new(),
                     current: IterTrace::default(),
                     depth: 0,
+                    local_mask: self.local_masks.get(&loop_id).copied().unwrap_or(u64::MAX),
                 });
             }
             None => {}

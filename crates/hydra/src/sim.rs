@@ -10,8 +10,9 @@
 //! later and producers are already settled when a thread is processed,
 //! a simple per-thread fixpoint converges.
 //!
-//! The solver makes one pass over the entry. Per-entry maps give every
-//! distinct address and cache line a dense slot, so the per-thread work
+//! The solver makes one pass over the entry. Per-entry maps, hashed
+//! with a per-instance key ([`tvm::hash`]), give every distinct address
+//! and cache line a dense slot, so the per-thread work
 //! indexes flat arrays: each thread's load producers are resolved once,
 //! before its fixpoint, and its buffer occupancy is counted in reusable
 //! set-associative tag counters stamped with the thread's index instead
@@ -19,8 +20,7 @@
 
 use crate::collect::{AccessKind, EntryTrace};
 use crate::config::TlsConfig;
-use std::collections::HashMap;
-
+use tvm::hash::{keyed_map, KeyedMap};
 use tvm::line_of;
 use tvm::trace::Addr;
 
@@ -82,8 +82,8 @@ struct SetState {
 struct Slots {
     /// Load-state sets: `(ld_line_limit / ld_associativity).max(1)`.
     n_sets: u32,
-    addr_slot: HashMap<Addr, u32>,
-    line_slot: HashMap<u32, u32>,
+    addr_slot: KeyedMap<Addr, u32>,
+    line_slot: KeyedMap<u32, u32>,
     addrs: Vec<AddrState>,
     lines: Vec<LineState>,
     sets: Vec<SetState>,
@@ -94,8 +94,8 @@ impl Slots {
         let n_sets = (cfg.ld_line_limit / cfg.ld_associativity.max(1)).max(1);
         Slots {
             n_sets,
-            addr_slot: HashMap::new(),
-            line_slot: HashMap::new(),
+            addr_slot: keyed_map(),
+            line_slot: keyed_map(),
             addrs: Vec::new(),
             lines: Vec::new(),
             sets: vec![

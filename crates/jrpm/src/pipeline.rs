@@ -20,6 +20,12 @@
 //! annotated program, so it cannot share the profiling stream without
 //! changing timestamps).
 //!
+//! The collection pass streams as well: each loop entry is simulated
+//! on Hydra as soon as the collector closes it, and its trace is
+//! dropped, so the pass holds at most one finished entry. Its wall
+//! time splits into `simulate` (time inside the solver) and `collect`
+//! (the rest) under one `collect` span.
+//!
 //! Every run writes its measurements into an [`obs::Registry`] (and,
 //! when [`ObsConfig::trace`] is set, streams spans and counter series
 //! into an [`obs::Trace`] exportable as Chrome trace-event JSON): the
@@ -41,8 +47,9 @@ use std::time::Instant;
 use test_tracer::{Profile, SelectionResult, TracerConfig};
 use tvm::bus::{BusReport, EventKind, KindCounts, SinkStats};
 use tvm::interp::AnnotationCycles;
-use tvm::isa::LoopId;
+use tvm::isa::{LoopId, Pc};
 use tvm::program::Program;
+use tvm::trace::{Addr, Cycles, TraceSink};
 use tvm::{Interp, VmError};
 
 /// Span/trace emission parameters for a pipeline run. Registry
@@ -259,16 +266,24 @@ impl StageRecorder<'_> {
 
     /// Ends a streamed profiling pass begun as `record`. Its wall time
     /// splits into `record` (interpreting and batching) and
-    /// `replay-profile` (the sinks' drain time), so the stage counters
-    /// still sum to the wall time; one `record` span covers the pass.
+    /// `replay-profile` (the sinks' drain time).
     /// Returns the pass's wall time, in nanoseconds.
     pub(crate) fn end_streamed(&mut self, started: Instant, report: &BusReport) -> u64 {
-        let wall = started.elapsed().as_nanos() as u64;
         let drain: u64 = report.sinks.iter().map(|s| s.drain_nanos).sum();
-        self.count("record", wall.saturating_sub(drain));
-        self.count("replay-profile", drain);
+        self.end_split(started, "record", "replay-profile", drain)
+    }
+
+    /// Ends a pass begun as stage `name` whose wall time holds
+    /// `inner_nanos` of work booked as stage `inner`: `name` gets the
+    /// rest, so the stage counters still sum to the wall time, and one
+    /// `name` span covers the pass. Returns the pass's wall time, in
+    /// nanoseconds.
+    fn end_split(&mut self, started: Instant, name: &str, inner: &str, inner_nanos: u64) -> u64 {
+        let wall = started.elapsed().as_nanos() as u64;
+        self.count(name, wall.saturating_sub(inner_nanos));
+        self.count(inner, inner_nanos);
         if let Some((tr, t)) = self.trace {
-            tr.end(t, "record");
+            tr.end(t, name);
         }
         wall
     }
@@ -473,6 +488,12 @@ pub fn run_pipeline(program: &Program, cfg: &PipelineConfig) -> Result<PipelineR
 /// Shared by the offline batch and the tier controller's finalization
 /// — both converge on the same selected set, so both produce identical
 /// actual-TLS numbers through this single implementation.
+///
+/// The pass streams: each loop entry is simulated as soon as the
+/// collector closes it, and its trace is dropped, so at most one
+/// finished [`hydra_sim::EntryTrace`] is alive at a time. One `collect`
+/// span covers the pass; its wall time splits into `simulate` (the
+/// summed [`simulate_entry`] time) and `collect` (the rest).
 pub(crate) fn collect_and_simulate(
     program: &Program,
     candidates: &ProgramCandidates,
@@ -494,31 +515,126 @@ pub(crate) fn collect_and_simulate(
     // timestamps), so it cannot reuse the profiling stream.
     let t = stages.begin("collect");
     let spec = annotate(program, candidates, &AnnotateOptions::only(chosen.clone()))?;
-    let mut collector = TlsTraceCollector::with_masks(chosen, candidates.tracked_masks());
+    let mut sink = SimulatingSink::new(
+        TlsTraceCollector::with_masks(chosen, candidates.tracked_masks()),
+        &cfg.tls,
+    );
     registry.counter("pipeline.interpreter_passes").inc();
-    let spec_run = Interp::run(&spec, &mut collector)?;
-    stages.end("collect", t);
+    let spec_run = Interp::run(&spec, &mut sink)?;
+    stages.end_split(t, "collect", "simulate", sink.sim_nanos);
+    Ok(sink.finish(spec_run.cycles))
+}
 
-    // simulate each entry on Hydra
-    let t = stages.begin("simulate");
-    let mut per_loop: BTreeMap<LoopId, LoopTls> = BTreeMap::new();
-    let mut total = spec_run.cycles;
-    for entry in &collector.entries {
-        let r = simulate_entry(entry, &cfg.tls);
-        let l = per_loop.entry(entry.loop_id).or_default();
-        l.seq_cycles += entry.seq_cycles;
-        l.tls_cycles += r.tls_cycles;
-        l.violations += r.violations;
-        l.overflows += r.overflows;
-        l.threads += r.threads;
-        total = total.saturating_sub(entry.seq_cycles) + r.tls_cycles;
+/// The collect pass's sink: forwards every event to the collector and,
+/// whenever a `loop_exit` closes an entry, simulates the entry on Hydra
+/// at once and drops its trace. Batches arrive through the default
+/// [`TraceSink::consume_batch`], which replays them through the
+/// per-event methods below, so no `loop_exit` bypasses the drain.
+struct SimulatingSink<'a> {
+    collector: TlsTraceCollector,
+    tls: &'a TlsConfig,
+    per_loop: BTreeMap<LoopId, LoopTls>,
+    /// `(seq_cycles, tls_cycles)` of every entry, in collection order.
+    entries: Vec<(u64, u64)>,
+    /// Time spent in [`simulate_entry`], in nanoseconds.
+    sim_nanos: u64,
+}
+
+impl<'a> SimulatingSink<'a> {
+    fn new(collector: TlsTraceCollector, tls: &'a TlsConfig) -> Self {
+        SimulatingSink {
+            collector,
+            tls,
+            per_loop: BTreeMap::new(),
+            entries: Vec::new(),
+            sim_nanos: 0,
+        }
     }
-    stages.end("simulate", t);
-    Ok(ActualTls {
-        per_loop,
-        baseline_cycles: spec_run.cycles,
-        tls_cycles: total,
-    })
+
+    /// Simulates and drops every entry the collector has closed.
+    fn drain(&mut self) {
+        for entry in self.collector.entries.drain(..) {
+            let t = Instant::now();
+            let r = simulate_entry(&entry, self.tls);
+            self.sim_nanos += t.elapsed().as_nanos() as u64;
+            let l = self.per_loop.entry(entry.loop_id).or_default();
+            l.seq_cycles += entry.seq_cycles;
+            l.tls_cycles += r.tls_cycles;
+            l.violations += r.violations;
+            l.overflows += r.overflows;
+            l.threads += r.threads;
+            self.entries.push((entry.seq_cycles, r.tls_cycles));
+        }
+    }
+
+    /// The actual-TLS outcome of a pass that ran `baseline_cycles`:
+    /// each entry's sequential cycles are replaced by its TLS cycles,
+    /// in collection order.
+    fn finish(self, baseline_cycles: u64) -> ActualTls {
+        let tls_cycles = self
+            .entries
+            .iter()
+            .fold(baseline_cycles, |total, &(seq, tls)| {
+                total.saturating_sub(seq) + tls
+            });
+        ActualTls {
+            per_loop: self.per_loop,
+            baseline_cycles,
+            tls_cycles,
+        }
+    }
+}
+
+impl TraceSink for SimulatingSink<'_> {
+    fn heap_load(&mut self, addr: Addr, now: Cycles, pc: Pc) {
+        self.collector.heap_load(addr, now, pc);
+    }
+
+    fn heap_store(&mut self, addr: Addr, now: Cycles, pc: Pc) {
+        self.collector.heap_store(addr, now, pc);
+    }
+
+    fn static_store(&mut self, global: u16, value: i64, now: Cycles, pc: Pc) {
+        self.collector.static_store(global, value, now, pc);
+    }
+
+    fn local_load(&mut self, var: u16, activation: u32, now: Cycles, pc: Pc) {
+        self.collector.local_load(var, activation, now, pc);
+    }
+
+    fn local_store(&mut self, var: u16, activation: u32, now: Cycles, pc: Pc) {
+        self.collector.local_store(var, activation, now, pc);
+    }
+
+    fn loop_enter(&mut self, loop_id: LoopId, n_locals: u16, activation: u32, now: Cycles) {
+        self.collector
+            .loop_enter(loop_id, n_locals, activation, now);
+    }
+
+    fn loop_iter(&mut self, loop_id: LoopId, now: Cycles) {
+        self.collector.loop_iter(loop_id, now);
+    }
+
+    fn loop_exit(&mut self, loop_id: LoopId, now: Cycles) {
+        self.collector.loop_exit(loop_id, now);
+        self.drain();
+    }
+
+    fn stats_read(&mut self, loop_id: LoopId, now: Cycles) {
+        self.collector.stats_read(loop_id, now);
+    }
+
+    fn call_enter(&mut self, site: Pc, activation: u32, now: Cycles) {
+        self.collector.call_enter(site, activation, now);
+    }
+
+    fn call_exit(&mut self, site: Pc, now: Cycles) {
+        self.collector.call_exit(site, now);
+    }
+
+    fn call_result_use(&mut self, site: Pc, now: Cycles) {
+        self.collector.call_result_use(site, now);
+    }
 }
 
 #[cfg(test)]
@@ -743,6 +859,169 @@ mod tests {
             obs.stage_nanos("replay-profile"),
             report.sinks[0].drain_nanos
         );
+    }
+
+    /// The collect stage as it was before it streamed: collect every
+    /// entry of the pass, then simulate them all.
+    fn collect_then_simulate(
+        program: &Program,
+        candidates: &ProgramCandidates,
+        chosen: Vec<LoopId>,
+        seq_cycles: u64,
+        cfg: &PipelineConfig,
+    ) -> ActualTls {
+        if chosen.is_empty() {
+            return ActualTls {
+                per_loop: BTreeMap::new(),
+                baseline_cycles: seq_cycles,
+                tls_cycles: seq_cycles,
+            };
+        }
+        let spec = annotate(program, candidates, &AnnotateOptions::only(chosen.clone())).unwrap();
+        let mut collector = TlsTraceCollector::with_masks(chosen, candidates.tracked_masks());
+        let spec_run = Interp::run(&spec, &mut collector).unwrap();
+        let mut per_loop: BTreeMap<LoopId, LoopTls> = BTreeMap::new();
+        let mut total = spec_run.cycles;
+        for entry in &collector.entries {
+            let r = simulate_entry(entry, &cfg.tls);
+            let l = per_loop.entry(entry.loop_id).or_default();
+            l.seq_cycles += entry.seq_cycles;
+            l.tls_cycles += r.tls_cycles;
+            l.violations += r.violations;
+            l.overflows += r.overflows;
+            l.threads += r.threads;
+            total = total.saturating_sub(entry.seq_cycles) + r.tls_cycles;
+        }
+        ActualTls {
+            per_loop,
+            baseline_cycles: spec_run.cycles,
+            tls_cycles: total,
+        }
+    }
+
+    fn chosen_ids(r: &PipelineReport) -> Vec<LoopId> {
+        r.selection.chosen.iter().map(|c| c.loop_id).collect()
+    }
+
+    #[test]
+    fn streamed_collect_matches_collect_then_simulate_on_the_small_suite() {
+        let cfg = PipelineConfig::default();
+        let mut with_entries = 0;
+        for bench in benchsuite::all() {
+            let original = (bench.build)(benchsuite::DataSize::Small);
+            let r = run_pipeline(&original, &cfg).unwrap();
+            let want = collect_then_simulate(
+                r.rescue.program_for(&original),
+                &r.candidates,
+                chosen_ids(&r),
+                r.seq_cycles,
+                &cfg,
+            );
+            assert_eq!(r.actual.per_loop, want.per_loop, "{}", bench.name);
+            assert_eq!(
+                r.actual.baseline_cycles, want.baseline_cycles,
+                "{}",
+                bench.name
+            );
+            assert_eq!(r.actual.tls_cycles, want.tls_cycles, "{}", bench.name);
+            with_entries += usize::from(!want.per_loop.is_empty());
+        }
+        assert!(
+            with_entries >= 20,
+            "only {with_entries} programs chose a loop"
+        );
+    }
+
+    /// A parallel loop inside a serial one: the outer loop carries a
+    /// recurrence through a static, so only the inner loop is chosen,
+    /// and it is entered once per outer iteration.
+    fn repeated_parallel_program(outer: i64) -> Program {
+        let mut b = ProgramBuilder::new();
+        let g = b.global(ElemKind::Int);
+        let main = b.function("main", 0, false, |f| {
+            let (a, j, i) = (f.local(), f.local(), f.local());
+            f.ci(256).newarray(ElemKind::Int).st(a);
+            f.for_in(j, 0.into(), outer.into(), |f| {
+                f.getstatic(g).ci(5).imul().ci(1).iadd().putstatic(g);
+                f.for_in(i, 0.into(), 64.into(), |f| {
+                    f.arr_set(
+                        a,
+                        |f| {
+                            f.ld(i).ci(255).iand();
+                        },
+                        |f| {
+                            f.ld(i).ld(j).imul().ld(i).imul();
+                        },
+                    );
+                });
+            });
+            f.ret_void();
+        });
+        b.finish(main).unwrap()
+    }
+
+    #[test]
+    fn streaming_sink_holds_at_most_one_finished_entry() {
+        use tvm::record::RecordingSink;
+        let cfg = PipelineConfig::default();
+        let p = repeated_parallel_program(12);
+        let r = run_pipeline(&p, &cfg).unwrap();
+        let chosen = chosen_ids(&r);
+        assert!(!chosen.is_empty(), "{:?}", r.selection.estimates);
+        // record the collect pass, then feed it one event at a time
+        let spec = annotate(&p, &r.candidates, &AnnotateOptions::only(chosen.clone())).unwrap();
+        let mut recorder = RecordingSink::new();
+        let run = Interp::run(&spec, &mut recorder).unwrap();
+        let recording = recorder.into_recording();
+        let mut sink = SimulatingSink::new(
+            TlsTraceCollector::with_masks(chosen, r.candidates.tracked_masks()),
+            &cfg.tls,
+        );
+        for &event in &recording.events {
+            let simulated = sink.entries.len();
+            event.deliver(&mut sink);
+            assert!(sink.collector.entries.is_empty(), "a closed entry was kept");
+            assert!(sink.entries.len() <= simulated + 1);
+        }
+        assert_eq!(sink.entries.len(), 12, "one entry per outer iteration");
+        let actual = sink.finish(run.cycles);
+        assert_eq!(actual.per_loop, r.actual.per_loop);
+        assert_eq!(actual.tls_cycles, r.actual.tls_cycles);
+    }
+
+    #[test]
+    fn streamed_collect_splits_its_wall_time_between_collect_and_simulate() {
+        let cfg = PipelineConfig::default();
+        let p = repeated_parallel_program(12);
+        let r = run_pipeline(&p, &cfg).unwrap();
+        let chosen = chosen_ids(&r);
+        let spec = annotate(&p, &r.candidates, &AnnotateOptions::only(chosen.clone())).unwrap();
+        let registry = Registry::new();
+        let mut stages = StageRecorder {
+            registry: &registry,
+            trace: None,
+            seq: 0,
+        };
+        let mut sink = SimulatingSink::new(
+            TlsTraceCollector::with_masks(chosen, r.candidates.tracked_masks()),
+            &cfg.tls,
+        );
+        let t = stages.begin("collect");
+        Interp::run(&spec, &mut sink).unwrap();
+        let wall = stages.end_split(t, "collect", "simulate", sink.sim_nanos);
+        let obs = PipelineObservability::from_snapshot(&registry.snapshot());
+        let names: Vec<&str> = obs.stages.iter().map(|s| s.stage.as_str()).collect();
+        assert_eq!(names, ["collect", "simulate"]);
+        assert_eq!(
+            obs.stage_nanos("collect") + obs.stage_nanos("simulate"),
+            wall
+        );
+        assert_eq!(obs.stage_nanos("simulate"), sink.sim_nanos);
+        assert!(sink.sim_nanos > 0);
+        // the pipeline books the same two stages, last and in order
+        let names: Vec<&str> = r.obs.stages.iter().map(|s| s.stage.as_str()).collect();
+        assert_eq!(names[names.len() - 2..], ["collect", "simulate"]);
+        assert!(r.obs.stage_nanos("simulate") > 0);
     }
 
     #[test]

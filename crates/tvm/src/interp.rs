@@ -220,7 +220,15 @@ impl Interp {
         let mut ann = AnnotationCycles::default();
         let entry_returns = entry.returns;
 
+        // every instruction's cost, looked up once per run instead of
+        // matched on each time it retires
+        let costs: Vec<Vec<u32>> = program
+            .functions
+            .iter()
+            .map(|f| f.code.iter().map(|i| cost.cost(i)).collect())
+            .collect();
         let mut code: &[Instr] = &entry.code;
+        let mut code_costs: &[u32] = &costs[program.entry.0 as usize];
 
         macro_rules! pop {
             () => {
@@ -260,7 +268,7 @@ impl Interp {
             if instructions > fuel {
                 return Err(VmError::FuelExhausted);
             }
-            now += u64::from(cost.cost(&instr));
+            now += u64::from(code_costs[frame.pc as usize]);
             let mut next_pc = frame.pc + 1;
 
             match instr {
@@ -518,6 +526,7 @@ impl Interp {
                     };
                     next_activation += 1;
                     code = &callee.code;
+                    code_costs = &costs[fid.0 as usize];
                     continue;
                 }
                 Instr::Return | Instr::ReturnVoid => {
@@ -533,6 +542,7 @@ impl Interp {
                         Some(caller) => {
                             frame = caller;
                             code = &program.function(FuncId(frame.func))?.code;
+                            code_costs = &costs[frame.func as usize];
                             if let Some(v) = ret_val {
                                 stack.push(v);
                                 if let Some(site) = ret_site {
@@ -823,6 +833,89 @@ mod tests {
         let p = b.finish(main).unwrap();
         let r = Interp::run(&p, &mut NullSink).unwrap();
         assert_eq!(r.ret.unwrap().as_int().unwrap(), 3628800);
+    }
+
+    #[test]
+    fn cycles_are_the_cost_model_summed_over_retired_instructions() {
+        use crate::isa::{Instr, LoopId};
+
+        /// Charges each instruction as the hook sees it retire.
+        struct Charge<'a> {
+            program: &'a Program,
+            cost: CostModel,
+            cycles: u64,
+        }
+        impl LocationHook for Charge<'_> {
+            fn at(&mut self, func: u16, pc: u32) {
+                let instr = &self.program.functions[func as usize].code[pc as usize];
+                self.cycles += u64::from(self.cost.cost(instr));
+            }
+        }
+
+        let mut b = ProgramBuilder::new();
+        let g = b.global(ElemKind::Int);
+        let fact = b.declare("fact", 1, true);
+        b.define(fact, |f| {
+            f.if_else_icmp(
+                Cond::Le,
+                |f| {
+                    f.ld(f.param(0)).ci(1);
+                },
+                |f| {
+                    f.ci(1);
+                },
+                |f| {
+                    f.ld(f.param(0));
+                    f.ld(f.param(0)).ci(1).isub().call(fact);
+                    f.imul();
+                },
+            );
+            f.ret();
+        });
+        let main = b.function("main", 0, true, |f| {
+            let i = f.local();
+            f.raw(Instr::SLoop(LoopId(0), 1));
+            f.for_in(i, 0.into(), 6.into(), |f| {
+                f.raw(Instr::Lwl(0));
+                f.ld(i).call(fact).ci(7).irem();
+                f.getstatic(g).iadd().putstatic(g);
+                f.raw(Instr::Eoi(LoopId(0)));
+            });
+            f.raw(Instr::ELoop(LoopId(0), 1));
+            f.raw(Instr::ReadStats(LoopId(0)));
+            f.getstatic(g).ret();
+        });
+        let p = b.finish(main).unwrap();
+        // every class priced differently from the default and from
+        // each other
+        let cost = CostModel {
+            simple: 3,
+            imul: 5,
+            idiv: 7,
+            fsimple: 11,
+            fdiv: 13,
+            fmath: 17,
+            mem: 19,
+            call: 23,
+            alloc_base: 29,
+            alloc_per_word: 31,
+            loop_marker: 37,
+            eoi_marker: 41,
+            local_annotation: 43,
+            read_stats: 47,
+        };
+        let mut hook = Charge {
+            program: &p,
+            cost,
+            cycles: 0,
+        };
+        let hooked = Interp::run_to_state_hooked(&p, &mut NullSink, cost, 1_000_000, &mut hook)
+            .unwrap()
+            .result;
+        let plain = Interp::run_with(&p, &mut NullSink, cost, 1_000_000).unwrap();
+        assert_eq!(plain, hooked);
+        assert_eq!(plain.cycles, hook.cycles);
+        assert_ne!(plain.cycles, Interp::run(&p, &mut NullSink).unwrap().cycles);
     }
 
     #[test]

@@ -60,6 +60,7 @@ pub mod bus;
 pub mod cost;
 pub mod disasm;
 pub mod error;
+pub mod hash;
 pub mod hotloc;
 pub mod interp;
 pub mod isa;

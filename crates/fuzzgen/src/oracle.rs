@@ -30,8 +30,10 @@
 //!    promotion thresholds fuzzed from the program shape so loops
 //!    promote in varying orders, must reach all-terminal tiers, leave
 //!    the program's observable final state (return value and memory
-//!    image) identical to a plain run, and agree with the offline
-//!    batch on every selection verdict;
+//!    image) identical to a plain run, agree with the offline
+//!    batch on every selection verdict, and account for every
+//!    logical epoch as either an interpreter pass or a reused run of
+//!    an unchanged image;
 //! 9. **Hydra sanity** — simulated TLS time is bounded below by the
 //!    longest thread plus fixed overheads, thread counts match the
 //!    trace, and zero violations means the restart penalty is inert;
@@ -502,6 +504,28 @@ fn check_tiers(program: &Program) -> Result<(), Failure> {
         return Err(fail(
             "tier",
             format!("terminal Selected tiers {selected:?} disagree with the selection {chosen:?}"),
+        ));
+    }
+
+    // (c) pass accounting: every logical epoch interpreted its image
+    //     or reused the held run of an unchanged one, and the collect
+    //     pass adds one interpreter pass when a loop is chosen
+    let passes = u64::from(rep.obs.interpreter_passes);
+    let reused = rep
+        .telemetry
+        .registry
+        .snapshot()
+        .counter("tier.reused_epochs");
+    let want = u64::from(online.tiers.epochs) + u64::from(!chosen.is_empty());
+    if passes + reused != want {
+        return Err(fail(
+            "tier",
+            format!(
+                "{passes} interpreter passes + {reused} reused epochs != {want} \
+                 ({} epochs, {} chosen) ({tcfg:?})",
+                online.tiers.epochs,
+                chosen.len()
+            ),
         ));
     }
     Ok(())

@@ -174,6 +174,7 @@ pub struct PatchState {
     program: Program,
     maps: Vec<OriginMap>,
     annotated: BTreeSet<LoopId>,
+    generation: u64,
 }
 
 impl PatchState {
@@ -189,6 +190,7 @@ impl PatchState {
                 .map(|f| (0..f.code.len() as u32).map(Some).collect())
                 .collect(),
             annotated: BTreeSet::new(),
+            generation: 0,
         }
     }
 
@@ -206,6 +208,13 @@ impl PatchState {
     /// Loops patched in so far.
     pub fn annotated(&self) -> &BTreeSet<LoopId> {
         &self.annotated
+    }
+
+    /// Image generation: 0 for a fresh state, bumped by every
+    /// successful [`PatchState::patch_loop`]. Two equal generations of
+    /// one state name the same image.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Instruments loop `id`, rewriting only its containing function.
@@ -254,6 +263,7 @@ impl PatchState {
             Ok(()) => {
                 self.maps[fi] = map;
                 self.annotated.insert(id);
+                self.generation += 1;
                 Ok(true)
             }
             Err(e) => {
@@ -816,6 +826,11 @@ mod tests {
         assert!(st.patch_loop(&cands, ids[1]).unwrap());
         assert!(st.patch_loop(&cands, ids[0]).unwrap());
         assert!(!st.patch_loop(&cands, ids[0]).unwrap(), "idempotent");
+        assert_eq!(
+            st.generation(),
+            2,
+            "only patches that change the image count"
+        );
 
         let (full, maps) =
             annotate_mapped(&p, &cands, &AnnotateOptions::only(ids.clone())).unwrap();
@@ -846,6 +861,7 @@ mod tests {
         let st = PatchState::new(&p);
         assert_eq!(st.program().functions[0].code, p.functions[0].code);
         assert!(st.annotated().is_empty());
+        assert_eq!(st.generation(), 0);
         assert!(st.maps()[0].iter().all(|o| o.is_some()));
     }
 

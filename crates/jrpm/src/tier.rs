@@ -40,15 +40,27 @@
 //! annotation sets are not comparable), so every patch bumps the
 //! window *generation*.
 //!
+//! **Unchanged images are not re-executed.** An epoch is a pure
+//! function of its image: the interpreter is deterministic, the probes
+//! cost no simulated cycles, and each epoch's tracer is fresh with
+//! fixed masks. So the controller holds the outcome of the last epoch
+//! that ran, keyed by the image generation
+//! ([`PatchState::generation`]), and an epoch on an unchanged image (a
+//! confirmation epoch after one that patched nothing) takes it instead
+//! of interpreting. `pipeline.interpreter_passes` counts the runs,
+//! `tier.reused_epochs` the rest.
+//!
 //! **Online ≡ offline.** Finalization completes the pre-screen for
 //! every candidate, patches every remaining clean loop, and runs one
-//! last epoch of the now-complete image. Because the incremental image
-//! is exactly `annotate(original, only(all clean loops))` (the
-//! [`PatchState`] invariant) and that equals the offline profiling
-//! image, the final epoch's profile, derived sequential baseline,
-//! selection, and actual-TLS numbers are bit-identical to the offline
-//! batch — the property the `tier_equivalence` suite pins across every
-//! benchmark. [`run_pipeline`](crate::pipeline::run_pipeline) itself
+//! last epoch of the now-complete image — or, when finalization
+//! patched nothing and the last run was traced, reuses that run (a
+//! traced run, `obs.trace`, always runs it, for its tracer series and
+//! sink track). Because the incremental image is exactly
+//! `annotate(original, only(all clean loops))` (the [`PatchState`]
+//! invariant) and that equals the offline profiling image, the final
+//! epoch's profile, derived sequential baseline, selection, and
+//! actual-TLS numbers are bit-identical to the offline batch — the
+//! property the `tier_equivalence` suite pins across every benchmark. [`run_pipeline`](crate::pipeline::run_pipeline) itself
 //! is now a thin wrapper over [`run_tiered`] with
 //! [`TierConfig::immediate`].
 
@@ -58,14 +70,14 @@ use crate::pipeline::{
     PipelineObservability, PipelineReport, RescueSummary, StageRecorder,
 };
 use cfgir::{
-    distance_floors, extract_candidates, extract_candidates_with,
-    prescreen_candidate_with_distance, rescue_program, PointsTo, Prescreen, StaticVerdict,
+    distance_floors, extract_candidates_with, prescreen_candidate_with_distance, rescue_program,
+    PointsTo, Prescreen, ProgramCandidates, StaticVerdict,
 };
 use obs::{Telemetry, Trace as ObsTrace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use test_tracer::{select_with_distances, Profile, SelectionWindow, TestTracer};
-use tvm::bus::TraceBus;
+use tvm::bus::{BusReport, TraceBus};
 use tvm::interp::FinalState;
 use tvm::isa::LoopId;
 use tvm::program::Program;
@@ -372,57 +384,8 @@ fn drive_immediate(program: &Program, cfg: &PipelineConfig) -> Result<TieredOutc
         tr.begin(t, "run");
     }
 
-    // 1. identify candidate STLs (includes the whole-program points-to
-    //    solve that sharpens the memory-dependence pre-screen; its
-    //    statistics ride along inside this stage so the committed obs
-    //    baseline keeps its stage list)
-    let t = stages.begin("extract");
-    let candidates = extract_candidates(program);
-    stages.end("extract", t);
-    let ps = candidates.pointsto;
-    for (name, v) in [
-        ("pointsto.abstract_objects", ps.abstract_objects as u64),
-        ("pointsto.variables", ps.variables as u64),
-        ("pointsto.constraint_edges", ps.constraint_edges as u64),
-        ("pointsto.iterations", ps.iterations as u64),
-        ("pointsto.wall_nanos", ps.wall_nanos),
-    ] {
-        registry.counter(name).add(v);
-        if let Some((tr, track)) = stages.trace {
-            tr.counter(track, name, v);
-        }
-    }
-
-    // 1b. loop rescue: try to transform demoted loops (reduction
-    //     delta-rewrite, scalar privatization, loop distribution)
-    //     into provably parallelizable variants. Every applied
-    //     transform carries a legality proof re-checked by the
-    //     independent verifier; when anything changes, candidates are
-    //     re-extracted on the transformed program.
-    let t = stages.begin("rescue");
-    let (candidates, rescue) = if cfg.no_rescue {
-        (candidates, RescueSummary::default())
-    } else {
-        let out = rescue_program(program);
-        let changed = !out.rescued.is_empty();
-        let rescue = RescueSummary {
-            rescued: out.rescued,
-            rejected: out.rejected,
-            program: changed.then_some(out.program),
-        };
-        let candidates = match &rescue.program {
-            Some(p) => extract_candidates(p),
-            None => candidates,
-        };
-        (candidates, rescue)
-    };
-    stages.end("rescue", t);
-    registry
-        .counter("rescue.applied")
-        .add(rescue.rescued.len() as u64);
-    registry
-        .counter("rescue.rejections")
-        .add(rescue.rejected.len() as u64);
+    // 1.–1b. identify candidate STLs and rescue demoted loops
+    let (candidates, rescue) = extract_and_rescue(program, Prescreen::Eager, cfg, &mut stages);
     let program: &Program = rescue.program_for(program);
 
     // 2. annotate every candidate for profiling (loops the static
@@ -446,6 +409,7 @@ fn drive_immediate(program: &Program, cfg: &PipelineConfig) -> Result<TieredOutc
         cfg,
         trace.as_ref(),
         &mut stages,
+        None,
     )?;
 
     // the plain sequential baseline, exactly: the annotation pass
@@ -552,34 +516,207 @@ fn drive_immediate(program: &Program, cfg: &PipelineConfig) -> Result<TieredOutc
     })
 }
 
+/// Stages 1 and 1b, shared by both schedules: extract the candidate
+/// STLs with the pre-screen run per `prescreen`, then try to rescue the
+/// demoted loops (reduction delta-rewrite, scalar privatization, loop
+/// distribution) into provably parallelizable variants, re-extracting
+/// on the transformed program when anything changed. Every applied
+/// transform carries a legality proof re-checked by the independent
+/// verifier.
+///
+/// The whole-program points-to solve that sharpens the pre-screen runs
+/// inside `extract`, and its statistics ride along as `pointsto.*`
+/// counters (so the committed obs baseline keeps its stage list); the
+/// rescue outcome is counted as `rescue.applied` and
+/// `rescue.rejections`.
+fn extract_and_rescue(
+    program: &Program,
+    prescreen: Prescreen,
+    cfg: &PipelineConfig,
+    stages: &mut StageRecorder<'_>,
+) -> (ProgramCandidates, RescueSummary) {
+    let registry = stages.registry;
+    let t = stages.begin("extract");
+    let candidates = extract_candidates_with(program, prescreen);
+    stages.end("extract", t);
+    let ps = candidates.pointsto;
+    for (name, v) in [
+        ("pointsto.abstract_objects", ps.abstract_objects as u64),
+        ("pointsto.variables", ps.variables as u64),
+        ("pointsto.constraint_edges", ps.constraint_edges as u64),
+        ("pointsto.iterations", ps.iterations as u64),
+        ("pointsto.wall_nanos", ps.wall_nanos),
+    ] {
+        registry.counter(name).add(v);
+        if let Some((tr, track)) = stages.trace {
+            tr.counter(track, name, v);
+        }
+    }
+
+    let t = stages.begin("rescue");
+    let (candidates, rescue) = if cfg.no_rescue {
+        (candidates, RescueSummary::default())
+    } else {
+        let out = rescue_program(program);
+        let changed = !out.rescued.is_empty();
+        let rescue = RescueSummary {
+            rescued: out.rescued,
+            rejected: out.rejected,
+            program: changed.then_some(out.program),
+        };
+        let candidates = match &rescue.program {
+            Some(p) => extract_candidates_with(p, prescreen),
+            None => candidates,
+        };
+        (candidates, rescue)
+    };
+    stages.end("rescue", t);
+    registry
+        .counter("rescue.applied")
+        .add(rescue.rescued.len() as u64);
+    registry
+        .counter("rescue.rejections")
+        .add(rescue.rejected.len() as u64);
+    (candidates, rescue)
+}
+
 /// The profiling pass, shared by both schedules: one run of `image`
 /// streamed into a fresh TEST tracer (with its spans and series when
 /// the run is traced), timed as the `record` and `replay-profile`
 /// stages, with the bus and tracer counters recorded.
+///
+/// `held` is an online epoch that already ran this very image through
+/// the same tracer configuration: its bits are taken instead of
+/// interpreting again. Its (near-zero) wall time is booked as
+/// `record`, with 0 as `replay-profile` and as every sink's
+/// `drain_nanos`, so the sinks' drain work stays booked once, under
+/// `epochs`, and `replay-profile` still equals the summed drains.
 fn profile_pass(
     image: &Program,
     masks: Vec<(LoopId, u64)>,
     cfg: &PipelineConfig,
     trace: Option<&Arc<ObsTrace>>,
     stages: &mut StageRecorder<'_>,
+    held: Option<TracedRun>,
 ) -> Result<(FinalState, Profile), VmError> {
     let registry = stages.registry;
-    registry.counter("pipeline.interpreter_passes").inc();
-    let mut tracer = TestTracer::with_masks(cfg.tracer, masks);
-    if let Some(tr) = trace {
-        tracer.set_obs(Arc::clone(tr), cfg.obs.sample_every);
-    }
-    let t = stages.begin("record");
-    let mut bus = TraceBus::new().sink("test-tracer", &mut tracer);
-    if let Some(tr) = trace {
-        bus = bus.observe(Arc::clone(tr));
-    }
-    let (state, report) = bus.run(image, &mut NoHook)?;
-    stages.end_streamed(t, &report);
-    record_bus_report(registry, &report);
-    let profile = tracer.into_profile();
-    record_tracer_profile(registry, &profile);
-    Ok((state, profile))
+    let run = match held {
+        Some(mut run) => {
+            registry.counter("tier.reused_epochs").inc();
+            let t = stages.begin("record");
+            for sink in &mut run.report.sinks {
+                sink.drain_nanos = 0;
+            }
+            stages.end_streamed(t, &run.report);
+            run
+        }
+        None => {
+            registry.counter("pipeline.interpreter_passes").inc();
+            let mut tracer = TestTracer::with_masks(cfg.tracer, masks);
+            if let Some(tr) = trace {
+                tracer.set_obs(Arc::clone(tr), cfg.obs.sample_every);
+            }
+            let t = stages.begin("record");
+            let mut bus = TraceBus::new().sink("test-tracer", &mut tracer);
+            if let Some(tr) = trace {
+                bus = bus.observe(Arc::clone(tr));
+            }
+            let (state, report) = bus.run(image, &mut NoHook)?;
+            stages.end_streamed(t, &report);
+            TracedRun {
+                profile: tracer.into_profile(),
+                state,
+                report,
+            }
+        }
+    };
+    record_bus_report(registry, &run.report);
+    record_tracer_profile(registry, &run.profile);
+    Ok((run.state, run.profile))
+}
+
+/// What one online epoch's execution produced, held so that a later
+/// epoch on the same image takes it instead of interpreting again.
+///
+/// An epoch is a pure function of its image: the interpreter is
+/// deterministic, the hot-location probes cost no simulated cycles,
+/// and the tracer is fresh with fixed masks. So an epoch on an
+/// unchanged image would return exactly these bits.
+struct EpochRun {
+    /// [`PatchState::generation`] of the image that ran.
+    generation: u64,
+    /// Hot-location count of every candidate probed in the run, by
+    /// candidate index (`None` for unprobed ones). The probed set only
+    /// shrinks, so a later epoch never asks for a missing count.
+    counts: Vec<Option<u64>>,
+    /// The traced half; `None` for a pure counting run.
+    traced: Option<TracedRun>,
+}
+
+/// A run streamed into a fresh tracer: everything the profiling pass
+/// reads back.
+struct TracedRun {
+    profile: Profile,
+    state: FinalState,
+    report: BusReport,
+}
+
+/// Runs one online epoch of `patch`'s current image, probing the
+/// header of every candidate whose `probed` entry is set. With nothing
+/// patched in yet this is a pure counting-tier run (no event stream,
+/// no tracer); otherwise it streams into a fresh tracer exactly like
+/// the offline profiling pass.
+fn run_epoch(
+    patch: &PatchState,
+    header_pcs: &[(u16, u32)],
+    probed: &[bool],
+    masks: &[(LoopId, u64)],
+    cfg: &PipelineConfig,
+) -> Result<EpochRun, VmError> {
+    // translate original header pcs through the live image's origin
+    // maps (identity for un-patched functions)
+    let mut hot = HotLocations::for_program(patch.program());
+    let slots: Vec<Option<usize>> = header_pcs
+        .iter()
+        .zip(probed)
+        .map(|(&(func, orig_pc), &on)| {
+            on.then(|| {
+                let pc = patch.maps()[func as usize]
+                    .iter()
+                    .position(|&o| o == Some(orig_pc))
+                    .unwrap_or(orig_pc as usize);
+                hot.register(func, pc as u32)
+            })
+        })
+        .collect();
+    let traced = if patch.annotated().is_empty() {
+        Interp::run_to_state_hooked(
+            patch.program(),
+            &mut NullSink,
+            CostModel::default(),
+            Interp::DEFAULT_FUEL,
+            &mut hot,
+        )?;
+        None
+    } else {
+        let mut tracer = TestTracer::with_masks(cfg.tracer, masks.to_vec());
+        let (state, report) = TraceBus::new()
+            .sink("test-tracer", &mut tracer)
+            .run(patch.program(), &mut hot)?;
+        Some(TracedRun {
+            profile: tracer.into_profile(),
+            state,
+            report,
+        })
+    };
+    Ok(EpochRun {
+        generation: patch.generation(),
+        counts: slots
+            .iter()
+            .map(|s| s.map(|slot| hot.count(slot)))
+            .collect(),
+        traced,
+    })
 }
 
 /// The online schedule: repeated execution epochs of an incrementally
@@ -612,53 +749,13 @@ fn drive_online(
 
     // extraction with the pre-screen deferred: candidate ids, nesting,
     // and rejections are identical to the eager form; per-loop
-    // dependence analysis is paid only at promotion time
-    let t = stages.begin("extract");
-    let candidates = extract_candidates_with(program, Prescreen::Deferred);
-    stages.end("extract", t);
-    let ps = candidates.pointsto;
-    for (name, v) in [
-        ("pointsto.abstract_objects", ps.abstract_objects as u64),
-        ("pointsto.variables", ps.variables as u64),
-        ("pointsto.constraint_edges", ps.constraint_edges as u64),
-        ("pointsto.iterations", ps.iterations as u64),
-        ("pointsto.wall_nanos", ps.wall_nanos),
-    ] {
-        registry.counter(name).add(v);
-        if let Some((tr, track)) = stages.trace {
-            tr.counter(track, name, v);
-        }
-    }
-
-    // rescue runs eagerly at startup: it rewrites loop bodies, and
-    // patching must target stable post-rescue loop ids (this also
-    // keeps online loop ids equal to offline ones)
-    let t = stages.begin("rescue");
-    let (candidates, rescue) = if cfg.no_rescue {
-        (candidates, RescueSummary::default())
-    } else {
-        let out = rescue_program(program);
-        let changed = !out.rescued.is_empty();
-        let rescue = RescueSummary {
-            rescued: out.rescued,
-            rejected: out.rejected,
-            program: changed.then_some(out.program),
-        };
-        let candidates = match &rescue.program {
-            Some(p) => extract_candidates_with(p, Prescreen::Deferred),
-            None => candidates,
-        };
-        (candidates, rescue)
-    };
-    stages.end("rescue", t);
-    registry
-        .counter("rescue.applied")
-        .add(rescue.rescued.len() as u64);
-    registry
-        .counter("rescue.rejections")
-        .add(rescue.rejected.len() as u64);
+    // dependence analysis is paid only at promotion time. Rescue runs
+    // eagerly at startup: it rewrites loop bodies, and patching must
+    // target stable post-rescue loop ids (this also keeps online loop
+    // ids equal to offline ones)
+    let (mut candidates, rescue) =
+        extract_and_rescue(program, Prescreen::Deferred, cfg, &mut stages);
     let program: &Program = rescue.program_for(program);
-    let mut candidates = candidates;
 
     // the same alias view the eager pre-screen would have used, so
     // deferred verdicts are identical to eager ones
@@ -696,6 +793,7 @@ fn drive_online(
     let mut counting_epochs = 0u32;
     let mut revisions = 0u32;
     let mut epoch = 0u32;
+    let mut last: Option<EpochRun> = None;
 
     let t = stages.begin("epochs");
     loop {
@@ -703,47 +801,33 @@ fn drive_online(
             tr.begin(tt, "epoch");
         }
 
-        // arm hot-location probes for every loop still proving heat,
-        // translating original header pcs through the live image's
-        // origin maps (identity for un-patched functions)
-        let mut hot = HotLocations::for_program(patch.program());
-        let mut slots: Vec<Option<usize>> = vec![None; n];
-        for (i, s) in states.iter().enumerate() {
-            if matches!(s.tier, LoopTier::Cold | LoopTier::Counting) {
-                let (func, orig_pc) = header_pcs[i];
-                let map = &patch.maps()[func as usize];
-                let pc = map
-                    .iter()
-                    .position(|&o| o == Some(orig_pc))
-                    .unwrap_or(orig_pc as usize);
-                slots[i] = Some(hot.register(func, pc as u32));
-            }
-        }
-
-        // one deterministic execution epoch of the current image.
-        // With nothing patched in yet this is a pure counting-tier run
-        // (no event stream, no tracer); otherwise the epoch streams
-        // into a fresh tracer exactly like the offline profiling pass.
-        registry.counter("pipeline.interpreter_passes").inc();
-        let profile = if patch.annotated().is_empty() {
+        // one deterministic execution epoch of the current image, with
+        // hot-location probes armed for every loop still proving heat.
+        // An image that has not changed since the last run (a
+        // confirmation epoch after one that patched nothing) is not
+        // interpreted again: the held run is its outcome. The held run
+        // is dropped before a fresh one starts, so at most one is alive.
+        let probed: Vec<bool> = states
+            .iter()
+            .map(|s| matches!(s.tier, LoopTier::Cold | LoopTier::Counting))
+            .collect();
+        if patch.annotated().is_empty() {
             counting_epochs += 1;
-            Interp::run_to_state_hooked(
-                patch.program(),
-                &mut NullSink,
-                CostModel::default(),
-                Interp::DEFAULT_FUEL,
-                &mut hot,
-            )?;
-            None
-        } else {
-            let mut tracer = TestTracer::with_masks(cfg.tracer, masks.clone());
-            let (state, _) = TraceBus::new()
-                .sink("test-tracer", &mut tracer)
-                .run(patch.program(), &mut hot)?;
-            Some((tracer.into_profile(), state.result.cycles))
+        }
+        let run: &EpochRun = match &mut last {
+            Some(held) if held.generation == patch.generation() => {
+                registry.counter("tier.reused_epochs").inc();
+                held
+            }
+            slot => {
+                *slot = None;
+                registry.counter("pipeline.interpreter_passes").inc();
+                slot.insert(run_epoch(&patch, &header_pcs, &probed, &masks, cfg)?)
+            }
         };
 
-        if let Some((profile, cycles)) = profile {
+        if let Some(traced) = &run.traced {
+            let profile = &traced.profile;
             // Tracing → Profiled on the first banked entry; TI001
             // demotion when the comparator banks starve the loop past
             // its budget
@@ -789,7 +873,7 @@ fn drive_online(
 
             // windowed re-selection with hysteresis over Profiled /
             // Selected / Revised loops
-            window.push(profile, cycles);
+            window.push(profile.clone(), traced.state.result.cycles);
             let mut demoted = candidates.demoted_ids();
             demoted.extend(dynamic_demoted.iter().copied());
             if let Some(sel) = window.reselect_with_distances(&params, &demoted, &floors) {
@@ -857,8 +941,10 @@ fn drive_online(
         // counting-tier updates and promotion on this epoch's counts
         let mut patched_any = false;
         for i in 0..n {
-            let Some(slot) = slots[i] else { continue };
-            let c = hot.count(slot);
+            if !probed[i] {
+                continue;
+            }
+            let c = run.counts[i].expect("the probed set only shrinks");
             states[i].hot_count += c;
             if states[i].tier == LoopTier::Cold && c > 0 {
                 states[i].set_tier(epoch, LoopTier::Counting);
@@ -982,9 +1068,25 @@ fn drive_online(
     }
     stages.end("annotate", t);
 
-    // the authoritative epoch: the full image, probes off
-    let (final_state, profile) =
-        profile_pass(patch.program(), masks, cfg, trace.as_ref(), &mut stages)?;
+    // the authoritative epoch: the full image, probes off. When
+    // finalization patched nothing and the last epoch that ran was
+    // traced, that epoch already ran this image through this tracer
+    // configuration, so its outcome is taken. The one exception is a
+    // traced run (`cfg.obs.trace`): there the authoritative epoch still
+    // runs, because its tracer series and `sink:test-tracer` track are
+    // that mode's product.
+    let held = last
+        .take()
+        .filter(|r| r.generation == patch.generation() && !cfg.obs.trace)
+        .and_then(|r| r.traced);
+    let (final_state, profile) = profile_pass(
+        patch.program(),
+        masks,
+        cfg,
+        trace.as_ref(),
+        &mut stages,
+        held,
+    )?;
     let prof_run = final_state.result.clone();
     let seq_cycles = prof_run.cycles - prof_run.annotation_cycles.total();
 
@@ -1185,6 +1287,105 @@ mod tests {
             };
             assert_equivalent(&parallel_program(120), &PipelineConfig::default(), &tcfg);
         }
+    }
+
+    /// Every logical epoch either interpreted its image or took the
+    /// held run of an unchanged one; the collect pass adds one more
+    /// interpreter pass when a loop is chosen.
+    fn assert_passes_account_for_epochs(program: &Program, tcfg: &TierConfig) -> u64 {
+        let out = run_tiered(program, &PipelineConfig::default(), tcfg).unwrap();
+        let snap = out.report.telemetry.registry.snapshot();
+        let passes = u64::from(out.report.obs.interpreter_passes);
+        let reused = snap.counter("tier.reused_epochs");
+        let collect = u64::from(!out.report.selection.chosen.is_empty());
+        assert_eq!(
+            passes + reused,
+            u64::from(out.tiers.epochs) + collect,
+            "passes {passes} + reused {reused} vs {} epochs ({tcfg:?})",
+            out.tiers.epochs
+        );
+        assert_eq!(snap.counter("tier.epochs") + 1, u64::from(out.tiers.epochs));
+        reused
+    }
+
+    #[test]
+    fn interpreter_passes_and_reused_epochs_account_for_every_epoch() {
+        let mut reused = 0;
+        for program in [parallel_program(200), serial_program(400)] {
+            reused += assert_passes_account_for_epochs(&program, &TierConfig::default());
+        }
+        for (hot, budget, hyst) in [(1, 1, 1), (100_000, 1, 3), (64, 4, 2)] {
+            let tcfg = TierConfig {
+                hot_threshold: hot,
+                counting_epoch_budget: budget,
+                hysteresis: hyst,
+                ..TierConfig::default()
+            };
+            reused += assert_passes_account_for_epochs(&parallel_program(120), &tcfg);
+        }
+        assert!(
+            reused > 0,
+            "confirmation epochs on unchanged images are reused"
+        );
+        let offline = run_tiered(
+            &parallel_program(200),
+            &PipelineConfig::default(),
+            &TierConfig::immediate(),
+        )
+        .unwrap();
+        let snap = offline.report.telemetry.registry.snapshot();
+        assert_eq!(
+            snap.counter("tier.reused_epochs"),
+            0,
+            "the batch reuses nothing"
+        );
+    }
+
+    /// A traced run is the one exception to reuse: its authoritative
+    /// epoch runs, so the tracer series and the sink track exist, and
+    /// the analysis still equals the untraced run's.
+    #[test]
+    fn traced_run_still_runs_the_authoritative_epoch() {
+        let p = parallel_program(200);
+        let plain = run_tiered(&p, &PipelineConfig::default(), &TierConfig::default()).unwrap();
+        let cfg = PipelineConfig {
+            obs: crate::pipeline::ObsConfig {
+                trace: true,
+                sample_every: 64,
+            },
+            ..PipelineConfig::default()
+        };
+        let traced = run_tiered(&p, &cfg, &TierConfig::default()).unwrap();
+        let tracks = traced.report.telemetry.trace.tracks();
+        for name in ["pipeline", "tier", "tracer", "sink:test-tracer"] {
+            assert!(
+                tracks.iter().any(|t| t.name == name),
+                "missing track {name}"
+            );
+        }
+        let (a, b) = (&plain.report, &traced.report);
+        assert_eq!(a.profile, b.profile);
+        assert_eq!(a.selection.chosen, b.selection.chosen);
+        assert_eq!(a.selection.predicted_cycles, b.selection.predicted_cycles);
+        assert_eq!(a.actual.per_loop, b.actual.per_loop);
+        assert_eq!(a.actual.tls_cycles, b.actual.tls_cycles);
+        // this image's authoritative epoch is reused when untraced and
+        // interpreted when traced
+        let reused = |r: &PipelineReport| {
+            r.telemetry
+                .registry
+                .snapshot()
+                .counter("tier.reused_epochs")
+        };
+        assert_eq!(plain.tiers.epochs, traced.tiers.epochs);
+        assert_eq!(reused(a), reused(b) + 1);
+        assert_eq!(a.obs.interpreter_passes + 1, b.obs.interpreter_passes);
+        // the reused epoch's drain work stays booked once, under
+        // `epochs`: nothing is booked as replay-profile
+        assert_eq!(a.obs.stage_nanos("replay-profile"), 0);
+        assert!(a.obs.bus.sinks.iter().all(|s| s.drain_nanos == 0));
+        assert_eq!(a.obs.bus.events, b.obs.bus.events);
+        assert!(b.obs.stage_nanos("replay-profile") > 0);
     }
 
     #[test]

@@ -18,46 +18,25 @@ use jrpm::pipeline::PipelineConfig;
 use jrpm_bench::runner::{run_benchmark_with, BenchResult};
 use jrpm_bench::tables;
 
+/// Renders or exports the suite's results.
+type Render = fn(&[BenchResult]) -> String;
+
+/// Removes `flag VALUE` from `args`, returning the value.
+fn take(args: &mut Vec<String>, flag: &str) -> Option<String> {
+    let i = args
+        .iter()
+        .position(|a| a == flag)
+        .filter(|&i| i + 1 < args.len())?;
+    args.remove(i);
+    Some(args.remove(i))
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut obs_json_path: Option<String> = None;
-    let mut trace_out_path: Option<String> = None;
-    let mut metrics_json_path: Option<String> = None;
-    let mut agreement_json_path: Option<String> = None;
-    let mut prescreen_json_path: Option<String> = None;
-    let mut rescue_json_path: Option<String> = None;
-    let mut tier_json_path: Option<String> = None;
-    let mut scev_json_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if i + 1 < args.len() && args[i] == "--obs-json" {
-            args.remove(i);
-            obs_json_path = Some(args.remove(i));
-        } else if i + 1 < args.len() && args[i] == "--trace-out" {
-            args.remove(i);
-            trace_out_path = Some(args.remove(i));
-        } else if i + 1 < args.len() && args[i] == "--metrics-json" {
-            args.remove(i);
-            metrics_json_path = Some(args.remove(i));
-        } else if i + 1 < args.len() && args[i] == "--agreement-json" {
-            args.remove(i);
-            agreement_json_path = Some(args.remove(i));
-        } else if i + 1 < args.len() && args[i] == "--prescreen-json" {
-            args.remove(i);
-            prescreen_json_path = Some(args.remove(i));
-        } else if i + 1 < args.len() && args[i] == "--rescue-json" {
-            args.remove(i);
-            rescue_json_path = Some(args.remove(i));
-        } else if i + 1 < args.len() && args[i] == "--tier-json" {
-            args.remove(i);
-            tier_json_path = Some(args.remove(i));
-        } else if i + 1 < args.len() && args[i] == "--scev-json" {
-            args.remove(i);
-            scev_json_path = Some(args.remove(i));
-        } else {
-            i += 1;
-        }
-    }
+    let obs_json_path = take(&mut args, "--obs-json");
+    let trace_out_path = take(&mut args, "--trace-out");
+    let metrics_json_path = take(&mut args, "--metrics-json");
+    let agreement_json_path = take(&mut args, "--agreement-json");
     let mut size = DataSize::Default;
     args.retain(|a| match a.as_str() {
         "--small" => {
@@ -71,81 +50,37 @@ fn main() {
         _ => true,
     });
     // a bare export flag (CI smoke) should not drag in every table
-    if args.is_empty()
-        && agreement_json_path.is_none()
-        && prescreen_json_path.is_none()
-        && rescue_json_path.is_none()
-        && tier_json_path.is_none()
-        && scev_json_path.is_none()
-    {
+    if args.is_empty() && agreement_json_path.is_none() {
         args.push("all".into());
     }
-    let want = |name: &str| -> bool { args.iter().any(|a| a == name || a == "all") };
+    // "quick" is a CI smoke artifact, deliberately not part of "all"
+    let want = |name: &str| {
+        args.iter()
+            .any(|a| a == name || (a == "all" && name != "quick"))
+    };
 
     println!("{}", tables::banner());
 
-    if want("table1") {
-        println!("{}", tables::table1());
-    }
-    if want("table2") {
-        println!("{}", tables::table2());
-    }
-    if want("table4") {
-        println!("{}", tables::table4());
-    }
-    if want("table5") {
-        println!("{}", tables::table5());
-    }
-    if want("table3") {
-        println!("{}", tables::table3(size));
-    }
-    if want("fig9") {
-        println!("{}", tables::fig9());
-    }
-    if want("softslow") {
-        println!("{}", tables::softslow(size));
-    }
-    if want("ablation") {
-        println!("{}", jrpm_bench::ablation::all(size));
-    }
-    // "quick" is a CI smoke artifact, deliberately not part of "all"
-    if args.iter().any(|a| a == "quick") {
-        println!("{}", jrpm_bench::ablation::quick(size));
-    }
-    if want("methods") {
-        println!("{}", tables::methods(size));
-    }
-    if want("prescreen") {
-        println!("{}", tables::prescreen(size));
-    }
-    if let Some(path) = &prescreen_json_path {
-        let rows = tables::prescreen_rows(size);
-        std::fs::write(path, tables::prescreen_json(&rows)).expect("write pre-screen JSON");
-        eprintln!("wrote {path}");
-    }
-    if want("rescue") {
-        println!("{}", tables::rescue(size));
-    }
-    if let Some(path) = &rescue_json_path {
-        let rows = tables::rescue_rows(size);
-        std::fs::write(path, tables::rescue_json(&rows)).expect("write rescue JSON");
-        eprintln!("wrote {path}");
-    }
-    if want("tier") {
-        println!("{}", tables::tier(size));
-    }
-    if want("scev") {
-        println!("{}", tables::scev_table(size));
-    }
-    if let Some(path) = &scev_json_path {
-        let rows = tables::scev_rows(size);
-        std::fs::write(path, tables::scev_json(&rows)).expect("write scev JSON");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &tier_json_path {
-        let rows = tables::tier_rows(size);
-        std::fs::write(path, tables::tier_json(&rows)).expect("write tier JSON");
-        eprintln!("wrote {path}");
+    let text_tables: [(&str, &dyn Fn() -> String); 14] = [
+        ("table1", &tables::table1),
+        ("table2", &tables::table2),
+        ("table4", &tables::table4),
+        ("table5", &tables::table5),
+        ("table3", &|| tables::table3(size)),
+        ("fig9", &tables::fig9),
+        ("softslow", &|| tables::softslow(size)),
+        ("ablation", &|| jrpm_bench::ablation::all(size)),
+        ("quick", &|| jrpm_bench::ablation::quick(size)),
+        ("methods", &|| tables::methods(size)),
+        ("prescreen", &|| tables::prescreen(size)),
+        ("rescue", &|| tables::rescue(size)),
+        ("tier", &|| tables::tier(size)),
+        ("scev", &|| tables::scev_table(size)),
+    ];
+    for (name, table) in text_tables {
+        if want(name) {
+            println!("{}", table());
+        }
     }
     // The agreement report force-annotates every candidate and replays
     // each benchmark's trace, so it runs on demand: the full suite for
@@ -178,9 +113,15 @@ fn main() {
         }
     }
 
-    let needs_full_suite = ["table6", "fig6", "fig10", "fig11", "scorecard", "obs"]
-        .iter()
-        .any(|n| want(n));
+    let suite_tables: [(&str, Render); 6] = [
+        ("table6", tables::table6),
+        ("fig6", tables::fig6),
+        ("fig10", tables::fig10),
+        ("fig11", tables::fig11),
+        ("scorecard", tables::scorecard),
+        ("obs", tables::obs),
+    ];
+    let needs_full_suite = suite_tables.iter().any(|(name, _)| want(name));
     let needs_any_run =
         obs_json_path.is_some() || trace_out_path.is_some() || metrics_json_path.is_some();
     if needs_full_suite || needs_any_run {
@@ -217,35 +158,21 @@ fn main() {
                 Err(e) => eprintln!("FAILED: {e}"),
             }
         }
-        if want("table6") {
-            println!("{}", tables::table6(&results));
+        for (name, table) in suite_tables {
+            if want(name) {
+                println!("{}", table(&results));
+            }
         }
-        if want("fig6") {
-            println!("{}", tables::fig6(&results));
-        }
-        if want("fig10") {
-            println!("{}", tables::fig10(&results));
-        }
-        if want("fig11") {
-            println!("{}", tables::fig11(&results));
-        }
-        if want("scorecard") {
-            println!("{}", tables::scorecard(&results));
-        }
-        if want("obs") {
-            println!("{}", tables::obs(&results));
-        }
-        if let Some(path) = &obs_json_path {
-            std::fs::write(path, tables::obs_json(&results)).expect("write observability JSON");
-            eprintln!("wrote {path}");
-        }
-        if let Some(path) = &trace_out_path {
-            std::fs::write(path, tables::chrome_trace(&results)).expect("write Chrome trace");
-            eprintln!("wrote {path} (open in Perfetto or chrome://tracing)");
-        }
-        if let Some(path) = &metrics_json_path {
-            std::fs::write(path, tables::metrics_json(&results)).expect("write metrics JSON");
-            eprintln!("wrote {path}");
+        let exports: [(&Option<String>, Render); 3] = [
+            (&obs_json_path, tables::obs_json),
+            (&trace_out_path, tables::chrome_trace),
+            (&metrics_json_path, tables::metrics_json),
+        ];
+        for (path, export) in exports {
+            if let Some(path) = path {
+                std::fs::write(path, export(&results)).unwrap_or_else(|e| panic!("{path}: {e}"));
+                eprintln!("wrote {path}");
+            }
         }
     }
 }

@@ -9,6 +9,7 @@
 
 pub mod ablation;
 pub mod diag;
+pub mod gate;
 pub mod runner;
 pub mod tables;
 

@@ -1,6 +1,7 @@
 //! Text renderers for every table and figure of the paper's
 //! evaluation.
 
+use crate::gate::Row;
 use crate::runner::BenchResult;
 use benchsuite::DataSize;
 use cfgir::{
@@ -11,10 +12,36 @@ use jrpm::agreement::{agreement_report, AgreementReport};
 use jrpm::pipeline::{run_pipeline, PipelineConfig};
 use jrpm::slowdown::software_comparison;
 use jrpm::tier::{run_tiered, LoopTier, TierConfig};
+use obs::json::quote;
 use test_tracer::hwcost::{hydra_budget, CostParams};
 use test_tracer::TracerConfig;
 use tvm::bus::KindCounts;
 use tvm::{Cond, ElemKind, ProgramBuilder};
+
+/// Declares a per-benchmark snapshot row: the struct (with a leading
+/// `name`) and its `row()`, which writes every other field in
+/// declaration order as the row its gate snapshots (booleans as 0/1).
+macro_rules! snapshot_row {
+    ($(#[$doc:meta])* pub struct $ty:ident {
+        $($(#[$fdoc:meta])* pub $field:ident: $fty:ty,)*
+    }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone)]
+        pub struct $ty {
+            /// Benchmark name.
+            pub name: &'static str,
+            $($(#[$fdoc])* pub $field: $fty,)*
+        }
+
+        impl $ty {
+            /// The row as its gate snapshots it.
+            pub fn row(&self) -> Row {
+                let fields = vec![$((stringify!($field), self.$field as u64 as f64),)*];
+                Row { name: self.name, fields }
+            }
+        }
+    };
+}
 
 /// Table 1 — thread-level speculation buffer limits.
 pub fn table1() -> String {
@@ -482,29 +509,28 @@ pub fn methods(size: DataSize) -> String {
     s
 }
 
-/// One benchmark's static pre-screen measurements, including the
-/// baseline-vs-points-to pair-classification delta the committed
-/// snapshot tracks.
-#[derive(Debug, Clone)]
-pub struct PrescreenRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Natural loops discovered.
-    pub loops: usize,
-    /// Qualified candidates.
-    pub candidates: usize,
-    /// Candidates the pre-screen demoted.
-    pub demoted: usize,
-    /// (load, store) access pairs across all candidate loop bodies.
-    pub pairs: usize,
-    /// Pairs proven disjoint by the structural rules alone (PR 1).
-    pub baseline_disjoint: usize,
-    /// Pairs proven disjoint with points-to facts.
-    pub disjoint: usize,
-    /// Of those, provable only through points-to.
-    pub via_pointsto: usize,
-    /// Abstract objects the points-to solve modelled.
-    pub abstract_objects: usize,
+snapshot_row! {
+    /// One benchmark's static pre-screen measurements, including the
+    /// baseline-vs-points-to pair-classification delta the committed
+    /// snapshot tracks.
+    pub struct PrescreenRow {
+        /// Natural loops discovered.
+        pub loops: usize,
+        /// Qualified candidates.
+        pub candidates: usize,
+        /// Candidates the pre-screen demoted.
+        pub demoted: usize,
+        /// (load, store) access pairs across all candidate loop bodies.
+        pub pairs: usize,
+        /// Pairs proven disjoint by the structural rules alone (PR 1).
+        pub baseline_disjoint: usize,
+        /// Pairs proven disjoint with points-to facts.
+        pub disjoint: usize,
+        /// Of those, provable only through points-to.
+        pub via_pointsto: usize,
+        /// Abstract objects the points-to solve modelled.
+        pub abstract_objects: usize,
+    }
 }
 
 /// Computes the pre-screen measurements for every benchmark. Pure
@@ -552,31 +578,6 @@ pub fn prescreen_rows(size: DataSize) -> Vec<PrescreenRow> {
     rows
 }
 
-/// The pre-screen snapshot as JSON, diffed by the `prescreen-gate`
-/// binary against `results_prescreen_baseline.json`.
-pub fn prescreen_json(rows: &[PrescreenRow]) -> String {
-    let mut s = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": {}, \"loops\": {}, \"candidates\": {}, \"demoted\": {}, \
-             \"pairs\": {}, \"baseline_disjoint\": {}, \"disjoint\": {}, \
-             \"via_pointsto\": {}, \"abstract_objects\": {}}}{}\n",
-            json_str(r.name),
-            r.loops,
-            r.candidates,
-            r.demoted,
-            r.pairs,
-            r.baseline_disjoint,
-            r.disjoint,
-            r.via_pointsto,
-            r.abstract_objects,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 /// Static pre-screen summary — per benchmark, how many candidate loops
 /// the memory-dependence analysis proved serial and demoted before any
 /// profiling run, and how many access pairs the points-to sharpening
@@ -612,46 +613,45 @@ pub fn prescreen(size: DataSize) -> String {
     s
 }
 
-/// One benchmark's scalar-evolution measurements: how much further the
-/// scev distance-vector sharpening pushes the pair classification past
-/// the points-to pre-screen, how many certified pre-computation slices
-/// were extracted, and whether the dynamic value-agreement replay
-/// confirmed every claim.
-#[derive(Debug, Clone)]
-pub struct ScevRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// (load, store) access pairs across all candidate loop bodies —
-    /// the same universe the pre-screen snapshot counts, so the gate
-    /// can check per-benchmark monotonicity against it.
-    pub pairs: usize,
-    /// Pairs proven disjoint by the points-to pre-screen (PR 5).
-    pub prescreen_disjoint: usize,
-    /// Pairs proven disjoint with scev evolutions also available.
-    pub disjoint: usize,
-    /// Pairs carrying a `DistanceAtLeast` verdict — collisions proven
-    /// at least that many iterations apart, which the pre-screen had
-    /// to leave may-alias.
-    pub distance_pairs: usize,
-    /// Candidate loops whose Equation 2 estimate gains a RAW-chain
-    /// overlap floor from a positive signed distance.
-    pub floored_loops: usize,
-    /// Loop-carried scalars with closed-form evolutions.
-    pub closed_forms: usize,
-    /// Certified pre-computation slices (verifier-approved).
-    pub slices: usize,
-    /// Slice candidates the independent verifier rejected.
-    pub slices_rejected: usize,
-    /// Per-iteration slice predictions checked against the replay.
-    pub slice_checks: u64,
-    /// Slice predictions the recorded stream refuted (must be 0).
-    pub slice_violations: usize,
-    /// Shared addresses cross-checked against a claimed distance.
-    pub distance_checks: u64,
-    /// Distance claims the replay refuted (must be 0).
-    pub distance_violations: usize,
-    /// The full agreement report's soundness verdict.
-    pub sound: bool,
+snapshot_row! {
+    /// One benchmark's scalar-evolution measurements: how much further the
+    /// scev distance-vector sharpening pushes the pair classification past
+    /// the points-to pre-screen, how many certified pre-computation slices
+    /// were extracted, and whether the dynamic value-agreement replay
+    /// confirmed every claim.
+    pub struct ScevRow {
+        /// (load, store) access pairs across all candidate loop bodies —
+        /// the same universe the pre-screen snapshot counts, so the gate
+        /// can check per-benchmark monotonicity against it.
+        pub pairs: usize,
+        /// Pairs proven disjoint by the points-to pre-screen (PR 5).
+        pub prescreen_disjoint: usize,
+        /// Pairs proven disjoint with scev evolutions also available.
+        pub disjoint: usize,
+        /// Pairs carrying a `DistanceAtLeast` verdict — collisions proven
+        /// at least that many iterations apart, which the pre-screen had
+        /// to leave may-alias.
+        pub distance_pairs: usize,
+        /// Candidate loops whose Equation 2 estimate gains a RAW-chain
+        /// overlap floor from a positive signed distance.
+        pub floored_loops: usize,
+        /// Loop-carried scalars with closed-form evolutions.
+        pub closed_forms: usize,
+        /// Certified pre-computation slices (verifier-approved).
+        pub slices: usize,
+        /// Slice candidates the independent verifier rejected.
+        pub slices_rejected: usize,
+        /// Per-iteration slice predictions checked against the replay.
+        pub slice_checks: u64,
+        /// Slice predictions the recorded stream refuted (must be 0).
+        pub slice_violations: usize,
+        /// Shared addresses cross-checked against a claimed distance.
+        pub distance_checks: u64,
+        /// Distance claims the replay refuted (must be 0).
+        pub distance_violations: usize,
+        /// The full agreement report's soundness verdict.
+        pub sound: bool,
+    }
 }
 
 /// Computes the scalar-evolution snapshot for every benchmark: the
@@ -727,38 +727,6 @@ pub fn scev_rows(size: DataSize) -> Vec<ScevRow> {
     rows
 }
 
-/// The scalar-evolution snapshot as JSON, diffed by the `scev-gate`
-/// binary against `results_scev_baseline.json`.
-pub fn scev_json(rows: &[ScevRow]) -> String {
-    let mut s = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": {}, \"pairs\": {}, \"prescreen_disjoint\": {}, \
-             \"disjoint\": {}, \"distance_pairs\": {}, \"floored_loops\": {}, \
-             \"closed_forms\": {}, \"slices\": {}, \"slices_rejected\": {}, \
-             \"slice_checks\": {}, \"slice_violations\": {}, \
-             \"distance_checks\": {}, \"distance_violations\": {}, \"sound\": {}}}{}\n",
-            json_str(r.name),
-            r.pairs,
-            r.prescreen_disjoint,
-            r.disjoint,
-            r.distance_pairs,
-            r.floored_loops,
-            r.closed_forms,
-            r.slices,
-            r.slices_rejected,
-            r.slice_checks,
-            r.slice_violations,
-            r.distance_checks,
-            r.distance_violations,
-            u64::from(r.sound),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 /// Scalar-evolution summary — per benchmark, how far the distance
 /// vectors sharpen the pre-screen, the certified slice yield, and the
 /// dynamic value-agreement verdict.
@@ -808,30 +776,29 @@ pub fn scev_table(size: DataSize) -> String {
     s
 }
 
-/// One benchmark's loop-rescue verdicts: what the transform pass
-/// lifted out of the demoted set, what it refused, and whether the
-/// rescued loops then clear dynamic selection.
-#[derive(Debug, Clone)]
-pub struct RescueRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Candidates the pre-screen demoted on the program as written.
-    pub demoted_before: usize,
-    /// Candidates still demoted after rescue.
-    pub demoted_after: usize,
-    /// Verifier-accepted transforms applied.
-    pub rescued: usize,
-    /// Of those, reduction delta-rewrites.
-    pub reductions: usize,
-    /// Of those, scalar privatizations.
-    pub privatizations: usize,
-    /// Of those, loop distributions.
-    pub distributions: usize,
-    /// Loops a transform considered but could not legalize.
-    pub rejected: usize,
-    /// Selected STLs gained by running the pipeline on the rescued
-    /// program instead of the original (0 when nothing was rescued).
-    pub selected_gain: usize,
+snapshot_row! {
+    /// One benchmark's loop-rescue verdicts: what the transform pass
+    /// lifted out of the demoted set, what it refused, and whether the
+    /// rescued loops then clear dynamic selection.
+    pub struct RescueRow {
+        /// Candidates the pre-screen demoted on the program as written.
+        pub demoted_before: usize,
+        /// Candidates still demoted after rescue.
+        pub demoted_after: usize,
+        /// Verifier-accepted transforms applied.
+        pub rescued: usize,
+        /// Of those, reduction delta-rewrites.
+        pub reductions: usize,
+        /// Of those, scalar privatizations.
+        pub privatizations: usize,
+        /// Of those, loop distributions.
+        pub distributions: usize,
+        /// Loops a transform considered but could not legalize.
+        pub rejected: usize,
+        /// Selected STLs gained by running the pipeline on the rescued
+        /// program instead of the original (0 when nothing was rescued).
+        pub selected_gain: usize,
+    }
 }
 
 /// Computes the loop-rescue verdicts for every benchmark. The
@@ -884,31 +851,6 @@ pub fn rescue_rows(size: DataSize) -> Vec<RescueRow> {
     rows
 }
 
-/// The rescue snapshot as JSON, diffed by the `rescue-gate` binary
-/// against `results_rescue_baseline.json`.
-pub fn rescue_json(rows: &[RescueRow]) -> String {
-    let mut s = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": {}, \"demoted_before\": {}, \"demoted_after\": {}, \
-             \"rescued\": {}, \"reductions\": {}, \"privatizations\": {}, \
-             \"distributions\": {}, \"rejected\": {}, \"selected_gain\": {}}}{}\n",
-            json_str(r.name),
-            r.demoted_before,
-            r.demoted_after,
-            r.rescued,
-            r.reductions,
-            r.privatizations,
-            r.distributions,
-            r.rejected,
-            r.selected_gain,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 /// Loop-rescue summary — per benchmark, how many demoted loops the
 /// dependence-driven transforms (reduction recognition, scalar
 /// privatization, loop distribution) lifted into legal parallel form,
@@ -945,44 +887,43 @@ pub fn rescue(size: DataSize) -> String {
     s
 }
 
-/// One benchmark's online tier-controller outcome: how the per-loop
-/// state machines converged and whether the online schedule reproduced
-/// the offline batch selection.
-#[derive(Debug, Clone)]
-pub struct TierRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Candidate loops tracked by the controller.
-    pub candidates: usize,
-    /// Execution epochs until every loop reached a terminal tier.
-    pub epochs: u32,
-    /// Of those, pure counting epochs (no loop annotated yet).
-    pub counting_epochs: u32,
-    /// Image generations (incremental patches) the controller went
-    /// through.
-    pub generations: u64,
-    /// Loops that ended Selected.
-    pub selected: usize,
-    /// Loops demoted by the (deferred) static pre-screen at promotion.
-    pub demoted_static: usize,
-    /// Loops demoted dynamically (never executed, Equation 2 losers,
-    /// comparator-bank starvation).
-    pub demoted_dynamic: usize,
-    /// Loops whose windowed verdict was revised at least once.
-    pub revisions: u32,
-    /// Committed selection-verdict flips summed over all loops.
-    pub flips: u32,
-    /// TI001/TI002 diagnostics raised.
-    pub diags: usize,
-    /// Every loop reached a terminal tier within the epoch budget.
-    pub terminal: bool,
-    /// The online Selected set equals the offline batch selection.
-    pub matches_offline: bool,
+snapshot_row! {
+    /// One benchmark's online tier-controller outcome: how the per-loop
+    /// state machines converged and whether the online schedule reproduced
+    /// the offline batch selection.
+    pub struct TierRow {
+        /// Candidate loops tracked by the controller.
+        pub candidates: usize,
+        /// Execution epochs until every loop reached a terminal tier.
+        pub epochs: u32,
+        /// Of those, pure counting epochs (no loop annotated yet).
+        pub counting_epochs: u32,
+        /// Image generations (incremental patches) the controller went
+        /// through.
+        pub generations: u64,
+        /// Loops that ended Selected.
+        pub selected: usize,
+        /// Loops demoted by the (deferred) static pre-screen at promotion.
+        pub demoted_static: usize,
+        /// Loops demoted dynamically (never executed, Equation 2 losers,
+        /// comparator-bank starvation).
+        pub demoted_dynamic: usize,
+        /// Loops whose windowed verdict was revised at least once.
+        pub revisions: u32,
+        /// Committed selection-verdict flips summed over all loops.
+        pub flips: u32,
+        /// TI001/TI002 diagnostics raised.
+        pub diags: usize,
+        /// Every loop reached a terminal tier within the epoch budget.
+        pub terminal: bool,
+        /// The online Selected set equals the offline batch selection.
+        pub matches_offline: bool,
+    }
 }
 
 /// Computes the online tier-controller outcome for every benchmark.
 /// Interpretation is deterministic, so every field is byte-exact and a
-/// committed snapshot can be diffed by the `tier-gate` binary.
+/// committed snapshot can be diffed by the `tier` gate.
 pub fn tier_rows(size: DataSize) -> Vec<TierRow> {
     let cfg = PipelineConfig::default();
     let mut rows = Vec::new();
@@ -1023,37 +964,6 @@ pub fn tier_rows(size: DataSize) -> Vec<TierRow> {
     }
     rows.sort_by_key(|r| r.name);
     rows
-}
-
-/// The tier snapshot as JSON, diffed by the `tier-gate` binary against
-/// `results_tier_baseline.json`. Booleans are written as 0/1 so the
-/// gate diffs every field numerically.
-pub fn tier_json(rows: &[TierRow]) -> String {
-    let mut s = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": {}, \"candidates\": {}, \"epochs\": {}, \
-             \"counting_epochs\": {}, \"generations\": {}, \"selected\": {}, \
-             \"demoted_static\": {}, \"demoted_dynamic\": {}, \"revisions\": {}, \
-             \"flips\": {}, \"diags\": {}, \"terminal\": {}, \"matches_offline\": {}}}{}\n",
-            json_str(r.name),
-            r.candidates,
-            r.epochs,
-            r.counting_epochs,
-            r.generations,
-            r.selected,
-            r.demoted_static,
-            r.demoted_dynamic,
-            r.revisions,
-            r.flips,
-            r.diags,
-            u8::from(r.terminal),
-            u8::from(r.matches_offline),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 /// Online tier-runtime summary — per benchmark, how many epochs the
@@ -1164,7 +1074,7 @@ pub fn agreement_json(results: &[(&'static str, AgreementReport)]) -> String {
     let mut s = String::from("{\n  \"benchmarks\": [\n");
     for (i, (name, r)) in results.iter().enumerate() {
         s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": {},\n", json_str(name)));
+        s.push_str(&format!("      \"name\": {},\n", quote(name)));
         s.push_str(&format!("      \"sound\": {},\n", r.sound()));
         s.push_str(&format!("      \"pairs\": {},\n", r.pairs));
         s.push_str(&format!("      \"disjoint\": {},\n", r.disjoint));
@@ -1378,21 +1288,6 @@ pub fn obs(results: &[BenchResult]) -> String {
     s
 }
 
-fn json_str(v: &str) -> String {
-    let mut out = String::with_capacity(v.len() + 2);
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The observability report as a JSON document (hand-built; the
 /// workspace deliberately carries no serialization dependency).
 /// Benchmarks are sorted by name so two runs diff cleanly.
@@ -1402,7 +1297,7 @@ pub fn obs_json(results: &[BenchResult]) -> String {
     for (i, r) in ordered.iter().enumerate() {
         let o = &r.report.obs;
         s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": {},\n", json_str(r.bench.name)));
+        s.push_str(&format!("      \"name\": {},\n", quote(r.bench.name)));
         s.push_str(&format!(
             "      \"interpreter_passes\": {},\n",
             o.interpreter_passes
@@ -1431,7 +1326,7 @@ pub fn obs_json(results: &[BenchResult]) -> String {
             }
             s.push_str(&format!(
                 "{{\"stage\": {}, \"nanos\": {}}}",
-                json_str(&st.stage),
+                quote(&st.stage),
                 st.nanos
             ));
         }
@@ -1443,7 +1338,7 @@ pub fn obs_json(results: &[BenchResult]) -> String {
             if j > 0 {
                 s.push_str(", ");
             }
-            s.push_str(&format!("{}: {n}", json_str(kind.name())));
+            s.push_str(&format!("{}: {n}", quote(kind.name())));
         }
         s.push_str("},\n");
         s.push_str("      \"sinks\": [");
@@ -1453,7 +1348,7 @@ pub fn obs_json(results: &[BenchResult]) -> String {
             }
             s.push_str(&format!(
                 "{{\"label\": {}, \"events\": {}, \"batches\": {}, \"drain_nanos\": {}}}",
-                json_str(&sink.label),
+                quote(&sink.label),
                 sink.events,
                 sink.batches,
                 sink.drain_nanos
@@ -1492,7 +1387,7 @@ pub fn metrics_json(results: &[BenchResult]) -> String {
     let mut s = String::from("{\n  \"benchmarks\": [\n");
     for (i, r) in ordered.iter().enumerate() {
         s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": {},\n", json_str(r.bench.name)));
+        s.push_str(&format!("      \"name\": {},\n", quote(r.bench.name)));
         s.push_str(&format!(
             "      \"metrics\": {}\n",
             r.report.telemetry.snapshot().to_json()
@@ -1520,6 +1415,7 @@ pub fn banner() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{self, Gate};
 
     #[test]
     fn static_tables_render_paper_constants() {
@@ -1616,94 +1512,51 @@ mod tests {
         assert!(v.get("benchmarks").and_then(|b| b.as_arr()).is_some());
     }
 
+    /// Writes `rows` as `gate`'s document, reads it back, and returns
+    /// the gate's invariant violations.
+    fn violations(gate: &dyn Gate, rows: Vec<Row>) -> Vec<String> {
+        let cur = gate::load(gate, &gate::rows_json("benchmarks", &rows)).expect("reads back");
+        assert_eq!(cur.len(), rows.len());
+        gate.invariants(&cur)
+    }
+
     #[test]
     fn prescreen_snapshot_is_monotone_and_parses() {
         let rows = prescreen_rows(DataSize::Small);
-        assert!(!rows.is_empty());
         for r in &rows {
-            assert!(
-                r.disjoint >= r.baseline_disjoint,
-                "{}: sharpening lost pairs ({} < {})",
-                r.name,
-                r.disjoint,
-                r.baseline_disjoint
-            );
+            let delta = r.disjoint - r.baseline_disjoint;
             assert_eq!(
-                r.disjoint - r.baseline_disjoint,
-                r.via_pointsto,
-                "{}: delta must equal the via-points-to count",
+                delta, r.via_pointsto,
+                "{}: delta is the via-points-to count",
                 r.name
             );
         }
-        let json = prescreen_json(&rows);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let v = obs::json::parse(&json).expect("prescreen JSON parses");
-        let benches = v.get("benchmarks").and_then(|b| b.as_arr()).unwrap();
-        assert_eq!(benches.len(), rows.len());
+        let broken = violations(
+            &gate::Prescreen,
+            rows.iter().map(PrescreenRow::row).collect(),
+        );
+        assert!(broken.is_empty(), "{broken:?}");
     }
 
     #[test]
     fn rescue_snapshot_lifts_a_benchmark_loop_into_selection() {
-        let rows = rescue_rows(DataSize::Small);
-        assert!(!rows.is_empty());
-        for r in &rows {
-            assert_eq!(
-                r.rescued,
-                r.reductions + r.privatizations + r.distributions,
-                "{}: transform counts must partition the rescued total",
-                r.name
-            );
-            assert!(
-                r.demoted_after + r.rescued >= r.demoted_before
-                    || r.demoted_after <= r.demoted_before,
-                "{}: rescue may only shrink the demoted set",
-                r.name
-            );
-        }
-        let total_rescued: usize = rows.iter().map(|r| r.rescued).sum();
-        assert!(
-            total_rescued >= 1,
-            "no benchmark loop was rescued: {rows:?}"
-        );
-        let total_gain: usize = rows.iter().map(|r| r.selected_gain).sum();
-        assert!(
-            total_gain >= 1,
-            "no previously-demoted loop became a selected STL: {rows:?}"
-        );
-        let json = rescue_json(&rows);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let v = obs::json::parse(&json).expect("rescue JSON parses");
-        let benches = v.get("benchmarks").and_then(|b| b.as_arr()).unwrap();
-        assert_eq!(benches.len(), rows.len());
+        let rows = rescue_rows(DataSize::Small)
+            .iter()
+            .map(RescueRow::row)
+            .collect();
+        let broken = violations(&gate::Rescue, rows);
+        assert!(broken.is_empty(), "{broken:?}");
     }
 
     #[test]
     fn tier_snapshot_converges_and_matches_the_offline_batch() {
-        let rows = tier_rows(DataSize::Small);
+        let rows: Vec<Row> = tier_rows(DataSize::Small)
+            .iter()
+            .map(TierRow::row)
+            .collect();
         assert!(!rows.is_empty());
-        for r in &rows {
-            assert!(
-                r.terminal,
-                "{}: a loop never reached a terminal tier",
-                r.name
-            );
-            assert!(
-                r.matches_offline,
-                "{}: online Selected set diverges from the offline batch",
-                r.name
-            );
-            assert_eq!(
-                r.selected + r.demoted_static + r.demoted_dynamic,
-                r.candidates,
-                "{}: terminal tiers must partition the candidates",
-                r.name
-            );
-        }
-        let json = tier_json(&rows);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let v = obs::json::parse(&json).expect("tier JSON parses");
-        let benches = v.get("benchmarks").and_then(|b| b.as_arr()).unwrap();
-        assert_eq!(benches.len(), rows.len());
+        let broken = violations(&gate::Tier, rows);
+        assert!(broken.is_empty(), "{broken:?}");
         let text = tier(DataSize::Small);
         assert!(text.contains("HOLDS"), "{text}");
     }

@@ -25,7 +25,7 @@
 //!   holds a counter until the hot threshold trips, then the controller
 //!   (yk's `MT`) takes over. The probe costs zero *simulated* cycles
 //!   and a couple of array loads of real time, so it can stay on
-//!   forever (the `tier-gate` CI binary pins its wall-clock overhead).
+//!   forever (the `tier` regression gate pins its wall-clock overhead).
 //! * **Tracing** — the loop is promoted: the static memory-dependence
 //!   pre-screen runs *now* (it was deferred at extraction —
 //!   [`cfgir::Prescreen::Deferred`]), and if clean, the loop alone is

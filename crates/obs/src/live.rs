@@ -19,8 +19,8 @@
 //! * **Alert rules** — [`evaluate_alerts`] diffs two registry
 //!   snapshots and emits structured [`AlertNote`]s for contained
 //!   panics, queue-depth high-water, and per-shard starvation. A
-//!   healthy run produces an empty vector (pinned by the `live-gate`
-//!   CI binary).
+//!   healthy run produces an empty vector (pinned by the `serve`
+//!   crate's telemetry tests and the `serve` regression gate).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

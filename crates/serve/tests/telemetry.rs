@@ -1,14 +1,17 @@
 //! Live-telemetry integration: the `/metrics` scrape must agree with
 //! `Registry::snapshot()`, `/healthz` must report shard liveness, the
 //! tail sampler must retain errored requests, a panicking worker
-//! must leave a parseable flight dump on disk, and both replay shapes
-//! must log the same batch history.
+//! must leave a parseable flight dump on disk, the default alert rules
+//! must stay quiet on a healthy window and fire on a panic, and both
+//! replay shapes must log the same batch history.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 
 use benchsuite::{all, DataSize};
+use jrpm::pipeline::PipelineConfig;
+use obs::live::{evaluate_alerts, AlertConfig};
 use obs::{expo, LiveEventKind};
 use serve::{
     ProfileRequest, ProfileResponse, ServeError, Server, ServerConfig, DEFAULT_REPLAY_BATCH,
@@ -194,6 +197,41 @@ fn panicking_worker_writes_a_parseable_flight_dump_to_disk() {
     );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The default alert rules over one server's window: nothing fires on
+/// a healthy mixed load (enough requests that the starvation rule is
+/// live), and a contained panic fires the `panics` rule — the negative
+/// control that a rule set which never fires cannot pass.
+#[test]
+fn alerts_stay_quiet_on_a_healthy_window_and_fire_on_a_panic() {
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        queue_depth: 8,
+        ..ServerConfig::default()
+    });
+    let window_start = server.registry().snapshot();
+    let program = (all()[0].build)(DataSize::Small);
+    let cfg = PipelineConfig::default();
+    server
+        .profile(ProfileRequest::Pipeline { program, cfg })
+        .expect("pipeline succeeds");
+    let tickets: Vec<_> = (0..64)
+        .map(|_| server.submit(empty_replay()).expect("submits"))
+        .collect();
+    for t in tickets {
+        t.wait().expect("replay succeeds");
+    }
+    let rules = AlertConfig::default();
+    let healthy = evaluate_alerts(&window_start, &server.registry().snapshot(), &rules);
+    assert!(healthy.is_empty(), "healthy window fired: {healthy:?}");
+
+    server
+        .profile(panicking_replay())
+        .expect_err("panicking request errors");
+    let faulty = evaluate_alerts(&window_start, &server.registry().snapshot(), &rules);
+    assert!(faulty.iter().any(|a| a.rule == "panics"), "{faulty:?}");
+    server.shutdown();
 }
 
 #[test]

@@ -1,11 +1,14 @@
 //! Criterion micro-benchmarks of the analysis layer: event throughput
-//! of the hardware tracer model against the software oracle, and
-//! interpreter throughput with and without annotations.
+//! of the hardware tracer model against the software oracle, TVMR
+//! decode throughput with and without the tracer, and interpreter
+//! throughput with and without annotations.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use test_tracer::{SoftwareTracer, TestTracer, TracerConfig};
+use tvm::bus::DEFAULT_BATCH_CAPACITY;
 use tvm::isa::{FuncId, LoopId, Pc};
+use tvm::record::RecordingView;
 use tvm::trace::TraceSink;
 use tvm::{Interp, NullSink};
 
@@ -62,17 +65,22 @@ fn bench_event_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_replay_real_stream(c: &mut Criterion) {
-    // replay Huffman's real event stream straight into the tracer,
-    // isolating analysis cost from interpretation cost
+/// Huffman's real profiling stream at Small size, with the candidate
+/// set its tracer masks come from.
+fn huffman_stream() -> (cfgir::ProgramCandidates, tvm::record::Recording) {
     let bench = benchsuite::by_name("Huffman").unwrap();
     let program = (bench.build)(benchsuite::DataSize::Small);
     let cands = cfgir::extract_candidates(&program);
     let annotated = jrpm::annotate(&program, &cands, &jrpm::AnnotateOptions::profiling()).unwrap();
     let mut rec = tvm::record::RecordingSink::new();
     Interp::run(&annotated, &mut rec).unwrap();
-    let recording = rec.into_recording();
+    (cands, rec.into_recording())
+}
 
+fn bench_replay_real_stream(c: &mut Criterion) {
+    // replay Huffman's real event stream straight into the tracer,
+    // isolating analysis cost from interpretation cost
+    let (cands, recording) = huffman_stream();
     let mut g = c.benchmark_group("replay_huffman_stream");
     g.throughput(Throughput::Elements(recording.len() as u64));
     g.bench_function("into_test_tracer", |b| {
@@ -80,6 +88,34 @@ fn bench_replay_real_stream(c: &mut Criterion) {
             let mut t = TestTracer::new(TracerConfig::default());
             t.set_local_masks(cands.tracked_masks());
             recording.replay(&mut t);
+            black_box(t.into_profile().events)
+        })
+    });
+    g.finish();
+}
+
+fn bench_recording_decode(c: &mut Criterion) {
+    // decode the same stream from its TVMR bytes: batch decoding alone,
+    // then decoding plus the tracer (the server's replay path)
+    let (cands, recording) = huffman_stream();
+    let bytes = recording.to_bytes();
+    let view = RecordingView::parse(&bytes).unwrap();
+    let mut g = c.benchmark_group("recording_decode");
+    g.throughput(Throughput::Elements(view.count()));
+    g.bench_function("stream_batches", |b| {
+        b.iter(|| {
+            let n = view.stream_batches(DEFAULT_BATCH_CAPACITY, |batch| {
+                black_box(batch);
+            });
+            black_box(n.unwrap())
+        })
+    });
+    g.bench_function("into_test_tracer", |b| {
+        b.iter(|| {
+            let mut t = TestTracer::new(TracerConfig::default());
+            t.set_local_masks(cands.tracked_masks());
+            let n = view.stream_batches(DEFAULT_BATCH_CAPACITY, |batch| t.consume_batch(batch));
+            black_box(n.unwrap());
             black_box(t.into_profile().events)
         })
     });
@@ -114,6 +150,7 @@ criterion_group!(
     benches,
     bench_event_throughput,
     bench_replay_real_stream,
+    bench_recording_decode,
     bench_interpreter
 );
 criterion_main!(benches);

@@ -25,10 +25,8 @@ use crate::stats::{Profile, StlStats};
 use obs::{Trace as ObsTrace, TrackId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tvm::bus::EventBatch;
 use tvm::isa::{LoopId, Pc};
 use tvm::line_of;
-use tvm::record::Event;
 use tvm::trace::{Addr, Cycles, TraceSink};
 
 /// Per-STL-activation comparator-bank state (Figure 7).
@@ -608,35 +606,14 @@ impl TraceSink for TestTracer {
     fn stats_read(&mut self, _loop_id: LoopId, now: Cycles) {
         self.tick(now);
     }
-
-    /// Batch-granularity delivery: one concrete dispatch loop over the
-    /// batch instead of one virtual call per event. Semantically
-    /// identical to the default (`replay_into`) — same events, same
-    /// order — so transport bit-identity is preserved; only the call
-    /// overhead changes.
-    fn consume_batch(&mut self, batch: &EventBatch) {
-        for e in batch.iter() {
-            match e {
-                Event::HeapLoad(a, t, pc) => self.heap_load(a, t, pc),
-                Event::HeapStore(a, t, pc) => self.heap_store(a, t, pc),
-                Event::LocalLoad(v, act, t, pc) => self.local_load(v, act, t, pc),
-                Event::LocalStore(v, act, t, pc) => self.local_store(v, act, t, pc),
-                Event::LoopEnter(l, n, act, t) => self.loop_enter(l, n, act, t),
-                Event::LoopIter(l, t) => self.loop_iter(l, t),
-                Event::LoopExit(l, t) => self.loop_exit(l, t),
-                Event::StatsRead(l, t) => self.stats_read(l, t),
-                Event::CallEnter(pc, act, t) => self.call_enter(pc, act, t),
-                Event::CallExit(pc, t) => self.call_exit(pc, t),
-                Event::CallResultUse(pc, t) => self.call_result_use(pc, t),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tvm::bus::EventBatch;
     use tvm::isa::FuncId;
+    use tvm::record::Event;
 
     const L0: LoopId = LoopId(0);
     const L1: LoopId = LoopId(1);

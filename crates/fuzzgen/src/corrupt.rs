@@ -7,13 +7,22 @@
 //! drives that contract with exhaustive truncations, exhaustive
 //! single-byte bit flips, and seeded random multi-byte mutations.
 //! [`mmap_sweep`] replays a focused subset through the file-backed
-//! zero-copy path ([`MappedRecording`]) and additionally requires the
-//! two parsers to agree on every input.
+//! zero-copy path ([`MappedRecording`]).
+//!
+//! Every read path of the wire format shares one batch decoder, so the
+//! sweeps check it against [`reference_decode`], an independent
+//! event-at-a-time decoder kept here: on every mutation,
+//! [`Recording::from_bytes`] and [`RecordingView::stream_batches`]
+//! must decode the same events as the reference, or fail with the same
+//! error.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::rng::Rng;
-use tvm::record::{MappedRecording, Recording};
+use tvm::isa::{FuncId, LoopId, Pc};
+use tvm::record::{
+    Event, MappedRecording, Recording, RecordingError, RecordingView, FORMAT_VERSION,
+};
 
 /// Outcome counters of a [`corruption_sweep`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -40,7 +49,9 @@ const FLIPS: [u8; 3] = [0xFF, 0x80, 0x01];
 /// # Errors
 ///
 /// A description of the first mutation whose parse *panicked* (the one
-/// outcome the contract forbids).
+/// outcome the contract forbids), or whose [`Recording::from_bytes`] or
+/// [`RecordingView::stream_batches`] outcome differs from
+/// [`reference_decode`]'s.
 pub fn corruption_sweep(
     bytes: &[u8],
     seed: u64,
@@ -93,12 +104,13 @@ pub fn corruption_sweep(
 
 /// File-backed corruption sweep for the zero-copy load path.
 ///
-/// [`MappedRecording::open`] + [`tvm::record::RecordingView`] parse the same wire
+/// [`MappedRecording::open`] + [`RecordingView`] parse the same wire
 /// format as [`Recording::from_bytes`], but from an mmapped file the
 /// kernel can hand over in any length — so header trust bugs surface
 /// here first. Each mutation is written to a scratch file, mapped, and
-/// fully decoded; the mapped outcome must agree with the in-memory
-/// parser byte for byte: both reject, or both parse the same events.
+/// streamed in batches; the mapped outcome and the in-memory
+/// [`Recording::from_bytes`] must both match [`reference_decode`]: the
+/// same events, or the same error.
 ///
 /// The mutation set is deliberately smaller than [`corruption_sweep`]'s
 /// (every round costs a file write + mmap): every header-boundary
@@ -109,8 +121,8 @@ pub fn corruption_sweep(
 ///
 /// # Errors
 ///
-/// A description of the first mutation whose mapped parse panicked or
-/// disagreed with `Recording::from_bytes`.
+/// A description of the first mutation whose parse panicked or
+/// disagreed with [`reference_decode`].
 pub fn mmap_sweep(bytes: &[u8], seed: u64, random_rounds: u64) -> Result<CorruptStats, String> {
     let path = std::env::temp_dir().join(format!(
         "fuzzgen-mmap-sweep-{}-{seed:x}.tvmr",
@@ -163,66 +175,201 @@ pub fn mmap_sweep(bytes: &[u8], seed: u64, random_rounds: u64) -> Result<Corrupt
     Ok(stats)
 }
 
-/// One mmap-path parse attempt, checked against the in-memory parser.
+/// One mmap-path parse attempt: the mapped [`RecordingView::stream_batches`]
+/// and the in-memory [`Recording::from_bytes`] must both agree with
+/// [`reference_decode`].
 fn try_mapped(
     path: &std::path::Path,
     bytes: &[u8],
     what: &str,
     stats: &mut CorruptStats,
 ) -> Result<(), String> {
-    stats.attempts += 1;
     std::fs::write(path, bytes).map_err(|e| format!("cannot write scratch file: {e}"))?;
-    let mapped = catch_unwind(AssertUnwindSafe(|| {
-        MappedRecording::open(path).and_then(|m| m.view().and_then(|v| v.to_recording()))
+    check(bytes, what, stats, "mmap stream_batches", || {
+        MappedRecording::open(path).and_then(|m| stream_events(m.view()))
+    })
+}
+
+fn try_parse(bytes: &[u8], what: &str, stats: &mut CorruptStats) -> Result<(), String> {
+    check(bytes, what, stats, "stream_batches", || {
+        stream_events(RecordingView::parse(bytes))
+    })
+}
+
+/// Batch size for the streamed decode: small, so a sweep crosses many
+/// batch boundaries and a corrupt record falls at every offset within
+/// a batch.
+const SWEEP_BATCH: usize = 7;
+
+/// Collects every event [`RecordingView::stream_batches`] delivers.
+fn stream_events(view: Result<RecordingView<'_>, RecordingError>) -> Decoded {
+    let mut events = Vec::new();
+    view?.stream_batches(SWEEP_BATCH, |b| events.extend(b.iter()))?;
+    Ok(events)
+}
+
+type Decoded = Result<Vec<Event>, RecordingError>;
+
+/// Decodes `bytes` through [`Recording::from_bytes`] and through
+/// `streamed`, and requires both to match [`reference_decode`]: the
+/// same events, or an error with the same text.
+fn check(
+    bytes: &[u8],
+    what: &str,
+    stats: &mut CorruptStats,
+    streamed_path: &str,
+    streamed: impl FnOnce() -> Decoded,
+) -> Result<(), String> {
+    stats.attempts += 1;
+    let decoded = catch_unwind(AssertUnwindSafe(|| {
+        (
+            reference_decode(bytes),
+            Recording::from_bytes(bytes).map(|r| r.events),
+            streamed(),
+        )
     }));
-    let mapped = match mapped {
-        Ok(r) => r,
-        Err(payload) => {
+    let (reference, owned, streamed) = decoded.map_err(|payload| {
+        format!(
+            "a recording decoder PANICKED on corrupt input ({what}): {}",
+            panic_message(&payload)
+        )
+    })?;
+    for (path, got) in [("from_bytes", &owned), (streamed_path, &streamed)] {
+        let agrees = match (&reference, got) {
+            (Ok(a), Ok(b)) => a == b,
+            (Err(a), Err(b)) => a.to_string() == b.to_string(),
+            _ => false,
+        };
+        if !agrees {
             return Err(format!(
-                "mmap load path PANICKED on corrupt input ({what}): {}",
-                panic_message(&payload)
-            ))
+                "{path} disagrees with the reference decoder ({what}): reference {}, {path} {}",
+                outcome(&reference),
+                outcome(got)
+            ));
         }
-    };
-    match (Recording::from_bytes(bytes), mapped) {
-        (Ok(a), Ok(b)) => {
-            if a != b {
-                return Err(format!(
-                    "mmap path decoded different events than from_bytes ({what})"
-                ));
-            }
-            stats.parsed += 1;
-        }
-        (Err(_), Err(_)) => stats.rejected += 1,
-        (Ok(_), Err(e)) => {
-            return Err(format!(
-                "from_bytes accepts but the mmap path rejects ({what}): {e}"
-            ))
-        }
-        (Err(e), Ok(_)) => {
-            return Err(format!(
-                "the mmap path accepts what from_bytes rejects ({what}): {e}"
-            ))
-        }
+    }
+    match reference {
+        Ok(_) => stats.parsed += 1,
+        Err(_) => stats.rejected += 1,
     }
     Ok(())
 }
 
-fn try_parse(bytes: &[u8], what: &str, stats: &mut CorruptStats) -> Result<(), String> {
-    stats.attempts += 1;
-    match catch_unwind(AssertUnwindSafe(|| Recording::from_bytes(bytes))) {
-        Ok(Ok(_)) => {
-            stats.parsed += 1;
-            Ok(())
+fn outcome(d: &Decoded) -> String {
+    match d {
+        Ok(events) => format!("Ok({} events)", events.len()),
+        Err(e) => format!("Err({e})"),
+    }
+}
+
+/// The reference decoder: an independent, event-at-a-time parser of
+/// the TVMR wire format. It builds one [`Event`] per record through a
+/// slice-and-check reader, and applies the header checks and every
+/// record check in wire order, so its first error is the error the
+/// batch decoder must report.
+///
+/// # Errors
+///
+/// Every [`RecordingError`] of [`Recording::from_bytes`], except I/O.
+pub fn reference_decode(bytes: &[u8]) -> Decoded {
+    let mut r = RefReader { bytes, pos: 0 };
+    if r.take(4)? != b"TVMR" {
+        return Err(RecordingError::BadMagic);
+    }
+    let version = u16::from_le_bytes([r.byte()?, r.byte()?]);
+    if version != FORMAT_VERSION {
+        return Err(RecordingError::BadVersion(version));
+    }
+    let count = r.varint()?;
+    // every record is at least a kind byte and a cycle-delta byte
+    let available = (bytes.len() - r.pos) as u64;
+    if count > available / 2 {
+        return Err(RecordingError::CountTooLarge { count, available });
+    }
+    let mut events = Vec::new();
+    let mut prev_cycle = 0i64;
+    for _ in 0..count {
+        let kind = r.byte()?;
+        let now = prev_cycle
+            .checked_add(r.zigzag()?)
+            .filter(|&c| c >= 0)
+            .ok_or(RecordingError::FieldRange)?;
+        prev_cycle = now;
+        let now = now as u64;
+        events.push(match kind {
+            0 => Event::HeapLoad(r.u32()?, now, r.pc()?),
+            1 => Event::HeapStore(r.u32()?, now, r.pc()?),
+            2 => Event::LocalLoad(r.u16()?, r.u32()?, now, r.pc()?),
+            3 => Event::LocalStore(r.u16()?, r.u32()?, now, r.pc()?),
+            4 => Event::LoopEnter(LoopId(r.u32()?), r.u16()?, r.u32()?, now),
+            5 => Event::LoopIter(LoopId(r.u32()?), now),
+            6 => Event::LoopExit(LoopId(r.u32()?), now),
+            7 => Event::StatsRead(LoopId(r.u32()?), now),
+            8 => Event::CallEnter(r.pc()?, r.u32()?, now),
+            9 => Event::CallExit(r.pc()?, now),
+            10 => Event::CallResultUse(r.pc()?, now),
+            k => return Err(RecordingError::BadKind(k)),
+        });
+    }
+    if r.pos != bytes.len() {
+        return Err(RecordingError::TrailingBytes);
+    }
+    Ok(events)
+}
+
+struct RefReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl RefReader<'_> {
+    fn take(&mut self, n: usize) -> Result<&[u8], RecordingError> {
+        let end = self.pos.checked_add(n).ok_or(RecordingError::Truncated)?;
+        if end > self.bytes.len() {
+            return Err(RecordingError::Truncated);
         }
-        Ok(Err(_)) => {
-            stats.rejected += 1;
-            Ok(())
+        let s = &self.bytes[self.pos..end];
+        self.pos = end;
+        Ok(s)
+    }
+
+    fn byte(&mut self) -> Result<u8, RecordingError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn varint(&mut self) -> Result<u64, RecordingError> {
+        let mut v: u64 = 0;
+        let mut shift = 0u32;
+        loop {
+            let b = self.byte()?;
+            if shift >= 64 || (shift == 63 && b > 1) {
+                return Err(RecordingError::FieldRange);
+            }
+            v |= ((b & 0x7f) as u64) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
         }
-        Err(payload) => Err(format!(
-            "Recording::from_bytes PANICKED on corrupt input ({what}): {}",
-            panic_message(&payload)
-        )),
+    }
+
+    fn zigzag(&mut self) -> Result<i64, RecordingError> {
+        let v = self.varint()?;
+        Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
+    }
+
+    fn u16(&mut self) -> Result<u16, RecordingError> {
+        u16::try_from(self.varint()?).map_err(|_| RecordingError::FieldRange)
+    }
+
+    fn u32(&mut self) -> Result<u32, RecordingError> {
+        u32::try_from(self.varint()?).map_err(|_| RecordingError::FieldRange)
+    }
+
+    fn pc(&mut self) -> Result<Pc, RecordingError> {
+        let func = FuncId(self.u16()?);
+        let idx = self.u32()?;
+        Ok(Pc { func, idx })
     }
 }
 

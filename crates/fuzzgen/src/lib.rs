@@ -16,7 +16,8 @@
 //!   the whole stack for one seed.
 //! * [`shrink()`](shrink::shrink) — greedy structural minimization of failing specs.
 //! * [`corrupt`] — byte-level corruption sweeps against
-//!   [`tvm::record::Recording::from_bytes`].
+//!   [`tvm::record::Recording::from_bytes`] and the zero-copy batch
+//!   stream, each diffed against an independent reference decoder.
 //! * [`rng`] — the dependency-free SplitMix64 stream everything is
 //!   seeded from.
 //!

@@ -130,7 +130,8 @@ fn main() -> ExitCode {
         std::panic::set_hook(prev_hook);
         match sweep {
             Ok(s) => println!(
-                "  in-memory: {} mutations: {} parsed, {} rejected, 0 panics",
+                "  in-memory: {} mutations: {} parsed, {} rejected, 0 panics, \
+                 0 disagreements with the reference decoder",
                 s.attempts, s.parsed, s.rejected
             ),
             Err(e) => {
@@ -141,7 +142,7 @@ fn main() -> ExitCode {
         match mapped {
             Ok(s) => println!(
                 "  mmap:      {} mutations: {} parsed, {} rejected, 0 panics, \
-                 0 parser disagreements",
+                 0 disagreements with the reference decoder",
                 s.attempts, s.parsed, s.rejected
             ),
             Err(e) => {

@@ -7,7 +7,7 @@
 use benchsuite::{all, DataSize};
 use jrpm::pipeline::{run_pipeline, PipelineConfig, PipelineReport};
 use jrpm::tier::TierConfig;
-use serve::{ProfileRequest, ProfileResponse, Server, ServerConfig};
+use serve::{ProfileRequest, ProfileResponse, Server, ServerConfig, DEFAULT_REPLAY_BATCH};
 use test_tracer::config::TracerConfig;
 use tvm::interp::Interp;
 use tvm::record::RecordingSink;
@@ -167,6 +167,42 @@ fn mapped_replay_matches_owned_replay_suite_wide() {
             ) => assert_eq!(a, b, "{name}: replayed event counts"),
             _ => unreachable!(),
         }
+    }
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `ReplayMapped` batch capacity far past the recording's length,
+/// up to `usize::MAX`, replays as one batch: the same profile and event
+/// count as the default capacity, never an allocation sized by the
+/// request that panics the worker or aborts the server.
+#[test]
+fn huge_mapped_batch_capacity_replays_like_the_default() {
+    let dir = std::env::temp_dir().join(format!("serve-capacity-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let program = (all()[0].build)(DataSize::Small);
+    let mut sink = RecordingSink::new();
+    Interp::run(&program, &mut sink).expect("benchmark runs");
+    let path = dir.join("replay.tvmr");
+    sink.into_recording().save(&path).expect("recording saves");
+
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_depth: 4,
+        ..ServerConfig::default()
+    });
+    let replay = |batch_capacity| match server.profile(ProfileRequest::ReplayMapped {
+        path: path.clone(),
+        tracer: TracerConfig::default(),
+        batch_capacity,
+    }) {
+        Ok(ProfileResponse::Profile { profile, events }) => (profile, events),
+        other => panic!("capacity {batch_capacity}: {other:?}"),
+    };
+    let expected = replay(DEFAULT_REPLAY_BATCH);
+    assert!(expected.1 > 0);
+    for capacity in [1 << 40, usize::MAX] {
+        assert_eq!(replay(capacity), expected, "capacity {capacity}");
     }
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);

@@ -297,41 +297,12 @@ impl EventBatch {
 
     /// Reconstructs the events in emission order.
     pub fn events(&self) -> Vec<Event> {
-        let mut out = Vec::with_capacity(self.len());
-        let mut heap = 0usize;
-        let mut misc = 0usize;
-        for &c in &self.ctrl {
-            match c {
-                Ctrl::HeapLoad => {
-                    out.push(Event::HeapLoad(
-                        self.heap_addr[heap],
-                        self.heap_cycle[heap],
-                        self.heap_pc[heap],
-                    ));
-                    heap += 1;
-                }
-                Ctrl::HeapStore => {
-                    out.push(Event::HeapStore(
-                        self.heap_addr[heap],
-                        self.heap_cycle[heap],
-                        self.heap_pc[heap],
-                    ));
-                    heap += 1;
-                }
-                Ctrl::Misc => {
-                    out.push(self.misc[misc]);
-                    misc += 1;
-                }
-            }
-        }
-        out
+        self.iter().collect()
     }
 
     /// Iterates the events in emission order without materializing a
     /// vector — heap accesses are reconstructed from the SoA columns
-    /// on the fly. This is the hot-path companion to
-    /// [`TraceSink::consume_batch`]: a sink that overrides it walks
-    /// this iterator and dispatches concretely.
+    /// on the fly.
     pub fn iter(&self) -> EventBatchIter<'_> {
         EventBatchIter {
             batch: self,

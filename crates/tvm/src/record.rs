@@ -1,20 +1,23 @@
-//! Event recording and replay.
+//! Event recording and the TVMR wire format.
 //!
-//! [`RecordingSink`] captures the full trace-event stream of a run;
-//! [`Recording::replay`] feeds it back into any other sink. This
-//! decouples analysis benchmarking from interpretation (the Criterion
-//! harness replays a real benchmark's stream straight into the tracer)
-//! and makes event-level regression tests exact.
+//! [`RecordingSink`] captures the full trace-event stream of a run as
+//! a [`Recording`]; [`Recording::replay`] feeds it back into any other
+//! sink, and [`Recording::to_bytes`]/[`Recording::save`] serialize it
+//! into the compact TVMR format.
 //!
-//! For service-scale replay the on-disk format can also be consumed
-//! *zero-copy*: [`MappedRecording`] memory-maps a saved trace and
-//! [`RecordingView`] decodes events straight out of the mapped bytes
-//! into reusable [`EventBatch`]es — no `read_to_end`, no intermediate
-//! `Vec<Event>`. Both the owned and the borrowed path share one
-//! streaming decoder, so every corruption-handling guarantee of
-//! [`Recording::from_bytes`] holds for the mmap path too.
+//! Every TVMR read path decodes through one batch decoder. It fills an
+//! [`EventBatch`] in place: heap loads and stores, the bulk of every
+//! stream, go straight into the batch's struct-of-arrays columns, and
+//! every byte read is bounds-checked once. [`RecordingView::stream_batches`]
+//! is the zero-copy entry point: pair it with [`MappedRecording`] to
+//! stream an mmapped trace into analysis sinks (the profiling server's
+//! replay workers run on it). [`RecordingView::to_recording`],
+//! [`Recording::from_bytes`] and [`Recording::load`] collect the same
+//! batches, so every corruption check fires at the same record on
+//! every path. [`Event`] appears only at the edges: the owned
+//! [`Recording`] and the batch's side vector of non-heap events.
 
-use crate::bus::{EventBatch, KindCounts};
+use crate::bus::{EventBatch, KindCounts, DEFAULT_BATCH_CAPACITY};
 use crate::isa::{FuncId, LoopId, Pc};
 use crate::trace::{Addr, Cycles, TraceSink};
 use std::fmt;
@@ -178,13 +181,7 @@ impl Recording {
     /// [`RecordingError`] on a bad magic/version, a truncated stream,
     /// an unknown event kind, or a field out of its type's range.
     pub fn from_bytes(bytes: &[u8]) -> Result<Recording, RecordingError> {
-        let view = RecordingView::parse(bytes)?;
-        let mut events = Vec::with_capacity(view.count().min(1 << 20) as usize);
-        let mut decoder = view.decoder();
-        while let Some(e) = decoder.next_event()? {
-            events.push(e);
-        }
-        Ok(Recording { events })
+        RecordingView::parse(bytes)?.to_recording()
     }
 
     /// Writes the binary trace format to `path`.
@@ -238,11 +235,13 @@ impl<'a> RecordingView<'a> {
     /// or a declared event count that cannot fit in the remaining
     /// bytes ([`RecordingError::CountTooLarge`]).
     pub fn parse(bytes: &'a [u8]) -> Result<RecordingView<'a>, RecordingError> {
-        let mut r = Reader { bytes, pos: 0 };
-        let magic = r.take(4)?;
-        if magic != MAGIC {
+        if bytes.get(..MAGIC.len()).ok_or(Bad::Truncated)? != MAGIC {
             return Err(RecordingError::BadMagic);
         }
+        let mut r = Reader {
+            bytes,
+            pos: MAGIC.len(),
+        };
         let version = u16::from_le_bytes([r.byte()?, r.byte()?]);
         if version != FORMAT_VERSION {
             return Err(RecordingError::BadVersion(version));
@@ -266,40 +265,13 @@ impl<'a> RecordingView<'a> {
         self.count == 0
     }
 
-    /// A streaming decoder positioned at the first event.
-    pub fn decoder(&self) -> EventDecoder<'a> {
-        EventDecoder {
-            reader: Reader {
-                bytes: self.bytes,
-                pos: self.body,
-            },
-            remaining: self.count,
-            prev_cycle: 0,
-        }
-    }
-
-    /// Feeds every event into `sink`, in order, decoding straight from
-    /// the borrowed bytes. Returns the number of events delivered.
-    ///
-    /// # Errors
-    ///
-    /// Any decode error; events before the corruption point have
-    /// already been delivered.
-    pub fn replay<S: TraceSink + ?Sized>(&self, sink: &mut S) -> Result<u64, RecordingError> {
-        let mut decoder = self.decoder();
-        let mut n = 0u64;
-        while let Some(e) = decoder.next_event()? {
-            e.deliver(sink);
-            n += 1;
-        }
-        Ok(n)
-    }
-
     /// Decodes the stream into [`EventBatch`]es of up to `capacity`
     /// events, invoking `deliver` on each full batch (and the trailing
     /// partial one). One batch buffer is reused across calls, so the
     /// steady state allocates nothing: this is the zero-copy load path
-    /// the profiling server's replay workers run on.
+    /// the profiling server's replay workers run on. The buffer never
+    /// holds more than the declared event count, so an oversized
+    /// `capacity` costs no more memory than the input justifies.
     ///
     /// # Errors
     ///
@@ -310,22 +282,31 @@ impl<'a> RecordingView<'a> {
         capacity: usize,
         mut deliver: impl FnMut(&EventBatch),
     ) -> Result<u64, RecordingError> {
-        let capacity = capacity.max(1);
+        // `parse` bounded `count` by the body length, so it fits a usize
+        let capacity = capacity.clamp(1, (self.count as usize).max(1));
         let mut batch = EventBatch::with_capacity(capacity);
-        let mut decoder = self.decoder();
-        let mut n = 0u64;
-        while let Some(e) = decoder.next_event()? {
-            batch.push(e);
-            n += 1;
-            if batch.len() >= capacity {
+        let mut reader = Reader {
+            bytes: self.bytes,
+            pos: self.body,
+        };
+        let mut prev_cycle = 0i64;
+        let mut remaining = self.count;
+        while remaining > 0 {
+            let n = remaining.min((capacity - batch.len()) as u64);
+            remaining -= n;
+            decode_records(&mut reader, &mut prev_cycle, &mut batch, n)?;
+            if batch.len() == capacity {
                 deliver(&batch);
                 batch.clear();
             }
         }
+        if reader.pos != self.bytes.len() {
+            return Err(RecordingError::TrailingBytes);
+        }
         if !batch.is_empty() {
             deliver(&batch);
         }
-        Ok(n)
+        Ok(self.count)
     }
 
     /// Materializes the view as an owned [`Recording`].
@@ -335,63 +316,50 @@ impl<'a> RecordingView<'a> {
     /// Any decode error.
     pub fn to_recording(&self) -> Result<Recording, RecordingError> {
         let mut events = Vec::with_capacity(self.count.min(1 << 20) as usize);
-        let mut decoder = self.decoder();
-        while let Some(e) = decoder.next_event()? {
-            events.push(e);
-        }
+        self.stream_batches(DEFAULT_BATCH_CAPACITY, |b| events.extend(b.iter()))?;
         Ok(Recording { events })
     }
 }
 
-/// Streaming decoder over a [`RecordingView`]'s event records.
-#[derive(Debug, Clone)]
-pub struct EventDecoder<'a> {
-    reader: Reader<'a>,
-    remaining: u64,
-    prev_cycle: i64,
-}
-
-impl EventDecoder<'_> {
-    /// Decodes the next event, or `None` past the declared count
-    /// (after verifying no trailing garbage follows the last record).
-    ///
-    /// # Errors
-    ///
-    /// [`RecordingError`] on truncation, unknown kinds, out-of-range
-    /// fields, or trailing bytes after the final event.
-    pub fn next_event(&mut self) -> Result<Option<Event>, RecordingError> {
-        if self.remaining == 0 {
-            if self.reader.pos != self.reader.bytes.len() {
-                return Err(RecordingError::TrailingBytes);
-            }
-            return Ok(None);
-        }
-        self.remaining -= 1;
-        let r = &mut self.reader;
+/// The one TVMR event decoder: decodes `n` records straight into
+/// `batch`, checking every field on the way in. Fields are read in
+/// wire order, so an error names the first bad field of the first bad
+/// record.
+fn decode_records(
+    reader: &mut Reader<'_>,
+    prev_cycle: &mut i64,
+    batch: &mut EventBatch,
+    n: u64,
+) -> Result<(), Bad> {
+    // work on local copies, which the compiler keeps in registers
+    // across the batch pushes; a cursor behind a pointer is reloaded
+    // on every byte
+    let (mut cursor, mut cycle) = (reader.clone(), *prev_cycle);
+    let r = &mut cursor;
+    for _ in 0..n {
         let kind = r.byte()?;
-        let now = self
-            .prev_cycle
+        cycle = cycle
             .checked_add(r.zigzag()?)
             .filter(|&c| c >= 0)
-            .ok_or(RecordingError::FieldRange)?;
-        self.prev_cycle = now;
-        let now = now as Cycles;
-        let e = match kind {
-            0 => Event::HeapLoad(r.addr()?, now, r.pc()?),
-            1 => Event::HeapStore(r.addr()?, now, r.pc()?),
-            2 => Event::LocalLoad(r.u16()?, r.u32()?, now, r.pc()?),
-            3 => Event::LocalStore(r.u16()?, r.u32()?, now, r.pc()?),
-            4 => Event::LoopEnter(LoopId(r.u32()?), r.u16()?, r.u32()?, now),
-            5 => Event::LoopIter(LoopId(r.u32()?), now),
-            6 => Event::LoopExit(LoopId(r.u32()?), now),
-            7 => Event::StatsRead(LoopId(r.u32()?), now),
-            8 => Event::CallEnter(r.pc()?, r.u32()?, now),
-            9 => Event::CallExit(r.pc()?, now),
-            10 => Event::CallResultUse(r.pc()?, now),
-            k => return Err(RecordingError::BadKind(k)),
-        };
-        Ok(Some(e))
+            .ok_or(Bad::FieldRange)?;
+        let now = cycle as Cycles;
+        match kind {
+            0 => batch.push_heap_load(r.u32()?, now, r.pc()?),
+            1 => batch.push_heap_store(r.u32()?, now, r.pc()?),
+            2 => batch.push(Event::LocalLoad(r.u16()?, r.u32()?, now, r.pc()?)),
+            3 => batch.push(Event::LocalStore(r.u16()?, r.u32()?, now, r.pc()?)),
+            4 => batch.push(Event::LoopEnter(LoopId(r.u32()?), r.u16()?, r.u32()?, now)),
+            5 => batch.push(Event::LoopIter(LoopId(r.u32()?), now)),
+            6 => batch.push(Event::LoopExit(LoopId(r.u32()?), now)),
+            7 => batch.push(Event::StatsRead(LoopId(r.u32()?), now)),
+            8 => batch.push(Event::CallEnter(r.pc()?, r.u32()?, now)),
+            9 => batch.push(Event::CallExit(r.pc()?, now)),
+            10 => batch.push(Event::CallResultUse(r.pc()?, now)),
+            k => return Err(Bad::Kind(k)),
+        }
     }
+    (*reader, *prev_cycle) = (cursor, cycle);
+    Ok(())
 }
 
 /// A saved recording, memory-mapped for zero-copy decoding.
@@ -661,6 +629,26 @@ fn write_pc(out: &mut Vec<u8>, pc: Pc) {
     write_varint(out, pc.idx as u64);
 }
 
+/// A decode failure inside the byte reader. Two bytes wide, so the
+/// hot loop's results stay in registers; widened to
+/// [`RecordingError`] at the API boundary.
+#[derive(Debug, Clone, Copy)]
+enum Bad {
+    Truncated,
+    FieldRange,
+    Kind(u8),
+}
+
+impl From<Bad> for RecordingError {
+    fn from(bad: Bad) -> RecordingError {
+        match bad {
+            Bad::Truncated => RecordingError::Truncated,
+            Bad::FieldRange => RecordingError::FieldRange,
+            Bad::Kind(k) => RecordingError::BadKind(k),
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Reader<'a> {
     bytes: &'a [u8],
@@ -668,57 +656,73 @@ struct Reader<'a> {
 }
 
 impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], RecordingError> {
-        let end = self.pos.checked_add(n).ok_or(RecordingError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(RecordingError::Truncated);
+    #[inline(always)]
+    fn byte(&mut self) -> Result<u8, Bad> {
+        let b = *self.bytes.get(self.pos).ok_or(Bad::Truncated)?;
+        self.pos += 1;
+        Ok(b)
+    }
+
+    /// LEB128 varint. Most fields take one or two bytes, which decode
+    /// inline; longer ones finish out of line.
+    #[inline(always)]
+    fn varint(&mut self) -> Result<u64, Bad> {
+        let b = self.byte()?;
+        if b < 0x80 {
+            return Ok(b as u64);
         }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn byte(&mut self) -> Result<u8, RecordingError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn varint(&mut self) -> Result<u64, RecordingError> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let b = self.byte()?;
-            if shift >= 64 || (shift == 63 && b > 1) {
-                return Err(RecordingError::FieldRange);
-            }
-            v |= ((b & 0x7f) as u64) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
+        let c = self.byte()?;
+        let v = (b & 0x7f) as u64 | ((c & 0x7f) as u64) << 7;
+        if c < 0x80 {
+            return Ok(v);
         }
+        let (v, pos) = varint_tail(self.bytes, self.pos, v)?;
+        self.pos = pos;
+        Ok(v)
     }
 
-    fn zigzag(&mut self) -> Result<i64, RecordingError> {
+    #[inline(always)]
+    fn zigzag(&mut self) -> Result<i64, Bad> {
         let v = self.varint()?;
         Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
     }
 
-    fn u16(&mut self) -> Result<u16, RecordingError> {
-        u16::try_from(self.varint()?).map_err(|_| RecordingError::FieldRange)
+    #[inline(always)]
+    fn u16(&mut self) -> Result<u16, Bad> {
+        u16::try_from(self.varint()?).map_err(|_| Bad::FieldRange)
     }
 
-    fn u32(&mut self) -> Result<u32, RecordingError> {
-        u32::try_from(self.varint()?).map_err(|_| RecordingError::FieldRange)
+    #[inline(always)]
+    fn u32(&mut self) -> Result<u32, Bad> {
+        u32::try_from(self.varint()?).map_err(|_| Bad::FieldRange)
     }
 
-    fn addr(&mut self) -> Result<Addr, RecordingError> {
-        self.u32()
-    }
-
-    fn pc(&mut self) -> Result<Pc, RecordingError> {
+    #[inline(always)]
+    fn pc(&mut self) -> Result<Pc, Bad> {
         let func = FuncId(self.u16()?);
         let idx = self.u32()?;
         Ok(Pc { func, idx })
+    }
+}
+
+/// The rest of a varint whose first two bytes gave the low 14 bits
+/// `v`, read from `bytes[pos..]`; returns the value and the position
+/// past it. Takes the cursor by value, so the decode loop's cursor
+/// never needs an address and stays in registers.
+#[inline(never)]
+fn varint_tail(bytes: &[u8], mut pos: usize, mut v: u64) -> Result<(u64, usize), Bad> {
+    let mut shift = 14u32;
+    loop {
+        let b = *bytes.get(pos).ok_or(Bad::Truncated)?;
+        pos += 1;
+        if shift >= 64 || (shift == 63 && b > 1) {
+            return Err(Bad::FieldRange);
+        }
+        v |= ((b & 0x7f) as u64) << shift;
+        if b & 0x80 == 0 {
+            return Ok((v, pos));
+        }
+        shift += 7;
     }
 }
 
@@ -862,7 +866,7 @@ mod tests {
         let mut viewed = RecordingSink::new();
         RecordingView::parse(&bytes)
             .unwrap()
-            .replay(&mut viewed)
+            .stream_batches(4, |b| b.replay_into(&mut viewed))
             .unwrap();
         assert_eq!(viewed.into_recording(), every_kind);
 
@@ -937,6 +941,46 @@ mod tests {
     }
 
     #[test]
+    fn varints_of_every_length_round_trip_and_overflow_is_a_range_error() {
+        for v in [
+            0,
+            0x7f,
+            0x80,
+            0x3fff,
+            0x4000,
+            u32::MAX as u64,
+            1 << 62,
+            u64::MAX,
+        ] {
+            let mut buf = Vec::new();
+            write_varint(&mut buf, v);
+            let mut r = Reader {
+                bytes: &buf,
+                pos: 0,
+            };
+            assert_eq!(r.varint().ok(), Some(v));
+            assert_eq!(r.pos, buf.len());
+            for cut in 0..buf.len() {
+                let mut r = Reader {
+                    bytes: &buf[..cut],
+                    pos: 0,
+                };
+                assert!(matches!(r.varint(), Err(Bad::Truncated)), "{v} cut {cut}");
+            }
+        }
+        // a tenth byte above 1 overflows u64
+        for tenth in [0x02, 0x80] {
+            let mut buf = vec![0xff; 9];
+            buf.extend([tenth, 0x00]);
+            let mut r = Reader {
+                bytes: &buf,
+                pos: 0,
+            };
+            assert!(matches!(r.varint(), Err(Bad::FieldRange)), "{tenth:#x}");
+        }
+    }
+
+    #[test]
     fn oversized_count_is_rejected_before_decoding() {
         // a header declaring ~2^62 events over a 16-byte body
         let mut forged = Vec::new();
@@ -983,7 +1027,9 @@ mod tests {
 
         // replay through the view == replay through the owned recording
         let mut via_view = RecordingSink::new();
-        let n = view.replay(&mut via_view).unwrap();
+        let n = view
+            .stream_batches(DEFAULT_BATCH_CAPACITY, |b| b.replay_into(&mut via_view))
+            .unwrap();
         assert_eq!(n, recording.len() as u64);
         assert_eq!(via_view.into_recording(), recording);
 
@@ -1000,6 +1046,15 @@ mod tests {
         assert_eq!(n, recording.len() as u64);
         assert_eq!(flat, recording.events);
         assert!(sizes[..sizes.len() - 1].iter().all(|&s| s == 5));
+
+        // a capacity past the event count is one batch, sized by the
+        // input, never by the caller's number
+        for capacity in [recording.len(), 1 << 40, usize::MAX] {
+            let mut sizes = Vec::new();
+            view.stream_batches(capacity, |b| sizes.push(b.len()))
+                .unwrap();
+            assert_eq!(sizes, [recording.len()], "capacity {capacity}");
+        }
     }
 
     #[test]

@@ -118,11 +118,10 @@ pub trait TraceSink {
 
     /// Delivers one whole [`crate::bus::EventBatch`] in emission
     /// order. The bus calls this once per batch — one virtual dispatch
-    /// per batch instead of one per event — and the default body
-    /// preserves the per-event semantics exactly via
-    /// [`crate::bus::EventBatch::replay_into`]. Hot sinks override it
-    /// with a concrete dispatch loop; overrides must deliver the same
-    /// events in the same order as the default.
+    /// per batch instead of one per event — and the default body,
+    /// monomorphized per sink, preserves the per-event semantics
+    /// exactly via [`crate::bus::EventBatch::replay_into`]. An
+    /// override must deliver the same events in the same order.
     #[inline]
     fn consume_batch(&mut self, batch: &crate::bus::EventBatch) {
         batch.replay_into(self);

@@ -3,7 +3,7 @@
 //! single-byte flip and a few thousand seeded random mutations must
 //! parse or be rejected with a typed error — never panic.
 
-use fuzzgen::corrupt::{corruption_sweep, mmap_sweep};
+use fuzzgen::corrupt::{corruption_sweep, mmap_sweep, reference_decode};
 use tvm::record::{MappedRecording, Recording, RecordingError};
 
 const FIXTURE: &str = concat!(
@@ -14,8 +14,10 @@ const FIXTURE: &str = concat!(
 #[test]
 fn fixture_corruption_sweep_never_panics() {
     let bytes = std::fs::read(FIXTURE).expect("committed fixture");
-    // the pristine fixture must of course still parse
-    Recording::from_bytes(&bytes).expect("pristine fixture parses");
+    // the pristine fixture must of course still parse, to the events
+    // the reference decoder reads
+    let pristine = Recording::from_bytes(&bytes).expect("pristine fixture parses");
+    assert_eq!(reference_decode(&bytes).ok(), Some(pristine.events));
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let sweep = corruption_sweep(&bytes, 0xDEAD_BEEF, 2_000);

@@ -20,10 +20,15 @@ use tvm::{line_of, LINE_WORDS, WORD_BYTES};
 /// imprecision.
 ///
 /// The lines sit in a ring in arrival order; a keyed-hash index maps
-/// each buffered line to its ring position. The ring grows with the
-/// lines actually buffered and is never sized to `capacity` up front,
-/// so an effectively unbounded FIFO costs only what it holds. A
-/// capacity of 0 holds one line, as a capacity of 1 does.
+/// each buffered line to its ring position, and a last-line register
+/// in front of it (as Figure 7 has for the overflow tables) holds the
+/// line and position of the last line looked up or recorded, so runs
+/// of accesses to one line skip the hash. Every eviction rewrites the
+/// register, so it never names a slot that holds another line. The
+/// ring grows with the lines actually buffered and is never sized to
+/// `capacity` up front, so an effectively unbounded FIFO costs only
+/// what it holds. A capacity of 0 holds one line, as a capacity of 1
+/// does.
 #[derive(Debug, Clone)]
 pub struct StoreTimestampFifo {
     capacity: usize,
@@ -31,13 +36,25 @@ pub struct StoreTimestampFifo {
     /// Ring position of the oldest line once the ring is full.
     oldest: usize,
     index: KeyedMap<u32, usize>,
+    /// The last-line register: `(line, ring position)`. Starts on
+    /// [`NO_LINE`], which no address maps to.
+    last: (u32, usize),
     evictions: u64,
 }
+
+/// A line number no 32-bit address has (`line_of` is below 2^27).
+const NO_LINE: u32 = u32::MAX;
 
 #[derive(Debug, Clone)]
 struct BufferedLine {
     line: u32,
     words: [Option<Cycles>; LINE_WORDS as usize],
+}
+
+/// The line of `addr` and the word's slot within it.
+#[inline]
+fn line_and_word(addr: Addr) -> (u32, usize) {
+    (line_of(addr), ((addr / WORD_BYTES) % LINE_WORDS) as usize)
 }
 
 impl StoreTimestampFifo {
@@ -48,6 +65,7 @@ impl StoreTimestampFifo {
             ring: Vec::new(),
             oldest: 0,
             index: keyed_map(),
+            last: (NO_LINE, 0),
             evictions: 0,
         }
     }
@@ -55,9 +73,13 @@ impl StoreTimestampFifo {
     /// Records a store timestamp for the word at `addr`. A line already
     /// present is updated in place (the hardware merges writes to a
     /// buffered line); a new line may evict the oldest.
+    #[inline]
     pub fn record(&mut self, addr: Addr, now: Cycles) {
-        let line = line_of(addr);
-        let word = ((addr / WORD_BYTES) % LINE_WORDS) as usize;
+        let (line, word) = line_and_word(addr);
+        if self.last.0 == line {
+            self.ring[self.last.1].words[word] = Some(now);
+            return;
+        }
         let fresh = || {
             let mut words = [None; LINE_WORDS as usize];
             words[word] = Some(now);
@@ -65,31 +87,37 @@ impl StoreTimestampFifo {
         };
         let pos = match self.index.entry(line) {
             Entry::Occupied(e) => {
-                self.ring[*e.get()].words[word] = Some(now);
-                return;
+                let pos = *e.get();
+                self.ring[pos].words[word] = Some(now);
+                pos
             }
             Entry::Vacant(e) if self.ring.len() < self.capacity => {
                 e.insert(self.ring.len());
                 self.ring.push(fresh());
-                return;
+                self.ring.len() - 1
             }
-            Entry::Vacant(_) => self.oldest,
+            Entry::Vacant(_) => {
+                let pos = self.oldest;
+                let old = std::mem::replace(&mut self.ring[pos], fresh());
+                self.index.remove(&old.line);
+                self.index.insert(line, pos);
+                self.oldest = (pos + 1) % self.ring.len();
+                self.evictions += 1;
+                pos
+            }
         };
-        let old = std::mem::replace(&mut self.ring[pos], fresh());
-        self.index.remove(&old.line);
-        self.index.insert(line, pos);
-        self.oldest = (pos + 1) % self.ring.len();
-        self.evictions += 1;
+        self.last = (line, pos);
     }
 
     /// The last store timestamp recorded for the word at `addr`, if its
     /// line is still buffered.
-    pub fn lookup(&self, addr: Addr) -> Option<Cycles> {
-        let line = line_of(addr);
-        let word = ((addr / WORD_BYTES) % LINE_WORDS) as usize;
-        self.index
-            .get(&line)
-            .and_then(|&pos| self.ring[pos].words[word])
+    #[inline]
+    pub fn lookup(&mut self, addr: Addr) -> Option<Cycles> {
+        let (line, word) = line_and_word(addr);
+        if self.last.0 != line {
+            self.last = (line, *self.index.get(&line)?);
+        }
+        self.ring[self.last.1].words[word]
     }
 
     /// Number of lines evicted so far (history lost).
@@ -113,10 +141,19 @@ impl StoreTimestampFifo {
 /// come from the line number exactly as the figure's bit slices do;
 /// aliasing between lines that share an index loses the older
 /// timestamp, as in hardware.
+///
+/// A slot stores its tag plus one beside its timestamp, so an empty
+/// slot is all zeros: the table is allocated as zeroed pages, and the
+/// slots a run never touches cost no memory. Lines are
+/// [`tvm::line_of`] values, below 2^27, so a tag + 1 never wraps.
 #[derive(Debug, Clone)]
 pub struct LineTimestampTable {
     mask: u32,
-    entries: Vec<Option<(u32, Cycles)>>, // (tag, timestamp)
+    /// `line >> shift` is a line's tag.
+    shift: u32,
+    /// Tag + 1 per slot; 0 = empty.
+    tags: Vec<u32>,
+    stamps: Vec<Cycles>,
 }
 
 impl LineTimestampTable {
@@ -130,27 +167,34 @@ impl LineTimestampTable {
             entries.is_power_of_two(),
             "table size must be a power of two"
         );
+        let mask = entries as u32 - 1;
         LineTimestampTable {
-            mask: entries as u32 - 1,
-            entries: vec![None; entries],
+            mask,
+            shift: mask.trailing_ones(),
+            tags: vec![0; entries],
+            stamps: vec![0; entries],
         }
+    }
+
+    /// The slot index of `line` and its stored form of the tag.
+    #[inline]
+    fn slot(&self, line: u32) -> (usize, u32) {
+        ((line & self.mask) as usize, (line >> self.shift) + 1)
     }
 
     /// The timestamp recorded for `line`, if the slot still holds that
     /// line (tag match).
     pub fn lookup(&self, line: u32) -> Option<Cycles> {
-        let idx = (line & self.mask) as usize;
-        match self.entries[idx] {
-            Some((tag, ts)) if tag == line >> self.mask.trailing_ones() => Some(ts),
-            _ => None,
-        }
+        let (idx, tag) = self.slot(line);
+        (self.tags[idx] == tag).then(|| self.stamps[idx])
     }
 
     /// Records an access timestamp for `line`, evicting any aliasing
     /// entry.
     pub fn record(&mut self, line: u32, now: Cycles) {
-        let idx = (line & self.mask) as usize;
-        self.entries[idx] = Some((line >> self.mask.trailing_ones(), now));
+        let (idx, tag) = self.slot(line);
+        self.tags[idx] = tag;
+        self.stamps[idx] = now;
     }
 
     /// Combined lookup-and-record: installs `now` for `line` and
@@ -160,19 +204,15 @@ impl LineTimestampTable {
     /// every heap access.
     #[inline]
     pub fn swap(&mut self, line: u32, now: Cycles) -> Option<Cycles> {
-        let idx = (line & self.mask) as usize;
-        let tag = line >> self.mask.trailing_ones();
-        let old = match self.entries[idx] {
-            Some((t, ts)) if t == tag => Some(ts),
-            _ => None,
-        };
-        self.entries[idx] = Some((tag, now));
-        old
+        let (idx, tag) = self.slot(line);
+        let old = std::mem::replace(&mut self.stamps[idx], now);
+        let hit = std::mem::replace(&mut self.tags[idx], tag) == tag;
+        hit.then_some(old)
     }
 
     /// Clears the table (used between profiling phases).
     pub fn clear(&mut self) {
-        self.entries.fill(None);
+        self.tags.fill(0);
     }
 }
 
@@ -255,6 +295,7 @@ impl LocalVarTimestamps {
     /// Records a store timestamp for variable `var` of `activation`.
     /// Ignored when the activation has no live frame (its loop was left
     /// untraced).
+    #[inline]
     pub fn record(&mut self, activation: u32, var: u16, now: Cycles) {
         if let Some(top) = self.frames.last_mut() {
             if top.activation == activation {
@@ -266,6 +307,7 @@ impl LocalVarTimestamps {
     }
 
     /// The last store timestamp for variable `var` of `activation`.
+    #[inline]
     pub fn lookup(&self, activation: u32, var: u16) -> Option<Cycles> {
         let top = self.frames.last()?;
         if top.activation != activation {
@@ -283,14 +325,15 @@ impl LocalVarTimestamps {
 /// The FIFO as a std `HashMap` of lines beside a `VecDeque` of their
 /// arrival order, kept as the executable specification of
 /// [`StoreTimestampFifo`]; a property test compares the two after every
-/// operation.
+/// operation, and the tracer's reference model buffers its stores here.
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     use std::collections::{HashMap, VecDeque};
     use tvm::trace::{Addr, Cycles};
     use tvm::{line_of, LINE_WORDS, WORD_BYTES};
 
-    pub(super) struct StoreTimestampFifo {
+    #[derive(Debug)]
+    pub(crate) struct StoreTimestampFifo {
         capacity: usize,
         lines: HashMap<u32, [Option<Cycles>; LINE_WORDS as usize]>,
         order: VecDeque<u32>,
@@ -298,7 +341,7 @@ mod reference {
     }
 
     impl StoreTimestampFifo {
-        pub(super) fn new(capacity: usize) -> Self {
+        pub(crate) fn new(capacity: usize) -> Self {
             StoreTimestampFifo {
                 capacity,
                 lines: HashMap::new(),
@@ -307,7 +350,7 @@ mod reference {
             }
         }
 
-        pub(super) fn record(&mut self, addr: Addr, now: Cycles) {
+        pub(crate) fn record(&mut self, addr: Addr, now: Cycles) {
             let line = line_of(addr);
             let word = ((addr / WORD_BYTES) % LINE_WORDS) as usize;
             if let Some(entry) = self.lines.get_mut(&line) {
@@ -326,18 +369,23 @@ mod reference {
             self.order.push_back(line);
         }
 
-        pub(super) fn lookup(&self, addr: Addr) -> Option<Cycles> {
+        pub(crate) fn lookup(&self, addr: Addr) -> Option<Cycles> {
             let line = line_of(addr);
             let word = ((addr / WORD_BYTES) % LINE_WORDS) as usize;
             self.lines.get(&line).and_then(|e| e[word])
         }
 
-        pub(super) fn evictions(&self) -> u64 {
+        pub(crate) fn evictions(&self) -> u64 {
             self.evictions
         }
 
-        pub(super) fn len(&self) -> usize {
+        pub(crate) fn len(&self) -> usize {
             self.order.len()
+        }
+
+        /// The line the next eviction would drop.
+        pub(crate) fn oldest(&self) -> Option<u32> {
+            self.order.front().copied()
         }
     }
 }
@@ -416,22 +464,55 @@ mod tests {
         #[test]
         fn fifo_matches_the_reference(
             capacity in arb_capacity(),
-            ops in prop::collection::vec((arb_addr(), prop::bool::ANY), 0..800),
+            ops in prop::collection::vec((arb_addr(), prop::bool::ANY, 1u32..5), 0..800),
         ) {
             let mut fifo = StoreTimestampFifo::new(capacity);
             let mut spec = reference::StoreTimestampFifo::new(capacity);
-            for (now, &(addr, store)) in ops.iter().enumerate() {
-                if store {
-                    fifo.record(addr, now as Cycles);
-                    spec.record(addr, now as Cycles);
+            let mut now: Cycles = 0;
+            for &(base, store, run) in &ops {
+                // a run of accesses to successive words of one line:
+                // after the first, the last-line register serves them
+                for k in 0..run {
+                    let addr = (base & !31) | ((base + 8 * k) & 31);
+                    now += 1;
+                    if store {
+                        let (victim, evictions) = (spec.oldest(), spec.evictions());
+                        fifo.record(addr, now);
+                        spec.record(addr, now);
+                        if spec.evictions() > evictions {
+                            // the evicted line is gone, even when the
+                            // register named it just before
+                            let gone = victim.expect("an eviction has a victim") * 32 + (addr & 31);
+                            prop_assert_eq!(fifo.lookup(gone), None, "op {}", now);
+                            prop_assert_eq!(spec.lookup(gone), None, "op {}", now);
+                        }
+                    }
+                    prop_assert_eq!(fifo.lookup(addr), spec.lookup(addr), "op {}", now);
+                    prop_assert_eq!(fifo.len(), spec.len(), "op {}", now);
+                    prop_assert_eq!(fifo.evictions(), spec.evictions(), "op {}", now);
                 }
-                prop_assert_eq!(fifo.lookup(addr), spec.lookup(addr), "op {}", now);
-                prop_assert_eq!(fifo.len(), spec.len(), "op {}", now);
-                prop_assert_eq!(fifo.evictions(), spec.evictions(), "op {}", now);
             }
-            for &(addr, _) in &ops {
+            for &(addr, _, _) in &ops {
                 prop_assert_eq!(fifo.lookup(addr), spec.lookup(addr));
             }
+        }
+    }
+
+    #[test]
+    fn fifo_register_never_serves_an_evicted_line() {
+        for capacity in [1, 2] {
+            let mut f = StoreTimestampFifo::new(capacity);
+            f.record(0x000, 1);
+            f.record(0x020, 2);
+            // the register names the line the next eviction drops
+            // (capacity 2) or the line that just dropped it (capacity 1)
+            assert_eq!(f.lookup(0x000), if capacity == 2 { Some(1) } else { None });
+            f.record(0x040, 3); // evicts the oldest line
+            assert_eq!(f.lookup(0x000), None);
+            assert_eq!(f.lookup(0x040), Some(3));
+            f.record(0x048, 4); // same line: merged through the register
+            assert_eq!(f.lookup(0x048), Some(4));
+            assert_eq!(f.lookup(0x040), Some(3));
         }
     }
 
@@ -445,6 +526,19 @@ mod tests {
         t.record(65, 20);
         assert_eq!(t.lookup(65), Some(20));
         assert_eq!(t.lookup(1), None); // evicted by aliasing
+    }
+
+    #[test]
+    fn line_table_empty_slots_match_no_line() {
+        for entries in [1, 2, 64] {
+            let mut t = LineTimestampTable::new(entries);
+            // line 0 has tag 0 in every table: an empty slot is not it
+            assert_eq!(t.lookup(0), None);
+            assert_eq!(t.swap(0, 5), None);
+            assert_eq!(t.swap(0, 6), Some(5));
+            t.clear();
+            assert_eq!(t.lookup(0), None);
+        }
     }
 
     #[test]

@@ -75,6 +75,45 @@ fn bench_stages(c: &mut Criterion) {
     g.finish();
 }
 
+/// The static layer over the 26 Small programs, one pass each:
+/// extraction, rescue from that extraction, and the scev distance
+/// floors selection reads.
+fn bench_static_analysis(c: &mut Criterion) {
+    let programs: Vec<_> = benchsuite::all()
+        .iter()
+        .map(|b| (b.build)(DataSize::Small))
+        .collect();
+    let cands: Vec<_> = programs.iter().map(cfgir::extract_candidates).collect();
+    let mut g = c.benchmark_group("static_analysis");
+    g.bench_function("extract", |b| {
+        b.iter(|| {
+            programs
+                .iter()
+                .map(|p| black_box(cfgir::extract_candidates(black_box(p))).total_loops())
+                .sum::<usize>()
+        })
+    });
+    g.bench_function("rescue", |b| {
+        b.iter(|| {
+            programs
+                .iter()
+                .zip(&cands)
+                .map(|(p, pc)| black_box(cfgir::rescue_extracted(p, pc)).0.rescued.len())
+                .sum::<usize>()
+        })
+    });
+    g.bench_function("distance_floors", |b| {
+        b.iter(|| {
+            programs
+                .iter()
+                .zip(&cands)
+                .map(|(p, pc)| black_box(cfgir::distance_floors(p, pc)).len())
+                .sum::<usize>()
+        })
+    });
+    g.finish();
+}
+
 fn bench_end_to_end(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline_end_to_end");
     g.sample_size(10);
@@ -93,5 +132,10 @@ fn bench_end_to_end(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_stages, bench_end_to_end);
+criterion_group!(
+    benches,
+    bench_stages,
+    bench_static_analysis,
+    bench_end_to_end
+);
 criterion_main!(benches);

@@ -22,8 +22,7 @@
 
 use benchsuite::DataSize;
 use cfgir::{
-    classify_loop_pairs, classify_loop_pairs_evo, extract_slices, scev, Dominators, PairVerdict,
-    PointsTo, StaticVerdict,
+    classify_loop_pairs, classify_loop_pairs_evo, extract_slices, scev, PairVerdict, StaticVerdict,
 };
 use jrpm::tier::{run_tiered, TierConfig};
 use jrpm::{annotate, AnnotateOptions, PipelineConfig};
@@ -115,8 +114,8 @@ fn main() {
         let (kinds, k_ok) = check(tvm::verify::verify_kinds(&program));
 
         let cands = cfgir::extract_candidates(&program);
-        let pt = PointsTo::analyze(&program);
-        let rescue = cfgir::rescue_program(&program);
+        let pt = &cands.pointsto;
+        let (rescue, _) = cfgir::rescue_extracted(&program, &cands);
 
         // TI001/TI002: drive the online tier controller to a terminal
         // state and surface its runtime diagnostics next to the static
@@ -142,10 +141,9 @@ fn main() {
             // thanks to points-to (the structural rules alone could not)
             let fa = &cands.functions[c.func.0 as usize];
             let f = &program.functions[c.func.0 as usize];
-            let dom = Dominators::compute(&fa.cfg);
             let lp = &fa.forest.loops[c.loop_idx];
             let view = pt.view(c.func);
-            let sharp = classify_loop_pairs(&program, f, &fa.cfg, &dom, lp, Some(&view));
+            let sharp = classify_loop_pairs(&program, f, &fa.cfg, &fa.dom, lp, Some(&view));
             let via_pt = sharp.iter().filter(|p| p.via_pointsto).count();
             let disjoint = sharp
                 .iter()
@@ -164,7 +162,7 @@ fn main() {
             // closed-form loop-carried scalars
             let evo = scev::analyze_loop(&program, f, &fa.cfg, lp);
             let evo_pairs =
-                classify_loop_pairs_evo(&program, f, &fa.cfg, &dom, lp, Some(&view), &evo);
+                classify_loop_pairs_evo(&program, f, &fa.cfg, &fa.dom, lp, Some(&view), &evo);
             let distances: Vec<u32> = evo_pairs
                 .iter()
                 .filter_map(|p| match p.verdict {

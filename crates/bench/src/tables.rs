@@ -4,9 +4,7 @@
 use crate::gate::Row;
 use crate::runner::BenchResult;
 use benchsuite::DataSize;
-use cfgir::{
-    classify_loop_pairs, classify_loop_pairs_evo, extract_slices, scev, Dominators, PairVerdict,
-};
+use cfgir::{classify_loop_pairs, classify_loop_pairs_evo, extract_slices, scev, PairVerdict};
 use hydra_sim::TlsConfig;
 use jrpm::agreement::{agreement_report, AgreementReport};
 use jrpm::pipeline::{run_pipeline, PipelineConfig};
@@ -541,7 +539,6 @@ pub fn prescreen_rows(size: DataSize) -> Vec<PrescreenRow> {
     for b in benchsuite::all() {
         let program = (b.build)(size);
         let cands = cfgir::extract_candidates(&program);
-        let pt = cfgir::PointsTo::analyze(&program);
         let mut row = PrescreenRow {
             name: b.name,
             loops: cands.total_loops(),
@@ -551,16 +548,15 @@ pub fn prescreen_rows(size: DataSize) -> Vec<PrescreenRow> {
             baseline_disjoint: 0,
             disjoint: 0,
             via_pointsto: 0,
-            abstract_objects: cands.pointsto.abstract_objects,
+            abstract_objects: cands.pointsto.stats().abstract_objects,
         };
         for c in &cands.candidates {
             let fa = &cands.functions[c.func.0 as usize];
             let f = &program.functions[c.func.0 as usize];
-            let dom = Dominators::compute(&fa.cfg);
             let lp = &fa.forest.loops[c.loop_idx];
-            let view = pt.view(c.func);
-            let sharp = classify_loop_pairs(&program, f, &fa.cfg, &dom, lp, Some(&view));
-            let base = classify_loop_pairs(&program, f, &fa.cfg, &dom, lp, None);
+            let view = cands.pointsto.view(c.func);
+            let sharp = classify_loop_pairs(&program, f, &fa.cfg, &fa.dom, lp, Some(&view));
+            let base = classify_loop_pairs(&program, f, &fa.cfg, &fa.dom, lp, None);
             row.pairs += sharp.len();
             row.baseline_disjoint += base
                 .iter()
@@ -669,7 +665,6 @@ pub fn scev_rows(size: DataSize) -> Vec<ScevRow> {
     for b in benchsuite::all() {
         let program = (b.build)(size);
         let cands = cfgir::extract_candidates(&program);
-        let pt = cfgir::PointsTo::analyze(&program);
         let mut row = ScevRow {
             name: b.name,
             pairs: 0,
@@ -689,12 +684,12 @@ pub fn scev_rows(size: DataSize) -> Vec<ScevRow> {
         for c in &cands.candidates {
             let fa = &cands.functions[c.func.0 as usize];
             let f = &program.functions[c.func.0 as usize];
-            let dom = Dominators::compute(&fa.cfg);
             let lp = &fa.forest.loops[c.loop_idx];
-            let view = pt.view(c.func);
+            let view = cands.pointsto.view(c.func);
             let evo = scev::analyze_loop(&program, f, &fa.cfg, lp);
-            let sharp = classify_loop_pairs_evo(&program, f, &fa.cfg, &dom, lp, Some(&view), &evo);
-            let base = classify_loop_pairs(&program, f, &fa.cfg, &dom, lp, Some(&view));
+            let sharp =
+                classify_loop_pairs_evo(&program, f, &fa.cfg, &fa.dom, lp, Some(&view), &evo);
+            let base = classify_loop_pairs(&program, f, &fa.cfg, &fa.dom, lp, Some(&view));
             row.pairs += sharp.len();
             row.prescreen_disjoint += base
                 .iter()
@@ -810,11 +805,11 @@ pub fn rescue_rows(size: DataSize) -> Vec<RescueRow> {
     for b in benchsuite::all() {
         let program = (b.build)(size);
         let before = cfgir::extract_candidates(&program);
-        let out = cfgir::rescue_program(&program);
+        let (out, after) = cfgir::rescue_extracted(&program, &before);
         let mut row = RescueRow {
             name: b.name,
             demoted_before: before.demoted_count(),
-            demoted_after: cfgir::extract_candidates(&out.program).demoted_count(),
+            demoted_after: after.as_ref().unwrap_or(&before).demoted_count(),
             rescued: out.rescued.len(),
             reductions: 0,
             privatizations: 0,

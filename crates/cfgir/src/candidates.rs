@@ -1,23 +1,46 @@
 //! Program-level candidate STL extraction (paper §4.1).
+//!
+//! Extraction is the one place the static facts of a program are
+//! solved: per function the CFG, dominators, natural loops, reaching
+//! definitions and liveness gen/kill sets ([`FunctionAnalysis`]), and
+//! once per program the points-to solve
+//! ([`ProgramCandidates::pointsto`]). Every later static consumer reads
+//! them from the extraction instead of solving again: the deferred
+//! pre-screen ([`prescreen_candidate`]), the distance floors
+//! ([`distance_floors`]), loop rescue ([`crate::rescue_extracted`],
+//! which also hands back the extraction of any program it rewrites)
+//! and the annotator in `jrpm`. The rescue legality checker
+//! ([`crate::rescue::verify`]) is the exception: it re-derives every
+//! fact itself, because its independence from the matcher is the
+//! point of it.
 
 use crate::cfg::Cfg;
+use crate::dataflow::{LocalGenKill, ReachingDefs};
 use crate::dom::Dominators;
 use crate::loops::LoopForest;
 use crate::memdep::{analyze_loop, classify_loop_pairs_evo};
-use crate::pointsto::{PointsTo, SolverStats};
-use crate::scalar::{classify, LocalClasses};
+use crate::pointsto::PointsTo;
+use crate::scalar::{classify_with, LocalClasses};
 use crate::scev;
 use std::collections::{BTreeMap, BTreeSet};
 use tvm::isa::LoopId;
 use tvm::program::{FuncId, Local, Program};
 
-/// The complete static analysis of one function.
+/// The complete static analysis of one function, solved once by
+/// extraction and read by every later static consumer (pre-screen,
+/// rescue, distance floors, annotation).
 #[derive(Debug, Clone)]
 pub struct FunctionAnalysis {
     /// The analyzed function.
     pub func: FuncId,
     /// Its control-flow graph.
     pub cfg: Cfg,
+    /// The dominator tree of `cfg`.
+    pub dom: Dominators,
+    /// Reaching definitions of locals over `cfg`.
+    pub reaching: ReachingDefs,
+    /// Per-block liveness gen/kill sets over `cfg`.
+    pub gen_kill: LocalGenKill,
     /// Its natural loops.
     pub forest: LoopForest,
     /// Scalar classification of each loop in `forest` (same order).
@@ -101,9 +124,10 @@ pub struct ProgramCandidates {
     pub candidates: Vec<Candidate>,
     /// Loops rejected by the scalar screen.
     pub rejected: Vec<RejectedLoop>,
-    /// Statistics of the whole-program points-to solve that sharpened
-    /// the memory-dependence pre-screen.
-    pub pointsto: SolverStats,
+    /// The whole-program points-to solve that sharpened the
+    /// memory-dependence pre-screen; later consumers take their alias
+    /// views from it instead of solving again.
+    pub pointsto: PointsTo,
 }
 
 impl ProgramCandidates {
@@ -228,8 +252,14 @@ pub fn prescreen_candidate(
     view: Option<&crate::pointsto::FnView<'_>>,
 ) -> StaticVerdict {
     let f = &program.functions[fa.func.0 as usize];
-    let dom = Dominators::compute(&fa.cfg);
-    let deps = analyze_loop(program, f, &fa.cfg, &dom, &fa.forest.loops[loop_idx], view);
+    let deps = analyze_loop(
+        program,
+        f,
+        &fa.cfg,
+        &fa.dom,
+        &fa.forest.loops[loop_idx],
+        view,
+    );
     match deps.first() {
         None => StaticVerdict::Clean,
         Some(d) => StaticVerdict::Demoted { reason: d.reason() },
@@ -257,10 +287,9 @@ pub fn distance_floor(
     view: Option<&crate::pointsto::FnView<'_>>,
 ) -> Option<u32> {
     let f = &program.functions[fa.func.0 as usize];
-    let dom = Dominators::compute(&fa.cfg);
     let lp = &fa.forest.loops[loop_idx];
     let evo = scev::analyze_loop(program, f, &fa.cfg, lp);
-    classify_loop_pairs_evo(program, f, &fa.cfg, &dom, lp, view, &evo)
+    classify_loop_pairs_evo(program, f, &fa.cfg, &fa.dom, lp, view, &evo)
         .iter()
         .filter_map(|p| p.scev_distance)
         .filter(|&q| q > 0)
@@ -276,14 +305,13 @@ pub fn distance_floor(
 /// [`prescreen_candidate_with_distance`] and completes it at
 /// finalization, so both paths select over identical floors.
 pub fn distance_floors(program: &Program, pc: &ProgramCandidates) -> BTreeMap<LoopId, u32> {
-    let pt = PointsTo::analyze(program);
     let mut floors = BTreeMap::new();
     for c in &pc.candidates {
         if c.is_demoted() {
             continue;
         }
         let fa = &pc.functions[c.func.0 as usize];
-        let view = pt.view(c.func);
+        let view = pc.pointsto.view(c.func);
         if let Some(d) = distance_floor(program, fa, c.loop_idx, Some(&view)) {
             floors.insert(c.id, d);
         }
@@ -322,8 +350,10 @@ pub fn extract_candidates_with(program: &Program, prescreen: Prescreen) -> Progr
         let cfg = Cfg::build(f);
         let dom = Dominators::compute(&cfg);
         let forest = LoopForest::build(&cfg, &dom);
+        let reaching = ReachingDefs::compute(f, &cfg);
+        let gen_kill = LocalGenKill::compute(f, &cfg);
         let classes: Vec<LocalClasses> = (0..forest.len())
-            .map(|li| classify(program, f, &cfg, &dom, &forest, li))
+            .map(|li| classify_with(program, f, &cfg, &dom, &forest, li, &reaching, &gen_kill))
             .collect();
 
         // method-level tracked numbering: union over all loops
@@ -385,6 +415,9 @@ pub fn extract_candidates_with(program: &Program, prescreen: Prescreen) -> Progr
         functions.push(FunctionAnalysis {
             func,
             cfg,
+            dom,
+            reaching,
+            gen_kill,
             forest,
             classes,
             tracked_order,
@@ -395,7 +428,7 @@ pub fn extract_candidates_with(program: &Program, prescreen: Prescreen) -> Progr
         functions,
         candidates,
         rejected,
-        pointsto: pt.stats(),
+        pointsto: pt,
     }
 }
 

@@ -74,7 +74,7 @@ pub trait Analysis {
 
 /// The fixpoint of an [`Analysis`]: one fact per block boundary, in
 /// block order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Solution<F> {
     /// Fact holding at each block's entry (before its first
     /// instruction), regardless of analysis direction.
@@ -307,8 +307,10 @@ impl Analysis for ReachingAnalysis {
 ///
 /// Definition ids: `0..n_locals` are the entry definitions (id `l` for
 /// local `l`), followed by instruction definitions in instruction
-/// order. Query with [`ReachingDefs::reaching_before`] and map ids
-/// back through [`ReachingDefs::def`].
+/// order. Query one local with [`ReachingDefs::reaching_defs_of`], or
+/// take the ids reaching a block with [`ReachingDefs::reaching_in`]
+/// and map them back through [`ReachingDefs::def`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachingDefs {
     defs: Vec<DefSite>,
     /// def ids per local (entry def first).
@@ -405,26 +407,9 @@ impl ReachingDefs {
         self.sol.entry_of(b)
     }
 
-    /// Definitions reaching the program point just before instruction
-    /// `instr` of block `b` (walks the block prefix).
-    pub fn reaching_before(&self, cfg: &Cfg, b: BlockId, instr: u32) -> BitSet {
-        let mut cur = self.sol.entry_of(b).clone();
-        for i in cfg.instrs_of(b) {
-            if i >= instr {
-                break;
-            }
-            if let Some(id) = self.def_at_instr[i as usize] {
-                for &other in &self.of_local[usize::from(self.defs[id].local.0)] {
-                    cur.remove(other);
-                }
-                cur.insert(id);
-            }
-        }
-        cur
-    }
-
     /// Definitions of `local` reaching just before instruction `instr`
-    /// of block `b`.
+    /// of block `b`: the last definition of `local` earlier in the
+    /// block if there is one, else those reaching the block's entry.
     pub fn reaching_defs_of(
         &self,
         cfg: &Cfg,
@@ -432,7 +417,16 @@ impl ReachingDefs {
         instr: u32,
         local: Local,
     ) -> Vec<DefSite> {
-        let at = self.reaching_before(cfg, b, instr);
+        let in_block = cfg
+            .instrs_of(b)
+            .take_while(|&i| i < instr)
+            .filter_map(|i| self.def_at_instr[i as usize])
+            .filter(|&id| self.defs[id].local == local)
+            .last();
+        if let Some(id) = in_block {
+            return vec![self.defs[id]];
+        }
+        let at = self.sol.entry_of(b);
         self.of_local[usize::from(local.0)]
             .iter()
             .filter(|&&id| at.contains(id))
@@ -447,39 +441,63 @@ impl ReachingDefs {
 
 /// Per-block gen (upward-exposed reads) and kill (writes) sets over
 /// locals, shared by whole-function and loop-scoped liveness.
-fn local_gen_kill(f: &Function, cfg: &Cfg) -> (Vec<BitSet>, Vec<BitSet>) {
-    let n_locals = usize::from(f.n_locals);
-    let mut gen = vec![BitSet::new(n_locals); cfg.len()];
-    let mut kill = vec![BitSet::new(n_locals); cfg.len()];
-    for bi in 0..cfg.len() {
-        let b = BlockId(bi as u32);
-        for i in cfg.instrs_of(b) {
-            match &f.code[i as usize] {
-                Instr::Load(l) if !kill[bi].contains(usize::from(l.0)) => {
-                    gen[bi].insert(usize::from(l.0));
-                }
-                Instr::IInc(l, _) => {
-                    // reads the old value, then writes
-                    if !kill[bi].contains(usize::from(l.0)) {
-                        gen[bi].insert(usize::from(l.0));
-                    }
-                    kill[bi].insert(usize::from(l.0));
-                }
-                Instr::Store(l) => {
-                    kill[bi].insert(usize::from(l.0));
-                }
-                _ => {}
-            }
-        }
-    }
-    (gen, kill)
-}
-
-struct LivenessAnalysis {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LocalGenKill {
     n_locals: usize,
     gen: Vec<BitSet>,
     kill: Vec<BitSet>,
 }
+
+impl LocalGenKill {
+    /// The gen/kill sets of every block of `f` over `cfg`.
+    pub fn compute(f: &Function, cfg: &Cfg) -> LocalGenKill {
+        let n_locals = usize::from(f.n_locals);
+        let mut gen = vec![BitSet::new(n_locals); cfg.len()];
+        let mut kill = vec![BitSet::new(n_locals); cfg.len()];
+        for bi in 0..cfg.len() {
+            let b = BlockId(bi as u32);
+            for i in cfg.instrs_of(b) {
+                match &f.code[i as usize] {
+                    Instr::Load(l) if !kill[bi].contains(usize::from(l.0)) => {
+                        gen[bi].insert(usize::from(l.0));
+                    }
+                    Instr::IInc(l, _) => {
+                        // reads the old value, then writes
+                        if !kill[bi].contains(usize::from(l.0)) {
+                            gen[bi].insert(usize::from(l.0));
+                        }
+                        kill[bi].insert(usize::from(l.0));
+                    }
+                    Instr::Store(l) => {
+                        kill[bi].insert(usize::from(l.0));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        LocalGenKill {
+            n_locals,
+            gen,
+            kill,
+        }
+    }
+
+    /// [`upward_exposed_in_loop`] over these gen/kill sets.
+    pub fn upward_exposed_in_loop(&self, cfg: &Cfg, lp: &NaturalLoop) -> BitSet {
+        let analysis = LoopExposure { gk: self, lp };
+        let sol = solve(cfg, &analysis);
+        sol.entry_of(lp.header).clone()
+    }
+
+    fn transfer(&self, b: BlockId, out: &BitSet) -> BitSet {
+        let mut live = out.clone();
+        live.subtract(&self.kill[b.0 as usize]);
+        live.union_with(&self.gen[b.0 as usize]);
+        live
+    }
+}
+
+struct LivenessAnalysis(LocalGenKill);
 
 impl Analysis for LivenessAnalysis {
     type Fact = BitSet;
@@ -489,11 +507,11 @@ impl Analysis for LivenessAnalysis {
     }
 
     fn boundary(&self) -> BitSet {
-        BitSet::new(self.n_locals)
+        BitSet::new(self.0.n_locals)
     }
 
     fn bottom(&self) -> BitSet {
-        BitSet::new(self.n_locals)
+        BitSet::new(self.0.n_locals)
     }
 
     fn join(&self, into: &mut BitSet, from: &BitSet) {
@@ -501,10 +519,7 @@ impl Analysis for LivenessAnalysis {
     }
 
     fn transfer(&self, b: BlockId, out: &BitSet) -> BitSet {
-        let mut live = out.clone();
-        live.subtract(&self.kill[b.0 as usize]);
-        live.union_with(&self.gen[b.0 as usize]);
-        live
+        self.0.transfer(b, out)
     }
 }
 
@@ -516,12 +531,7 @@ pub struct Liveness {
 impl Liveness {
     /// Solves liveness for `f` over `cfg`.
     pub fn compute(f: &Function, cfg: &Cfg) -> Liveness {
-        let (gen, kill) = local_gen_kill(f, cfg);
-        let analysis = LivenessAnalysis {
-            n_locals: usize::from(f.n_locals),
-            gen,
-            kill,
-        };
+        let analysis = LivenessAnalysis(LocalGenKill::compute(f, cfg));
         Liveness {
             sol: solve(cfg, &analysis),
         }
@@ -543,10 +553,8 @@ impl Liveness {
 // ---------------------------------------------------------------------
 
 struct LoopExposure<'a> {
-    n_locals: usize,
+    gk: &'a LocalGenKill,
     lp: &'a NaturalLoop,
-    gen: Vec<BitSet>,
-    kill: Vec<BitSet>,
 }
 
 impl Analysis for LoopExposure<'_> {
@@ -557,11 +565,11 @@ impl Analysis for LoopExposure<'_> {
     }
 
     fn boundary(&self) -> BitSet {
-        BitSet::new(self.n_locals)
+        BitSet::new(self.gk.n_locals)
     }
 
     fn bottom(&self) -> BitSet {
-        BitSet::new(self.n_locals)
+        BitSet::new(self.gk.n_locals)
     }
 
     fn join(&self, into: &mut BitSet, from: &BitSet) {
@@ -572,10 +580,7 @@ impl Analysis for LoopExposure<'_> {
         if !self.lp.blocks.contains(&b) {
             return out.clone();
         }
-        let mut live = out.clone();
-        live.subtract(&self.kill[b.0 as usize]);
-        live.union_with(&self.gen[b.0 as usize]);
-        live
+        self.gk.transfer(b, out)
     }
 
     fn edge_enabled(&self, from: BlockId, to: BlockId) -> bool {
@@ -596,15 +601,7 @@ impl Analysis for LoopExposure<'_> {
 /// outside this set is written before every read on every path — safe
 /// to privatize per speculative thread.
 pub fn upward_exposed_in_loop(f: &Function, cfg: &Cfg, lp: &NaturalLoop) -> BitSet {
-    let (gen, kill) = local_gen_kill(f, cfg);
-    let analysis = LoopExposure {
-        n_locals: usize::from(f.n_locals),
-        lp,
-        gen,
-        kill,
-    };
-    let sol = solve(cfg, &analysis);
-    sol.entry_of(lp.header).clone()
+    LocalGenKill::compute(f, cfg).upward_exposed_in_loop(cfg, lp)
 }
 
 #[cfg(test)]

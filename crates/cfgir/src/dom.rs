@@ -3,7 +3,7 @@
 use crate::cfg::{BlockId, Cfg};
 
 /// Immediate-dominator tree for a [`Cfg`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dominators {
     /// `idom[b]` is the immediate dominator of block `b`; the entry
     /// block is its own idom.

@@ -66,7 +66,9 @@ pub use candidates::{
     ProgramCandidates, StaticVerdict,
 };
 pub use cfg::{Block, BlockId, Cfg};
-pub use dataflow::{solve, Analysis, BitSet, Direction, Liveness, ReachingDefs, Solution};
+pub use dataflow::{
+    solve, Analysis, BitSet, Direction, Liveness, LocalGenKill, ReachingDefs, Solution,
+};
 pub use dom::Dominators;
 pub use loops::{LoopForest, NaturalLoop};
 pub use memdep::{
@@ -75,8 +77,8 @@ pub use memdep::{
 };
 pub use pointsto::{FnView, PointsTo, SolverStats};
 pub use rescue::{
-    rescue_loop, rescue_program, Channel, LegalityProof, RescueOutcome, RescueRejection,
-    RescuedLoop, Transform,
+    rescue_extracted, rescue_loop, rescue_program, Channel, LegalityProof, RescueOutcome,
+    RescueRejection, RescuedLoop, Transform,
 };
 pub use scalar::LocalClasses;
 pub use scev::{Evolution, LoopEvolutions};

@@ -250,7 +250,7 @@ enum BaseRef {
 }
 
 /// The solved whole-program points-to and escape facts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PointsTo {
     n_sites: usize,
     sites: AllocSites,

@@ -44,12 +44,12 @@ use crate::access::{
     strongly_disjoint, transitive_load_effects, transitive_store_effects, Access, AccessSite,
     BlockKind, DepWitness, Sym,
 };
-use crate::candidates::extract_candidates;
+use crate::candidates::{extract_candidates, ProgramCandidates};
 use crate::cfg::{BlockId, Cfg};
 use crate::dom::Dominators;
 use crate::loops::NaturalLoop;
 use crate::memdep::{analyze_loop, DepKind, GuaranteedDep};
-use crate::pointsto::{FnView, PointsTo};
+use crate::pointsto::FnView;
 use rewrite::{apply_distribution, apply_loop_rewrite, DistributionPlan, LoopRewrite};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use tvm::alloc::SiteKind;
@@ -392,7 +392,7 @@ struct LoopCtx<'a> {
     func: FuncId,
     f: &'a Function,
     cfg: &'a Cfg,
-    dom: Dominators,
+    dom: &'a Dominators,
     lp: &'a NaturalLoop,
     view: FnView<'a>,
     sites: Vec<AccessSite>,
@@ -836,7 +836,7 @@ fn try_privatize_channel(ctx: &LoopCtx<'_>, ch: &Channel) -> TryResult {
     // order or strict dominance) by a channel store, so no value flows
     // into an iteration through the cell
     for l in &loads {
-        if !stores.iter().any(|s| load_precedes_store(&ctx.dom, s, l)) {
+        if !stores.iter().any(|s| load_precedes_store(ctx.dom, s, l)) {
             return rejected(
                 T,
                 format!(
@@ -1383,8 +1383,24 @@ fn original_header_pc(cum: &[Option<u32>], cfg: &Cfg, lp: &NaturalLoop) -> u32 {
 /// independent legality checker ([`verify::check`]); variants the
 /// checker rejected are blocklisted and reported in
 /// [`RescueOutcome::rejected`].
+///
+/// Extracts `program` first; a caller that already holds its eager
+/// extraction passes it to [`rescue_extracted`] instead.
 pub fn rescue_program(program: &Program) -> RescueOutcome {
-    rescue_with(program, None)
+    rescue_extracted(program, &extract_candidates(program)).0
+}
+
+/// [`rescue_program`] starting from `cands`, which must be the eager
+/// ([`crate::Prescreen::Eager`]) extraction of `program`: round 0
+/// reads its per-function analyses, verdicts and points-to solve
+/// instead of solving them again. Alongside the outcome comes the
+/// eager extraction of [`RescueOutcome::program`] when a transform was
+/// applied; when none was, `cands` still describes that program.
+pub fn rescue_extracted(
+    program: &Program,
+    cands: &ProgramCandidates,
+) -> (RescueOutcome, Option<ProgramCandidates>) {
+    rescue_with(program, cands, None)
 }
 
 /// Rescues a single loop, identified by its containing function and
@@ -1396,10 +1412,15 @@ pub fn rescue_program(program: &Program) -> RescueOutcome {
 /// byte-identical to the input), so a caller holding per-loop state
 /// keyed by original header pcs stays consistent.
 pub fn rescue_loop(program: &Program, func: FuncId, orig_header_pc: u32) -> RescueOutcome {
-    rescue_with(program, Some((func, orig_header_pc)))
+    let cands = extract_candidates(program);
+    rescue_with(program, &cands, Some((func, orig_header_pc))).0
 }
 
-fn rescue_with(program: &Program, target: Option<(FuncId, u32)>) -> RescueOutcome {
+fn rescue_with(
+    program: &Program,
+    cands: &ProgramCandidates,
+    target: Option<(FuncId, u32)>,
+) -> (RescueOutcome, Option<ProgramCandidates>) {
     let mut cur = program.clone();
     let mut cum: Vec<Vec<Option<u32>>> = program
         .functions
@@ -1410,11 +1431,11 @@ fn rescue_with(program: &Program, target: Option<(FuncId, u32)>) -> RescueOutcom
     let mut blocked: BTreeSet<String> = BTreeSet::new();
     let mut blocked_rejections: Vec<RescueRejection> = Vec::new();
     let mut last_rejections: Vec<RescueRejection> = Vec::new();
+    let mut rescued_cands: Option<ProgramCandidates> = None;
 
     for _round in 0..MAX_ROUNDS {
         last_rejections.clear();
-        let cands = extract_candidates(&cur);
-        let pt = PointsTo::analyze(&cur);
+        let cands = rescued_cands.as_ref().unwrap_or(cands);
         let load_effects = transitive_load_effects(&cur);
         let store_effects = transitive_store_effects(&cur);
         let mut applied: Option<(usize, Function, Vec<Option<u32>>, RescuedLoop)> = None;
@@ -1424,26 +1445,31 @@ fn rescue_with(program: &Program, target: Option<(FuncId, u32)>) -> RescueOutcom
             let fa = &cands.functions[fi];
             let f = &cur.functions[fi];
             let lp = &fa.forest.loops[c.loop_idx];
-            let dom = Dominators::compute(&fa.cfg);
-            let view = pt.view(c.func);
-            let inductors = inductor_steps(f, &fa.cfg, &dom, lp);
-            let invariant = invariant_locals(f, &fa.cfg, lp);
-            let sites =
-                collect_accesses(&cur, f, &fa.cfg, lp, &inductors, &invariant, &store_effects);
-            let deps = analyze_loop(&cur, f, &fa.cfg, &dom, lp, Some(&view));
             let orig_header_pc = original_header_pc(&cum[fi], &fa.cfg, lp);
             if let Some((tf, tpc)) = target {
                 if c.func != tf || orig_header_pc != tpc {
                     continue;
                 }
             }
+            let view = cands.pointsto.view(c.func);
+            let inductors = inductor_steps(f, &fa.cfg, &fa.dom, lp);
+            let invariant = invariant_locals(f, &fa.cfg, lp);
+            let sites =
+                collect_accesses(&cur, f, &fa.cfg, lp, &inductors, &invariant, &store_effects);
+            // an eager extraction demotes exactly the loops with a
+            // guaranteed dependence, so a clean loop has none
+            let deps = if c.is_demoted() {
+                analyze_loop(&cur, f, &fa.cfg, &fa.dom, lp, Some(&view))
+            } else {
+                Vec::new()
+            };
             let header_block = fa.cfg.blocks[lp.header.0 as usize].clone();
             let ctx = LoopCtx {
                 program: &cur,
                 func: c.func,
                 f,
                 cfg: &fa.cfg,
-                dom,
+                dom: &fa.dom,
                 lp,
                 view,
                 sites,
@@ -1566,17 +1592,19 @@ fn rescue_with(program: &Program, target: Option<(FuncId, u32)>) -> RescueOutcom
                 cur.functions[fi] = function;
                 cum[fi] = compose(&cum[fi], &origin);
                 rescued.push(entry);
+                rescued_cands = Some(extract_candidates(&cur));
             }
             None => break,
         }
     }
 
     last_rejections.extend(blocked_rejections);
-    RescueOutcome {
+    let outcome = RescueOutcome {
         program: cur,
         rescued,
         rejected: last_rejections,
-    }
+    };
+    (outcome, rescued_cands)
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! Everything subtler is left to the TEST hardware to measure.
 
 use crate::cfg::{BlockId, Cfg};
-use crate::dataflow::{upward_exposed_in_loop, ReachingDefs};
+use crate::dataflow::{LocalGenKill, ReachingDefs};
 use crate::dom::Dominators;
 use crate::loops::LoopForest;
 use std::collections::{BTreeSet, HashMap};
@@ -28,7 +28,7 @@ use tvm::program::{Function, Local, Program};
 use tvm::verify::stack_effect;
 
 /// Classification of the locals accessed by one loop.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LocalClasses {
     /// Locals read anywhere in the loop.
     pub loaded: BTreeSet<Local>,
@@ -107,6 +107,10 @@ fn is_accumulating_op(i: &Instr) -> bool {
 /// conditionally — or a data-dependent number of times inside an inner
 /// loop, like Huffman's bit cursor in the paper's Figure 3 — is a real
 /// loop-carried dependency and must be tracked.
+///
+/// Solves the function's reaching definitions and liveness gen/kill
+/// sets afresh; candidate extraction solves them once per function and
+/// shares them across its loops instead.
 pub fn classify(
     program: &Program,
     f: &Function,
@@ -114,6 +118,24 @@ pub fn classify(
     dom: &Dominators,
     forest: &LoopForest,
     loop_idx: usize,
+) -> LocalClasses {
+    let reaching = ReachingDefs::compute(f, cfg);
+    let gen_kill = LocalGenKill::compute(f, cfg);
+    classify_with(program, f, cfg, dom, forest, loop_idx, &reaching, &gen_kill)
+}
+
+/// [`classify`] over the function's already-solved reaching
+/// definitions and gen/kill sets.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn classify_with(
+    program: &Program,
+    f: &Function,
+    cfg: &Cfg,
+    dom: &Dominators,
+    forest: &LoopForest,
+    loop_idx: usize,
+    reaching: &ReachingDefs,
+    gen_kill: &LocalGenKill,
 ) -> LocalClasses {
     let l = &forest.loops[loop_idx];
     let mut c = LocalClasses::default();
@@ -249,7 +271,6 @@ pub fn classify(
     // block-local temporaries: every in-loop load sees only defs from
     // earlier in the same block. Decided with reaching definitions so
     // the property holds along *all* paths, not just textual order.
-    let reaching = ReachingDefs::compute(f, cfg);
     let candidates: BTreeSet<Local> = c.loaded.union(&c.stored).copied().collect();
     'outer: for &v in &candidates {
         if c.inductors.contains(&v) || c.reductions.contains(&v) {
@@ -283,7 +304,7 @@ pub fn classify(
     // privatizes the variable. (Liveness restricted to the loop body
     // with back edges cut; strictly more precise than the former
     // single-dominating-store rule.)
-    let exposed = upward_exposed_in_loop(f, cfg, l);
+    let exposed = gen_kill.upward_exposed_in_loop(cfg, l);
     for &v in &candidates {
         if c.inductors.contains(&v)
             || c.reductions.contains(&v)

@@ -52,7 +52,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use crate::spec::{emit, gen_spec, ProgramSpec};
-use cfgir::{analyze_loop, classify_loop_pairs, Dominators, PairVerdict, ProgramCandidates};
+use cfgir::{analyze_loop, classify_loop_pairs, PairVerdict, ProgramCandidates};
 use hydra_sim::{simulate_entry, TlsConfig, TlsTraceCollector};
 use jrpm::annotate::{annotate, AnnotateOptions};
 use jrpm::tier::{run_tiered, TierConfig};
@@ -257,7 +257,7 @@ pub fn check_program(program: &Program) -> Result<CheckStats, Failure> {
     check_pointsto(program, &cands, &rec_plain)?;
 
     // -- loop rescue preserves the final state ------------------------
-    let rescued = check_rescue(program)?;
+    let rescued = check_rescue(program, &cands)?;
 
     // -- online tier controller == offline batch ----------------------
     check_tiers(program)?;
@@ -345,8 +345,8 @@ fn check_value_agreement(program: &Program) -> Result<(usize, u64), Failure> {
 /// checker against the exact (original, rescued) pair; multi-step
 /// rescues are covered by the state comparison alone, since the
 /// intermediate programs are not retained.
-fn check_rescue(program: &Program) -> Result<usize, Failure> {
-    let out = cfgir::rescue_program(program);
+fn check_rescue(program: &Program, cands: &ProgramCandidates) -> Result<usize, Failure> {
+    let (out, _) = cfgir::rescue_extracted(program, cands);
     if out.rescued.is_empty() {
         return Ok(0);
     }
@@ -637,17 +637,15 @@ fn guaranteed_deps(
     cands: &ProgramCandidates,
 ) -> Result<HashMap<LoopId, u32>, Failure> {
     let mut out = HashMap::new();
-    let pt = cfgir::PointsTo::analyze(program);
     for c in &cands.candidates {
         let fa = &cands.functions[c.func.0 as usize];
         let f = &program.functions[c.func.0 as usize];
-        let dom = Dominators::compute(&fa.cfg);
-        let view = pt.view(c.func);
+        let view = cands.pointsto.view(c.func);
         let ds = analyze_loop(
             program,
             f,
             &fa.cfg,
-            &dom,
+            &fa.dom,
             &fa.forest.loops[c.loop_idx],
             Some(&view),
         );
@@ -708,15 +706,13 @@ fn check_pointsto(
             addrs.entry((pc.func.0, pc.idx)).or_default().insert(a);
         }
     }
-    let pt = cfgir::PointsTo::analyze(program);
     let empty = BTreeSet::new();
     for c in &cands.candidates {
         let fa = &cands.functions[c.func.0 as usize];
         let f = &program.functions[c.func.0 as usize];
-        let dom = Dominators::compute(&fa.cfg);
         let lp = &fa.forest.loops[c.loop_idx];
-        let view = pt.view(c.func);
-        for p in classify_loop_pairs(program, f, &fa.cfg, &dom, lp, Some(&view)) {
+        let view = cands.pointsto.view(c.func);
+        for p in classify_loop_pairs(program, f, &fa.cfg, &fa.dom, lp, Some(&view)) {
             if p.verdict != PairVerdict::Disjoint || p.opaque_store {
                 continue;
             }

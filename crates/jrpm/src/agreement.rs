@@ -53,8 +53,8 @@
 use crate::annotate::{annotate_mapped, AnnotateOptions};
 use cfgir::extract_candidates;
 use cfgir::{
-    classify_loop_pairs, classify_loop_pairs_evo, extract_slices, scev, AccessPair, Dominators,
-    Evolution, PairVerdict, SliceScalar, SolverStats,
+    classify_loop_pairs, classify_loop_pairs_evo, extract_slices, scev, AccessPair, Evolution,
+    PairVerdict, SliceScalar, SolverStats,
 };
 use std::collections::{BTreeSet, HashMap};
 use tvm::isa::{LoopId, Pc};
@@ -236,7 +236,9 @@ pub fn agreement_report(program: &Program) -> Result<AgreementReport, tvm::VmErr
     // actually profiles, and the state comparison double-checks the
     // legality proofs dynamically — a transform that slipped past the
     // verifier with changed semantics flips `sound()` here
-    let rescue = cfgir::rescue_program(program);
+    let cands = extract_candidates(program);
+    let (rescue, rescued) = cfgir::rescue_extracted(program, &cands);
+    let cands = rescued.unwrap_or(cands);
     let rescue_state_ok = if rescue.changed() {
         let a = Interp::run_state(program, &mut tvm::NullSink)?;
         let b = Interp::run_state(&rescue.program, &mut tvm::NullSink)?;
@@ -245,13 +247,11 @@ pub fn agreement_report(program: &Program) -> Result<AgreementReport, tvm::VmErr
         true
     };
     let program = &rescue.program;
-    let cands = extract_candidates(program);
-    let pt = cfgir::PointsTo::analyze(program);
 
     // classify every candidate's pairs, sharpened and baseline
     let mut per_loop: HashMap<LoopId, Vec<AccessPair>> = HashMap::new();
     let mut report = AgreementReport {
-        pointsto: cands.pointsto,
+        pointsto: cands.pointsto.stats(),
         rescued: rescue.rescued.len(),
         rescue_state_ok,
         ..AgreementReport::default()
@@ -262,12 +262,11 @@ pub fn agreement_report(program: &Program) -> Result<AgreementReport, tvm::VmErr
     for c in &cands.candidates {
         let fa = &cands.functions[c.func.0 as usize];
         let f = &program.functions[c.func.0 as usize];
-        let dom = Dominators::compute(&fa.cfg);
         let lp = &fa.forest.loops[c.loop_idx];
-        let view = pt.view(c.func);
+        let view = cands.pointsto.view(c.func);
         let evo = scev::analyze_loop(program, f, &fa.cfg, lp);
-        let pairs = classify_loop_pairs_evo(program, f, &fa.cfg, &dom, lp, Some(&view), &evo);
-        let base = classify_loop_pairs(program, f, &fa.cfg, &dom, lp, None);
+        let pairs = classify_loop_pairs_evo(program, f, &fa.cfg, &fa.dom, lp, Some(&view), &evo);
+        let base = classify_loop_pairs(program, f, &fa.cfg, &fa.dom, lp, None);
         report.pairs += pairs.len();
         report.baseline_disjoint += base
             .iter()
@@ -301,7 +300,8 @@ pub fn agreement_report(program: &Program) -> Result<AgreementReport, tvm::VmErr
                     };
                     // every affine access site driven by this inductor
                     // advances scale*stride words per iteration
-                    for (instr, ind, scale) in cfgir::affine_sites(program, f, &fa.cfg, &dom, lp) {
+                    for (instr, ind, scale) in cfgir::affine_sites(program, f, &fa.cfg, &fa.dom, lp)
+                    {
                         if ind == l {
                             let per_iter = scale
                                 .wrapping_mul(stride)

@@ -18,7 +18,7 @@
 //! `loop_covered`), and statistics reads are hoisted to the outermost
 //! annotated loop of each nest.
 
-use cfgir::{Candidate, Dominators, FunctionAnalysis, ProgramCandidates};
+use cfgir::{Candidate, FunctionAnalysis, ProgramCandidates};
 use std::collections::{BTreeMap, BTreeSet};
 use tvm::isa::{Instr, LoopId};
 use tvm::program::{Function, Local, Program};
@@ -354,7 +354,6 @@ fn annotate_function(
 ) -> Result<(Function, Vec<Option<u32>>), tvm::VmError> {
     let cfg = &fa.cfg;
     let forest = &fa.forest;
-    let dom = Dominators::compute(cfg);
     let n_slots = fa.tracked_order.len() as u16;
 
     // annotated loops, innermost (deepest) first
@@ -452,7 +451,7 @@ fn annotate_function(
         };
         forest.loops[tracker.loop_idx].blocks.iter().any(|&a| {
             a != b
-                && dom.dominates(a, b)
+                && fa.dom.dominates(a, b)
                 && cfg
                     .instrs_of(a)
                     .any(|idx| matches!(f.code[idx as usize], Instr::Load(w) if w == v))

@@ -70,8 +70,9 @@ use crate::pipeline::{
     PipelineObservability, PipelineReport, RescueSummary, StageRecorder,
 };
 use cfgir::{
-    distance_floors, extract_candidates_with, prescreen_candidate_with_distance, rescue_program,
-    PointsTo, Prescreen, ProgramCandidates, StaticVerdict,
+    distance_floors, extract_candidates, extract_candidates_with,
+    prescreen_candidate_with_distance, rescue_extracted, Prescreen, ProgramCandidates,
+    StaticVerdict,
 };
 use obs::{Telemetry, Trace as ObsTrace};
 use std::collections::{BTreeMap, BTreeSet};
@@ -519,10 +520,15 @@ fn drive_immediate(program: &Program, cfg: &PipelineConfig) -> Result<TieredOutc
 /// Stages 1 and 1b, shared by both schedules: extract the candidate
 /// STLs with the pre-screen run per `prescreen`, then try to rescue the
 /// demoted loops (reduction delta-rewrite, scalar privatization, loop
-/// distribution) into provably parallelizable variants, re-extracting
-/// on the transformed program when anything changed. Every applied
+/// distribution) into provably parallelizable variants. Every applied
 /// transform carries a legality proof re-checked by the independent
-/// verifier.
+/// verifier. Rescue starts from this extraction and hands back the one
+/// of any program it rewrites, so no program is extracted twice.
+///
+/// Rescue reads the eager verdicts, so with rescue on the extraction
+/// is eager whatever `prescreen` says, and a deferred caller gets it
+/// with every verdict reset to clean: the two forms differ in nothing
+/// else.
 ///
 /// The whole-program points-to solve that sharpens the pre-screen runs
 /// inside `extract`, and its statistics ride along as `pointsto.*`
@@ -537,9 +543,13 @@ fn extract_and_rescue(
 ) -> (ProgramCandidates, RescueSummary) {
     let registry = stages.registry;
     let t = stages.begin("extract");
-    let candidates = extract_candidates_with(program, prescreen);
+    let candidates = if cfg.no_rescue {
+        extract_candidates_with(program, prescreen)
+    } else {
+        extract_candidates(program)
+    };
     stages.end("extract", t);
-    let ps = candidates.pointsto;
+    let ps = candidates.pointsto.stats();
     for (name, v) in [
         ("pointsto.abstract_objects", ps.abstract_objects as u64),
         ("pointsto.variables", ps.variables as u64),
@@ -557,16 +567,18 @@ fn extract_and_rescue(
     let (candidates, rescue) = if cfg.no_rescue {
         (candidates, RescueSummary::default())
     } else {
-        let out = rescue_program(program);
+        let (out, rescued) = rescue_extracted(program, &candidates);
+        let mut candidates = rescued.unwrap_or(candidates);
+        if prescreen == Prescreen::Deferred {
+            for c in &mut candidates.candidates {
+                c.static_verdict = StaticVerdict::Clean;
+            }
+        }
         let changed = !out.rescued.is_empty();
         let rescue = RescueSummary {
             rescued: out.rescued,
             rejected: out.rejected,
             program: changed.then_some(out.program),
-        };
-        let candidates = match &rescue.program {
-            Some(p) => extract_candidates_with(p, prescreen),
-            None => candidates,
         };
         (candidates, rescue)
     };
@@ -759,7 +771,7 @@ fn drive_online(
 
     // the same alias view the eager pre-screen would have used, so
     // deferred verdicts are identical to eager ones
-    let pt = PointsTo::analyze(program);
+    let pt = &candidates.pointsto;
     let params = cfg.tls.estimator_params();
     let masks = candidates.tracked_masks();
     let n = candidates.candidates.len();

@@ -1,0 +1,116 @@
+//! Pins the analysis candidate extraction shares with its later
+//! consumers against fresh recomputation.
+//!
+//! Extraction solves each function's dominators, reaching definitions
+//! and liveness gen/kill sets once, and the whole program's points-to
+//! facts once. The pre-screen, rescue, distance floors and annotation
+//! then read them instead of solving again. Rescue starts from the
+//! caller's extraction and hands back the extraction of the program it
+//! rewrote. Each shared fact must equal what a fresh computation on
+//! the same program gives. This is checked on the 26 benchmarks at two
+//! sizes and on a range of generated programs.
+
+use benchsuite::DataSize;
+use cfgir::scalar::classify;
+use cfgir::{
+    extract_candidates, extract_candidates_with, rescue_extracted, rescue_program, Dominators,
+    LocalGenKill, PointsTo, Prescreen, ReachingDefs, StaticVerdict,
+};
+use tvm::Program;
+
+/// A `Debug` rendering with the solver's wall-clock time cut out: it is
+/// the one field two solves of the same program do not share.
+fn without_wall_time(debug: String) -> String {
+    match debug.split_once("wall_nanos: ") {
+        Some((head, tail)) => {
+            let rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+            format!("{head}{}", without_wall_time(rest.to_string()))
+        }
+        None => debug,
+    }
+}
+
+fn check(name: &str, p: &Program) {
+    let pc = extract_candidates(p);
+    for fa in &pc.functions {
+        let f = &p.functions[fa.func.0 as usize];
+        let dom = Dominators::compute(&fa.cfg);
+        assert_eq!(fa.dom, dom, "{name} fn {}: dominators", fa.func.0);
+        assert_eq!(
+            fa.reaching,
+            ReachingDefs::compute(f, &fa.cfg),
+            "{name} fn {}: reaching definitions",
+            fa.func.0
+        );
+        assert_eq!(
+            fa.gen_kill,
+            LocalGenKill::compute(f, &fa.cfg),
+            "{name} fn {}: gen/kill sets",
+            fa.func.0
+        );
+        for li in 0..fa.forest.len() {
+            assert_eq!(
+                fa.classes[li],
+                classify(p, f, &fa.cfg, &dom, &fa.forest, li),
+                "{name} fn {} loop {li}: scalar classes",
+                fa.func.0
+            );
+        }
+    }
+    assert_eq!(
+        without_wall_time(format!("{:?}", pc.pointsto)),
+        without_wall_time(format!("{:?}", PointsTo::analyze(p))),
+        "{name}: points-to"
+    );
+
+    // the deferred form is the eager one with every verdict clean
+    let mut cleared = pc.clone();
+    for c in &mut cleared.candidates {
+        c.static_verdict = StaticVerdict::Clean;
+    }
+    assert_eq!(
+        without_wall_time(format!("{cleared:?}")),
+        without_wall_time(format!(
+            "{:?}",
+            extract_candidates_with(p, Prescreen::Deferred)
+        )),
+        "{name}: deferred extraction"
+    );
+
+    let (out, rescued) = rescue_extracted(p, &pc);
+    assert_eq!(
+        format!("{out:?}"),
+        format!("{:?}", rescue_program(p)),
+        "{name}: rescue from the caller's extraction"
+    );
+    assert_eq!(
+        rescued.is_some(),
+        out.changed(),
+        "{name}: rescued extraction"
+    );
+    if let Some(after) = rescued {
+        assert_eq!(
+            without_wall_time(format!("{after:?}")),
+            without_wall_time(format!("{:?}", extract_candidates(&out.program))),
+            "{name}: extraction of the rescued program"
+        );
+    }
+}
+
+#[test]
+fn shared_facts_match_fresh_on_the_suite() {
+    for size in [DataSize::Small, DataSize::Default] {
+        for b in benchsuite::all() {
+            check(&format!("{} at {size:?}", b.name), &(b.build)(size));
+        }
+    }
+}
+
+#[test]
+fn shared_facts_match_fresh_on_generated_programs() {
+    for seed in 0..200 {
+        let spec = fuzzgen::spec::gen_spec(seed);
+        let p = fuzzgen::spec::emit(&spec).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        check(&format!("seed {seed}"), &p);
+    }
+}

@@ -211,8 +211,8 @@ fn main() {
                 diags.push(format!(
                     "{{\"code\":\"TR001\",\"transform\":\"{}\",\"target\":\"{}\",\
                      \"removed\":\"{}\"}}",
-                    r.proof.transform.name(),
-                    esc(&r.proof.transform.target()),
+                    cfgir::REDUCTION,
+                    esc(&r.proof.target()),
                     esc(&r.removed)
                 ));
             }

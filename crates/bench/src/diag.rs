@@ -31,23 +31,27 @@ pub const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "TR001",
-        "loop rescued: a demoted loop was rewritten by the loop-rescue pass (PR 6) \
-         into a provably parallelizable variant — a reduction delta-rewrite, a \
-         scalar privatization, or a loop distribution. The diagnostic names the \
-         transform and the recurrence it removed; the attached legality proof was \
-         re-checked by the independent verifier (`cfgir::rescue::verify`) before \
-         the variant replaced the loop, so downstream profiling and selection run \
-         on the transformed code.",
+        "loop rescued: a demoted loop whose recurrence is a reduction over an \
+         associative integer operator was rewritten by the loop-rescue pass into \
+         private partial results, folded back into the cell on every loop exit. \
+         Reduction is rescue's only transform. The diagnostic names the transform, \
+         its target cell and the recurrence it removed; the attached legality proof \
+         was re-checked by the independent verifier (`cfgir::rescue::verify`) \
+         before the variant replaced the loop, so downstream profiling and \
+         selection run on the transformed code.",
     ),
     (
         "TR002",
-        "rescue rejected: a loop-rescue transform matched this loop's shape but \
-         could not prove the rewrite legal, so the loop stays as written. The \
-         diagnostic carries the rejecting transform, the reason, and — when the \
-         rejection is dependence-shaped — the violating dependence witness \
-         (source/destination pcs and the overlap kind from the memory-dependence \
-         pre-screen). Restructuring the loop to break that dependence is what \
-         would let the rescue pass lift it.",
+        "rescue rejected: the loop stays demoted as written. Either the reduction \
+         matcher examined a static or field recurrence of the loop and could not \
+         prove a condition of the rewrite — an integer cell, an associative \
+         operator, no other access to the cell (transform `reduction`) — or no \
+         recurrence of the loop is a reduction candidate at all, such as an array \
+         recurrence (transform `rescue`). The diagnostic carries the transform, the reason, \
+         and — when the rejection is dependence-shaped — the violating dependence \
+         witness (source/destination pcs and the overlap kind from the \
+         memory-dependence pre-screen). Restructuring the loop to break that \
+         dependence is what would let the rescue pass lift it.",
     ),
     (
         "TI001",

@@ -421,8 +421,8 @@ impl Gate for Prescreen {
 }
 
 /// The loop-rescue snapshot ([`tables::rescue_rows`]), exact. Rescue
-/// only shrinks the demoted set, the per-transform counts partition
-/// the rescued total, and some loop is rescued and then selected.
+/// only shrinks the demoted set, every rescued loop is a reduction,
+/// and some loop is rescued and then selected.
 pub struct Rescue;
 
 impl Gate for Rescue {
@@ -437,12 +437,11 @@ impl Gate for Rescue {
 
     fn invariants(&self, cur: &Rows) -> Vec<String> {
         use Rule::*;
-        let transforms = &["reductions", "privatizations", "distributions"];
         broken(
             cur,
             &[
                 AtLeast("demoted_before", "demoted_after"),
-                SumOf("rescued", transforms),
+                SumOf("rescued", &["reductions"]),
                 Somewhere("rescued"),
                 Somewhere("selected_gain"),
             ],

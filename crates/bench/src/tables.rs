@@ -782,12 +782,8 @@ snapshot_row! {
         pub demoted_after: usize,
         /// Verifier-accepted transforms applied.
         pub rescued: usize,
-        /// Of those, reduction delta-rewrites.
+        /// Of those, reduction delta-rewrites (rescue's one transform).
         pub reductions: usize,
-        /// Of those, scalar privatizations.
-        pub privatizations: usize,
-        /// Of those, loop distributions.
-        pub distributions: usize,
         /// Loops a transform considered but could not legalize.
         pub rejected: usize,
         /// Selected STLs gained by running the pipeline on the rescued
@@ -811,19 +807,10 @@ pub fn rescue_rows(size: DataSize) -> Vec<RescueRow> {
             demoted_before: before.demoted_count(),
             demoted_after: after.as_ref().unwrap_or(&before).demoted_count(),
             rescued: out.rescued.len(),
-            reductions: 0,
-            privatizations: 0,
-            distributions: 0,
+            reductions: out.rescued.len(),
             rejected: out.rejected.len(),
             selected_gain: 0,
         };
-        for r in &out.rescued {
-            match r.proof.transform {
-                cfgir::Transform::Reduction { .. } => row.reductions += 1,
-                cfgir::Transform::Privatization { .. } => row.privatizations += 1,
-                cfgir::Transform::Distribution { .. } => row.distributions += 1,
-            }
-        }
         if row.rescued > 0 {
             let on = run_pipeline(&program, &PipelineConfig::default()).expect("pipeline runs");
             let off = run_pipeline(
@@ -846,31 +833,28 @@ pub fn rescue_rows(size: DataSize) -> Vec<RescueRow> {
     rows
 }
 
-/// Loop-rescue summary — per benchmark, how many demoted loops the
-/// dependence-driven transforms (reduction recognition, scalar
-/// privatization, loop distribution) lifted into legal parallel form,
+/// Loop-rescue summary — per benchmark, how many demoted loops
+/// reduction recognition lifted into legal parallel form,
 /// and the headline: how many previously-demoted loops now clear
 /// dynamic selection as profitable STLs.
 pub fn rescue(size: DataSize) -> String {
     let mut s = String::new();
     s.push_str("Dependence-driven loop rescue (per benchmark)\n");
     s.push_str(&format!(
-        "{:<14}{:>9}{:>9}{:>9}{:>7}{:>7}{:>7}{:>9}{:>10}\n",
-        "Benchmark", "demoted", "after", "rescued", "red", "priv", "dist", "refused", "+selected"
+        "{:<14}{:>9}{:>9}{:>9}{:>7}{:>9}{:>10}\n",
+        "Benchmark", "demoted", "after", "rescued", "red", "refused", "+selected"
     ));
     let (mut tot_rescued, mut tot_gain) = (0usize, 0usize);
     for r in rescue_rows(size) {
         tot_rescued += r.rescued;
         tot_gain += r.selected_gain;
         s.push_str(&format!(
-            "{:<14}{:>9}{:>9}{:>9}{:>7}{:>7}{:>7}{:>9}{:>10}\n",
+            "{:<14}{:>9}{:>9}{:>9}{:>7}{:>9}{:>10}\n",
             r.name,
             r.demoted_before,
             r.demoted_after,
             r.rescued,
             r.reductions,
-            r.privatizations,
-            r.distributions,
             r.rejected,
             r.selected_gain,
         ));
@@ -898,7 +882,8 @@ snapshot_row! {
         pub generations: u64,
         /// Loops that ended Selected.
         pub selected: usize,
-        /// Loops demoted by the (deferred) static pre-screen at promotion.
+        /// Loops the static pre-screen demoted (revealed at promotion, or
+        /// at finalization for loops that never turned hot).
         pub demoted_static: usize,
         /// Loops demoted dynamically (never executed, Equation 2 losers,
         /// comparator-bank starvation).

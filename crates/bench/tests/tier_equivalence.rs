@@ -15,11 +15,12 @@
 
 use benchsuite::{all, DataSize};
 use jrpm::pipeline::{PipelineConfig, PipelineReport};
-use jrpm::tier::{run_tiered, TierConfig};
+use jrpm::tier::{run_tiered, LoopTier, TierConfig};
 use jrpm::{annotate_mapped, AnnotateOptions};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use test_tracer::TestTracer;
 use tvm::bus::TraceBus;
+use tvm::isa::LoopId;
 use tvm::HotLocations;
 
 /// The registry counters the TEST tracer writes after the profiling
@@ -93,10 +94,17 @@ fn online_tier_controller_matches_offline_batch_on_every_benchmark() {
             a.actual.per_loop, b.actual.per_loop,
             "{name}: per-loop TLS differs"
         );
+        let static_demoted: BTreeSet<LoopId> = online
+            .tiers
+            .loops
+            .iter()
+            .filter(|l| matches!(l.tier, LoopTier::Demoted { dynamic: false, .. }))
+            .map(|l| l.loop_id)
+            .collect();
         assert_eq!(
+            static_demoted,
             a.candidates.demoted_ids(),
-            b.candidates.demoted_ids(),
-            "{name}: completed deferred pre-screen disagrees with the eager one"
+            "{name}: online static demotions disagree with the eager pre-screen"
         );
         assert_eq!(
             a.rescue.rescued.len(),

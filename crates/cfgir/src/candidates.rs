@@ -5,11 +5,16 @@
 //! definitions and liveness gen/kill sets ([`FunctionAnalysis`]), and
 //! once per program the points-to solve
 //! ([`ProgramCandidates::pointsto`]). Every later static consumer reads
-//! them from the extraction instead of solving again: the deferred
-//! pre-screen ([`prescreen_candidate`]), the distance floors
-//! ([`distance_floors`]), loop rescue ([`crate::rescue_extracted`],
-//! which also hands back the extraction of any program it rewrites)
-//! and the annotator in `jrpm`. The rescue legality checker
+//! them from the extraction instead of solving again: the distance
+//! floors ([`distance_floors`]), loop rescue
+//! ([`crate::rescue_extracted`], which also hands back the extraction
+//! of any program it rewrites) and the annotator in `jrpm`.
+//!
+//! The memory-dependence pre-screen has one mode: extraction screens
+//! every candidate and records its [`StaticVerdict`]. The online tier
+//! in `jrpm` keeps these verdicts and reveals each one when its loop
+//! turns hot; screening a loop again on promotion would solve the same
+//! dependences twice. The rescue legality checker
 //! ([`crate::rescue::verify`]) is the exception: it re-derives every
 //! fact itself, because its independence from the matcher is the
 //! point of it.
@@ -212,60 +217,6 @@ impl ProgramCandidates {
     }
 }
 
-/// When the static memory-dependence pre-screen runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Prescreen {
-    /// Screen every candidate during extraction — the offline batch
-    /// behaviour, where the whole program is analyzed up front.
-    #[default]
-    Eager,
-    /// Skip the per-loop memory-dependence analysis during extraction;
-    /// every candidate starts [`StaticVerdict::Clean`] and the caller
-    /// screens individual loops on demand with [`prescreen_candidate`]
-    /// once they prove hot. The scalar screen (rejection) and nesting
-    /// structure are unaffected, so candidate ids are identical in
-    /// both modes.
-    Deferred,
-}
-
-/// Extracts candidate STLs from every function of `program`.
-///
-/// All natural loops are discovered; loops with an obvious serializing
-/// scalar dependency are rejected (with a reason), everything else is
-/// optimistically kept for the tracer to judge.
-pub fn extract_candidates(program: &Program) -> ProgramCandidates {
-    extract_candidates_with(program, Prescreen::Eager)
-}
-
-/// Re-runs the static memory-dependence pre-screen for one candidate.
-///
-/// This is the deferred form of the verdict computed inline by
-/// [`extract_candidates`]: the online tier controller calls it when a
-/// loop's hot-location counter trips, so cold loops never pay for
-/// dependence analysis. The result is identical to the eager verdict —
-/// same analysis, same alias view — which is what keeps online and
-/// offline demotion sets equal once every hot loop has been screened.
-pub fn prescreen_candidate(
-    program: &Program,
-    fa: &FunctionAnalysis,
-    loop_idx: usize,
-    view: Option<&crate::pointsto::FnView<'_>>,
-) -> StaticVerdict {
-    let f = &program.functions[fa.func.0 as usize];
-    let deps = analyze_loop(
-        program,
-        f,
-        &fa.cfg,
-        &fa.dom,
-        &fa.forest.loops[loop_idx],
-        view,
-    );
-    match deps.first() {
-        None => StaticVerdict::Clean,
-        Some(d) => StaticVerdict::Demoted { reason: d.reason() },
-    }
-}
-
 /// The dependence-distance floor scalar evolution proves for one
 /// candidate loop, if any.
 ///
@@ -299,11 +250,9 @@ pub fn distance_floor(
 
 /// [`distance_floor`] over every non-demoted candidate of the program.
 ///
-/// This is what the offline batch feeds selection
-/// (`select_with_distances`); the online tier instead accumulates the
-/// same map incrementally via
-/// [`prescreen_candidate_with_distance`] and completes it at
-/// finalization, so both paths select over identical floors.
+/// This is what selection reads (`select_with_distances`), in the
+/// offline batch and in the online tier alike, so both paths select
+/// over identical floors.
 pub fn distance_floors(program: &Program, pc: &ProgramCandidates) -> BTreeMap<LoopId, u32> {
     let mut floors = BTreeMap::new();
     for c in &pc.candidates {
@@ -319,26 +268,13 @@ pub fn distance_floors(program: &Program, pc: &ProgramCandidates) -> BTreeMap<Lo
     floors
 }
 
-/// [`prescreen_candidate`] plus the loop's [`distance_floor`], in one
-/// call — the deferred pre-screen the online tier runs when a loop
-/// turns hot. A demoted loop never enters selection, so its floor is
-/// not computed (`None`).
-pub fn prescreen_candidate_with_distance(
-    program: &Program,
-    fa: &FunctionAnalysis,
-    loop_idx: usize,
-    view: Option<&crate::pointsto::FnView<'_>>,
-) -> (StaticVerdict, Option<u32>) {
-    let verdict = prescreen_candidate(program, fa, loop_idx, view);
-    let floor = match verdict {
-        StaticVerdict::Clean => distance_floor(program, fa, loop_idx, view),
-        StaticVerdict::Demoted { .. } => None,
-    };
-    (verdict, floor)
-}
-
-/// [`extract_candidates`] with an explicit pre-screen policy.
-pub fn extract_candidates_with(program: &Program, prescreen: Prescreen) -> ProgramCandidates {
+/// Extracts candidate STLs from every function of `program`.
+///
+/// All natural loops are discovered; loops with an obvious serializing
+/// scalar dependency are rejected (with a reason), everything else is
+/// optimistically kept for the tracer to judge, and each kept loop
+/// carries the memory-dependence pre-screen's verdict.
+pub fn extract_candidates(program: &Program) -> ProgramCandidates {
     let mut functions = Vec::with_capacity(program.functions.len());
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut rejected = Vec::new();
@@ -389,15 +325,10 @@ pub fn extract_candidates_with(program: &Program, prescreen: Prescreen) -> Progr
             // static memory-dependence pre-screen: a proven
             // cross-iteration RAW means tracing cannot find
             // parallelism, so demote (but keep the id dense)
-            let static_verdict = match prescreen {
-                Prescreen::Eager => {
-                    let deps = analyze_loop(program, f, &cfg, &dom, l, Some(&view));
-                    match deps.first() {
-                        None => StaticVerdict::Clean,
-                        Some(d) => StaticVerdict::Demoted { reason: d.reason() },
-                    }
-                }
-                Prescreen::Deferred => StaticVerdict::Clean,
+            let deps = analyze_loop(program, f, &cfg, &dom, l, Some(&view));
+            let static_verdict = match deps.first() {
+                None => StaticVerdict::Clean,
+                Some(d) => StaticVerdict::Demoted { reason: d.reason() },
             };
             let id = LoopId(candidates.len() as u32);
             loop_to_candidate[li] = Some(id);
@@ -605,19 +536,6 @@ mod tests {
         let anti = guarded_stencil(1);
         let ac = extract_candidates(&anti);
         assert!(distance_floors(&anti, &ac).is_empty());
-    }
-
-    #[test]
-    fn deferred_distance_prescreen_matches_eager() {
-        let p = guarded_stencil(-1);
-        let pc = extract_candidates(&p);
-        let fa = &pc.functions[0];
-        let c = &pc.candidates[0];
-        let pt = PointsTo::analyze(&p);
-        let view = pt.view(c.func);
-        let (verdict, floor) = prescreen_candidate_with_distance(&p, fa, c.loop_idx, Some(&view));
-        assert_eq!(verdict, c.static_verdict);
-        assert_eq!(floor, Some(1));
     }
 
     #[test]

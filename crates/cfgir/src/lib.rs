@@ -61,8 +61,7 @@ pub use access::{
     AccessSite, BlockKind, DepWitness, Sym,
 };
 pub use candidates::{
-    distance_floor, distance_floors, extract_candidates, extract_candidates_with,
-    prescreen_candidate, prescreen_candidate_with_distance, Candidate, FunctionAnalysis, Prescreen,
+    distance_floor, distance_floors, extract_candidates, Candidate, FunctionAnalysis,
     ProgramCandidates, StaticVerdict,
 };
 pub use cfg::{Block, BlockId, Cfg};
@@ -77,8 +76,8 @@ pub use memdep::{
 };
 pub use pointsto::{FnView, PointsTo, SolverStats};
 pub use rescue::{
-    rescue_extracted, rescue_loop, rescue_program, Channel, LegalityProof, RescueOutcome,
-    RescueRejection, RescuedLoop, Transform,
+    rescue_extracted, rescue_program, Channel, LegalityProof, RescueOutcome, RescueRejection,
+    RescuedLoop, REDUCTION,
 };
 pub use scalar::LocalClasses;
 pub use scev::{Evolution, LoopEvolutions};

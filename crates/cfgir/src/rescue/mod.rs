@@ -3,46 +3,42 @@
 //! The static pre-screen ([`crate::memdep`]) demotes loops with a
 //! *guaranteed* cross-iteration RAW dependence: tracing them would be
 //! wasted effort because the TEST hardware must serialize them. Some of
-//! those recurrences are not essential, though — they are artifacts of
-//! how the source was written, and a semantics-preserving rewrite
-//! removes them:
+//! those recurrences are not essential, though. A reduction
+//! `g = g ⊕ e` over an associative, commutative *integer* operator
+//! (`+ * min max & | ^`; wrapping integer arithmetic is exact under
+//! reassociation, floats are not) is an artifact of how the source was
+//! written: it becomes a privatized partial reduction, where each
+//! iteration accumulates into a fresh local seeded with the operator's
+//! identity and every loop exit folds the partial result back into the
+//! memory cell.
 //!
-//! * **reduction recognition** — `g = g ⊕ e` over an associative,
-//!   commutative *integer* operator (`+ * min max & | ^`; wrapping
-//!   integer arithmetic is exact under reassociation, floats are not)
-//!   becomes a privatized partial reduction: each iteration accumulates
-//!   into a fresh local seeded with the operator's identity, and every
-//!   loop exit folds the partial result back into the memory cell;
-//! * **scalar expansion / privatization** — a static or invariant-base
-//!   field that is provably written before read in every iteration is a
-//!   scratch cell; routing it through a fresh local removes the memory
-//!   traffic (the cell is read once on loop entry and written back once
-//!   on exit, so a zero-trip loop is a no-op);
-//! * **loop distribution** — a single-block counted loop whose
-//!   statement-level dependence graph splits into several strongly
-//!   connected components becomes one loop per component, confining a
-//!   serial recurrence to the component that carries it.
+//! Reduction recognition is the only rescue transform. Scalar
+//! privatization and loop distribution were measured and removed: on
+//! the 26 suite programs neither ever fired, and over `fuzzgen` seeds
+//! 0..2000 privatization made the simulated TLS time worse in 21
+//! programs and better in 8 (geomean 1.017×), while distribution
+//! improved 6 and worsened 8 (geomean 0.964×, best 0.78×) — too little
+//! gain for two transforms, two checkers and their rejections.
 //!
-//! Every applied transform produces a [`LegalityProof`]. A separate
+//! Every applied rewrite produces a [`LegalityProof`]. A separate
 //! module, [`verify`], re-derives the dependence facts on the
 //! transformed code with its own walkers and rejects any variant whose
 //! dependence set is not a refinement of the original's — the transform
 //! and its checker are deliberately independent code paths, so a bug in
 //! the matcher shows up as a verifier rejection instead of a miscompile.
 //!
-//! The transforms assume fault-free execution of the loop body: they
-//! reorder arithmetic, not faults. Division and allocation inside
-//! distributed bodies are rejected for exactly that reason, and a
-//! field-channel fold-back is only emitted when the object reference is
-//! provably non-null at loop entry.
+//! The rewrite assumes fault-free execution of the loop body: it
+//! reorders arithmetic, not faults. A field-channel fold-back is only
+//! emitted when the object reference is provably non-null at loop
+//! entry.
 
 mod rewrite;
 pub mod verify;
 
 use crate::access::{
-    collect_accesses, inductor_steps, invariant_locals, load_precedes_store, overlap_kind,
-    strongly_disjoint, transitive_load_effects, transitive_store_effects, Access, AccessSite,
-    BlockKind, DepWitness, Sym,
+    collect_accesses, inductor_steps, invariant_locals, overlap_kind, strongly_disjoint,
+    transitive_load_effects, transitive_store_effects, Access, AccessSite, BlockKind, DepWitness,
+    Sym,
 };
 use crate::candidates::{extract_candidates, ProgramCandidates};
 use crate::cfg::{BlockId, Cfg};
@@ -50,7 +46,7 @@ use crate::dom::Dominators;
 use crate::loops::NaturalLoop;
 use crate::memdep::{analyze_loop, DepKind, GuaranteedDep};
 use crate::pointsto::FnView;
-use rewrite::{apply_distribution, apply_loop_rewrite, DistributionPlan, LoopRewrite};
+use rewrite::{apply_loop_rewrite, LoopRewrite};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use tvm::alloc::SiteKind;
 use tvm::isa::{ElemKind, Instr};
@@ -62,8 +58,8 @@ use tvm::verify::stack_effect;
 /// adversarial inputs; real programs converge in a handful of rounds.
 pub const MAX_ROUNDS: usize = 12;
 
-/// The memory cell a transform privatizes: a static, or a field of an
-/// object held in a loop-invariant local.
+/// The accumulator cell a reduction privatizes: a static, or a field of
+/// an object held in a loop-invariant local.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Channel {
     /// A static variable.
@@ -108,39 +104,12 @@ impl Channel {
         }
     }
 
-    /// Exact-template match: the site is *this* channel (not merely a
-    /// may-alias).
-    fn matches(&self, a: &Access) -> bool {
-        match (*self, a) {
-            (Channel::Static(g), Access::StaticLoad(h) | Access::StaticStore(h)) => g == *h,
-            (
-                Channel::Field { base, field },
-                Access::FieldLoad {
-                    base: Sym::Invariant(b),
-                    field: f,
-                }
-                | Access::FieldStore {
-                    base: Sym::Invariant(b),
-                    field: f,
-                },
-            ) => base == *b && field == *f,
-            _ => false,
-        }
-    }
-
     /// Memory-category index (`[statics, fields, arrays]`) for the
     /// transitive call-effect summaries.
     fn category(&self) -> usize {
         match self {
             Channel::Static(_) => 0,
             Channel::Field { .. } => 1,
-        }
-    }
-
-    fn block_kind(&self) -> BlockKind {
-        match self {
-            Channel::Static(g) => BlockKind::SameStatic(*g),
-            Channel::Field { field, .. } => BlockKind::MayAliasField { field: *field },
         }
     }
 }
@@ -159,78 +128,10 @@ pub fn reduction_identity(op: &Instr) -> Option<i64> {
     })
 }
 
-/// One applied rescue transform, carried inside its [`LegalityProof`].
-#[derive(Debug, Clone)]
-pub enum Transform {
-    /// `channel = channel op e` privatized into partial reductions.
-    Reduction {
-        /// The accumulator cell.
-        channel: Channel,
-        /// The (associative, commutative, integer) operator.
-        op: Instr,
-        /// The operator's identity element, seeded on loop entry.
-        identity: i64,
-        /// The fresh private accumulator local.
-        acc: Local,
-        /// Pre-transform pc of the channel load.
-        load_at: u32,
-        /// Pre-transform pc of the channel store.
-        store_at: u32,
-    },
-    /// A written-before-read scratch cell routed through a local.
-    Privatization {
-        /// The scratch cell.
-        channel: Channel,
-        /// The fresh private local.
-        tmp: Local,
-        /// Pre-transform pcs of the channel loads.
-        loads: Vec<u32>,
-        /// Pre-transform pcs of the channel stores.
-        stores: Vec<u32>,
-    },
-    /// Statement-level fission of a single-block counted loop.
-    Distribution {
-        /// Per-group statement ranges `[start, end)` in pre-transform
-        /// pcs, in emission order.
-        groups: Vec<Vec<(u32, u32)>>,
-        /// Per-group inductor local (last = the original).
-        inductors: Vec<Local>,
-        /// The original inductor local.
-        orig_inductor: Local,
-        /// Post-transform pc inside each fission loop's body, in the
-        /// same order as `groups`.
-        anchors: Vec<u32>,
-    },
-}
-
-impl Transform {
-    /// Short transform name for diagnostics (`TR001`/`TR002` lint rows).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Transform::Reduction { .. } => "reduction",
-            Transform::Privatization { .. } => "privatization",
-            Transform::Distribution { .. } => "distribution",
-        }
-    }
-
-    /// What the transform targeted, stable across rescue rounds (used
-    /// to blocklist verifier-rejected variants).
-    pub fn target(&self) -> String {
-        match self {
-            Transform::Reduction { channel, .. } => format!("reduction:{}", channel.describe()),
-            Transform::Privatization { channel, .. } => {
-                format!("privatization:{}", channel.describe())
-            }
-            Transform::Distribution { groups, .. } => {
-                format!("distribution:{}groups", groups.len())
-            }
-        }
-    }
-}
-
-/// A machine-checkable claim that one loop transform is legal. The
+/// A machine-checkable claim that one reduction rewrite is legal:
+/// `channel = channel op e` privatized into partial reductions. The
 /// proof names the function, anchors locating the loop before and after
-/// the rewrite, and the transform's full parameters; [`verify::check`]
+/// the rewrite, and the rewrite's full parameters; [`verify::check`]
 /// re-derives every claimed fact from the two programs.
 #[derive(Debug, Clone)]
 pub struct LegalityProof {
@@ -239,12 +140,34 @@ pub struct LegalityProof {
     /// A pc inside the loop's header block in the *pre*-transform
     /// function.
     pub pre_anchor: u32,
-    /// A pc inside the rescued loop (first fission loop, for
-    /// distribution) in the *post*-transform function.
+    /// A pc inside the rescued loop in the *post*-transform function.
     pub post_anchor: u32,
-    /// The transform and its parameters.
-    pub transform: Transform,
+    /// The accumulator cell.
+    pub channel: Channel,
+    /// The (associative, commutative, integer) operator.
+    pub op: Instr,
+    /// The operator's identity element, seeded on loop entry.
+    pub identity: i64,
+    /// The fresh private accumulator local.
+    pub acc: Local,
+    /// Pre-transform pc of the channel load.
+    pub load_at: u32,
+    /// Pre-transform pc of the channel store.
+    pub store_at: u32,
 }
+
+impl LegalityProof {
+    /// What the rewrite targeted, stable across rescue rounds (used to
+    /// blocklist verifier-rejected variants, and named by `TR001` lint
+    /// rows).
+    pub fn target(&self) -> String {
+        format!("{REDUCTION}:{}", self.channel.describe())
+    }
+}
+
+/// The transform name rescue diagnostics carry (`TR001`/`TR002` lint
+/// rows, [`RescueRejection::transform`]).
+pub const REDUCTION: &str = "reduction";
 
 /// One successfully rescued loop.
 #[derive(Debug, Clone)]
@@ -396,7 +319,6 @@ struct LoopCtx<'a> {
     lp: &'a NaturalLoop,
     view: FnView<'a>,
     sites: Vec<AccessSite>,
-    inductors: Vec<(Local, i64)>,
     load_effects: &'a [[bool; 3]],
 }
 
@@ -498,29 +420,25 @@ impl LoopCtx<'_> {
 }
 
 enum TryResult {
-    /// The transform does not fit this loop at all; no diagnostic.
+    /// The rewrite does not fit this recurrence at all; no diagnostic.
     NotApplicable,
-    /// The transform matched but a legality condition failed.
+    /// The rewrite matched but a legality condition failed.
     Rejected {
-        transform: &'static str,
         reason: String,
         witness: Option<DepWitness>,
     },
-    /// The transform applies; the rewritten function and claim.
+    /// The rewrite applies: the rewritten function, its origin map
+    /// (new pc → pre-rewrite pc) and the claim.
     Transformed {
         function: Function,
         origin: Vec<Option<u32>>,
-        transform: Transform,
+        proof: LegalityProof,
         removed: String,
     },
 }
 
-fn rejected(transform: &'static str, reason: String, witness: Option<DepWitness>) -> TryResult {
-    TryResult::Rejected {
-        transform,
-        reason,
-        witness,
-    }
+fn rejected(reason: String, witness: Option<DepWitness>) -> TryResult {
+    TryResult::Rejected { reason, witness }
 }
 
 fn dep_witness(d: &GuaranteedDep) -> DepWitness {
@@ -541,7 +459,6 @@ fn dep_witness(d: &GuaranteedDep) -> DepWitness {
 // ---------------------------------------------------------------------
 
 fn try_reduction(ctx: &LoopCtx<'_>, dep: &GuaranteedDep) -> TryResult {
-    const T: &str = "reduction";
     let channel = match &dep.kind {
         DepKind::Static(g) => Channel::Static(*g),
         DepKind::Field { base, field } => Channel::Field {
@@ -554,14 +471,12 @@ fn try_reduction(ctx: &LoopCtx<'_>, dep: &GuaranteedDep) -> TryResult {
 
     if ctx.lp.entry_edges.is_empty() {
         return rejected(
-            T,
             "the loop header is the function entry; no edge exists to seed the accumulator".into(),
             witness,
         );
     }
     if !ctx.channel_kind_is_int(&channel) {
         return rejected(
-            T,
             format!(
                 "{} is not provably an integer cell; reassociating float operations \
                  changes results",
@@ -576,7 +491,6 @@ fn try_reduction(ctx: &LoopCtx<'_>, dep: &GuaranteedDep) -> TryResult {
     };
     if load_site.block != store_site.block {
         return rejected(
-            T,
             "the recurrence spans basic blocks; the update is not one straight-line \
              expression"
                 .into(),
@@ -596,7 +510,6 @@ fn try_reduction(ctx: &LoopCtx<'_>, dep: &GuaranteedDep) -> TryResult {
                     kind,
                 });
                 return rejected(
-                    T,
                     format!(
                         "pc {} may touch {} outside the recognized update",
                         s.instr,
@@ -609,7 +522,6 @@ fn try_reduction(ctx: &LoopCtx<'_>, dep: &GuaranteedDep) -> TryResult {
     }
     if let Some(w) = ctx.reading_call_witness(&channel, dep.store_at) {
         return rejected(
-            T,
             "a call in the loop may read the accumulator's memory while partial sums \
              are private"
                 .into(),
@@ -619,7 +531,6 @@ fn try_reduction(ctx: &LoopCtx<'_>, dep: &GuaranteedDep) -> TryResult {
     if let Channel::Field { base, .. } = channel {
         if !ctx.base_provably_nonnull(base) {
             return rejected(
-                T,
                 "cannot prove the object reference non-null at loop entry; the \
                  fold-back on a zero-trip path could fault"
                     .into(),
@@ -638,14 +549,12 @@ fn try_reduction(ctx: &LoopCtx<'_>, dep: &GuaranteedDep) -> TryResult {
     };
     let Some(p0) = prov.operand(dep.store_at, value_operand) else {
         return rejected(
-            T,
             "the stored value's producer is not visible within the block".into(),
             witness,
         );
     };
     if p0 == dep.load_at {
         return rejected(
-            T,
             "the update copies the accumulator to itself".into(),
             witness,
         );
@@ -653,7 +562,6 @@ fn try_reduction(ctx: &LoopCtx<'_>, dep: &GuaranteedDep) -> TryResult {
     let op = ctx.f.code[p0 as usize];
     let Some(identity) = reduction_identity(&op) else {
         return rejected(
-            T,
             format!(
                 "update operator {:?} is not an associative integer operator; \
                  reassociation would change the result",
@@ -664,7 +572,6 @@ fn try_reduction(ctx: &LoopCtx<'_>, dep: &GuaranteedDep) -> TryResult {
     };
     let Some(mut chain) = chain_nodes(ctx.f, &prov, p0, &op, dep.load_at) else {
         return rejected(
-            T,
             "the accumulator flows through mixed operators; reassociation would \
              change the result"
                 .into(),
@@ -680,7 +587,6 @@ fn try_reduction(ctx: &LoopCtx<'_>, dep: &GuaranteedDep) -> TryResult {
         if let Some(ops) = prov.ops.get(&idx) {
             if ops.iter().flatten().any(|p| chain.contains(p)) {
                 return rejected(
-                    T,
                     format!(
                         "pc {} consumes an intermediate value of the update chain",
                         idx
@@ -727,634 +633,36 @@ fn try_reduction(ctx: &LoopCtx<'_>, dep: &GuaranteedDep) -> TryResult {
         subst: BTreeMap::from([(dep.load_at, load_subst), (dep.store_at, store_subst)]),
         extra_locals: 1,
     };
-    match apply_loop_rewrite(ctx.func.0, ctx.f, ctx.cfg, ctx.lp, &rw) {
-        Ok((function, origin)) => TryResult::Transformed {
-            function,
-            origin,
-            transform: Transform::Reduction {
-                channel,
-                op,
-                identity,
-                acc,
-                load_at: dep.load_at,
-                store_at: dep.store_at,
-            },
-            removed: dep.reason(),
-        },
-        Err(e) => rejected(T, format!("rewrite failed: {}", e), witness),
-    }
-}
-
-// ---------------------------------------------------------------------
-// transform 2: scalar expansion / privatization
-// ---------------------------------------------------------------------
-
-fn try_privatization(ctx: &LoopCtx<'_>) -> TryResult {
-    let mut channels: Vec<Channel> = Vec::new();
-    for s in &ctx.sites {
-        let ch = match &s.access {
-            Access::StaticStore(g) => Channel::Static(*g),
-            Access::FieldStore {
-                base: Sym::Invariant(b),
-                field,
-            } => Channel::Field {
-                base: *b,
-                field: *field,
-            },
-            _ => continue,
-        };
-        if !channels.contains(&ch) {
-            channels.push(ch);
-        }
-    }
-    let mut first_rejection: Option<TryResult> = None;
-    for ch in channels {
-        match try_privatize_channel(ctx, &ch) {
-            TryResult::NotApplicable => {}
-            r @ TryResult::Transformed { .. } => return r,
-            r @ TryResult::Rejected { .. } => {
-                first_rejection.get_or_insert(r);
-            }
-        }
-    }
-    first_rejection.unwrap_or(TryResult::NotApplicable)
-}
-
-fn try_privatize_channel(ctx: &LoopCtx<'_>, ch: &Channel) -> TryResult {
-    const T: &str = "privatization";
-    let (loads, stores): (Vec<&AccessSite>, Vec<&AccessSite>) = ctx
-        .sites
-        .iter()
-        .filter(|s| ch.matches(&s.access))
-        .partition(|s| s.access.is_load());
-    if stores.is_empty() {
-        return TryResult::NotApplicable;
-    }
-    // profitability: replacing a single store with entry-load +
-    // exit-store adds memory traffic instead of removing it
-    if loads.len() + stores.len() < 2 {
-        return TryResult::NotApplicable;
-    }
-    if ctx.lp.entry_edges.is_empty() {
-        return TryResult::NotApplicable;
-    }
-    let chan_witness = |src: u32| {
-        Some(DepWitness {
-            src,
-            dst: stores[0].instr,
-            kind: ch.block_kind(),
-        })
+    let (function, origin) = match apply_loop_rewrite(ctx.func.0, ctx.f, ctx.cfg, ctx.lp, &rw) {
+        Ok(rewritten) => rewritten,
+        Err(e) => return rejected(format!("rewrite failed: {}", e), witness),
     };
-    // exclusivity: every other site must be provably off-channel
-    for s in &ctx.sites {
-        if ch.matches(&s.access) {
-            continue;
-        }
-        for t in [ch.load_template(), ch.store_template()] {
-            if !strongly_disjoint(&s.access, &t, Some(&ctx.view)) {
-                let w = overlap_kind(&s.access, &t, Some(&ctx.view)).map(|kind| DepWitness {
-                    src: s.instr,
-                    dst: stores[0].instr,
-                    kind,
-                });
-                return rejected(
-                    T,
-                    format!("pc {} may alias {}", s.instr, ch.describe()),
-                    w.or_else(|| chan_witness(s.instr)),
-                );
-            }
-        }
-    }
-    if let Some(w) = ctx.reading_call_witness(ch, stores[0].instr) {
+    // anchor the proof on any relocated header instruction
+    let header = &ctx.cfg.blocks[ctx.lp.header.0 as usize];
+    let Some(post_anchor) = origin
+        .iter()
+        .position(|&o| o.is_some_and(|p| p >= header.start && p < header.end))
+    else {
         return rejected(
-            T,
-            "a call in the loop may read the cell while it is privatized".into(),
-            Some(w),
+            "no header instruction survives the rewrite to anchor the proof".into(),
+            witness,
         );
-    }
-    // written-before-read: every load must be preceded (same-block
-    // order or strict dominance) by a channel store, so no value flows
-    // into an iteration through the cell
-    for l in &loads {
-        if !stores.iter().any(|s| load_precedes_store(ctx.dom, s, l)) {
-            return rejected(
-                T,
-                format!(
-                    "pc {} may read {} before the iteration writes it; the value \
-                     flows across iterations and cannot be privatized",
-                    l.instr,
-                    ch.describe()
-                ),
-                chan_witness(l.instr),
-            );
-        }
-    }
-    if let Channel::Field { base, .. } = ch {
-        if !ctx.base_provably_nonnull(*base) {
-            return rejected(
-                T,
-                "cannot prove the object reference non-null at loop entry; the \
-                 write-back on a zero-trip path could fault"
-                    .into(),
-                chan_witness(stores[0].instr),
-            );
-        }
-    }
-
-    let tmp = Local(ctx.f.n_locals);
-    let mut subst: BTreeMap<u32, Vec<Instr>> = BTreeMap::new();
-    for l in &loads {
-        subst.insert(
-            l.instr,
-            match ch {
-                Channel::Static(_) => vec![Instr::Load(tmp)],
-                Channel::Field { .. } => vec![Instr::Pop, Instr::Load(tmp)],
-            },
-        );
-    }
-    for s in &stores {
-        subst.insert(
-            s.instr,
-            match ch {
-                Channel::Static(_) => vec![Instr::Store(tmp)],
-                Channel::Field { .. } => vec![Instr::Store(tmp), Instr::Pop],
-            },
-        );
-    }
-    let (entry, exit) = match *ch {
-        Channel::Static(g) => (
-            vec![Instr::GetStatic(g), Instr::Store(tmp)],
-            vec![Instr::Load(tmp), Instr::PutStatic(g)],
-        ),
-        Channel::Field { base, field } => (
-            vec![Instr::Load(base), Instr::GetField(field), Instr::Store(tmp)],
-            vec![Instr::Load(base), Instr::Load(tmp), Instr::PutField(field)],
-        ),
     };
-    let rw = LoopRewrite {
-        entry_payload: entry,
-        exit_payload: exit,
-        subst,
-        extra_locals: 1,
-    };
-    match apply_loop_rewrite(ctx.func.0, ctx.f, ctx.cfg, ctx.lp, &rw) {
-        Ok((function, origin)) => TryResult::Transformed {
-            function,
-            origin,
-            transform: Transform::Privatization {
-                channel: *ch,
-                tmp,
-                loads: loads.iter().map(|s| s.instr).collect(),
-                stores: stores.iter().map(|s| s.instr).collect(),
-            },
-            removed: format!(
-                "iteration-local scratch traffic through {} ({} accesses per iteration \
-                 replaced by one entry load and one exit store)",
-                ch.describe(),
-                loads.len() + stores.len()
-            ),
+    TryResult::Transformed {
+        function,
+        origin,
+        proof: LegalityProof {
+            func: ctx.func,
+            pre_anchor: header.start,
+            post_anchor: post_anchor as u32,
+            channel,
+            op,
+            identity,
+            acc,
+            load_at: dep.load_at,
+            store_at: dep.store_at,
         },
-        Err(e) => rejected(T, format!("rewrite failed: {}", e), None),
-    }
-}
-
-// ---------------------------------------------------------------------
-// transform 3: loop distribution
-// ---------------------------------------------------------------------
-
-/// Statement boundaries of a straight-line range: maximal sub-ranges
-/// with net stack depth zero at each boundary. `None` when the stack
-/// model fails or depth does not return to zero.
-fn split_statements(
-    program: &Program,
-    f: &Function,
-    range: std::ops::Range<u32>,
-) -> Option<Vec<(u32, u32)>> {
-    let mut stmts = Vec::new();
-    let mut depth: i64 = 0;
-    let mut start = range.start;
-    for idx in range.clone() {
-        let (pops, pushes) = stack_effect(program, &f.code[idx as usize]).ok()?;
-        depth -= pops as i64;
-        if depth < 0 {
-            return None;
-        }
-        depth += pushes as i64;
-        if depth == 0 {
-            stmts.push((start, idx + 1));
-            start = idx + 1;
-        }
-    }
-    (depth == 0 && start == range.end).then_some(stmts)
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum EdgeDir {
-    AtoB,
-    BtoA,
-    Both,
-}
-
-/// Dependence direction between two accesses of statements A and B
-/// (A textually first). `None` = provably independent.
-fn dep_direction(
-    sa: &AccessSite,
-    sb: &AccessSite,
-    ivar: Local,
-    step: i64,
-    view: &FnView<'_>,
-) -> Option<EdgeDir> {
-    if !sa.access.is_store() && !sb.access.is_store() {
-        return None;
-    }
-    if strongly_disjoint(&sa.access, &sb.access, Some(view)) {
-        return None;
-    }
-    // affine same-base array pairs have a computable direction
-    if let (
-        Access::ArrayLoad {
-            base: Sym::Invariant(ba),
-            index:
-                Sym::Affine {
-                    ind: ia,
-                    scale: ca,
-                    offset: oa,
-                },
-        }
-        | Access::ArrayStore {
-            base: Sym::Invariant(ba),
-            index:
-                Sym::Affine {
-                    ind: ia,
-                    scale: ca,
-                    offset: oa,
-                },
-        },
-        Access::ArrayLoad {
-            base: Sym::Invariant(bb),
-            index:
-                Sym::Affine {
-                    ind: ib,
-                    scale: cb,
-                    offset: ob,
-                },
-        }
-        | Access::ArrayStore {
-            base: Sym::Invariant(bb),
-            index:
-                Sym::Affine {
-                    ind: ib,
-                    scale: cb,
-                    offset: ob,
-                },
-        },
-    ) = (&sa.access, &sb.access)
-    {
-        if ba == bb && *ia == ivar && *ib == ivar && ca == cb {
-            let per = ca.checked_mul(step).unwrap_or(0);
-            if per == 0 {
-                return Some(EdgeDir::Both);
-            }
-            let delta = ob.wrapping_sub(*oa);
-            if delta % per != 0 {
-                return None; // addresses never coincide
-            }
-            let k = delta / per;
-            // instances collide at iterations n_a = n_b + k
-            return Some(if k > 0 { EdgeDir::BtoA } else { EdgeDir::AtoB });
-        }
-    }
-    Some(EdgeDir::Both)
-}
-
-fn try_distribution(ctx: &LoopCtx<'_>, deps: &[GuaranteedDep]) -> TryResult {
-    const T: &str = "distribution";
-    let lp = ctx.lp;
-    if lp.blocks.len() != 2 || lp.latches.len() != 1 || lp.entry_edges.is_empty() {
-        return TryResult::NotApplicable;
-    }
-    let header = lp.header;
-    let body = lp.latches[0];
-    if body == header || lp.exit_edges.len() != 1 || lp.exit_edges[0].0 != header {
-        return TryResult::NotApplicable;
-    }
-    let hb = &ctx.cfg.blocks[header.0 as usize];
-    let bb = &ctx.cfg.blocks[body.0 as usize];
-    if ctx.cfg.blocks[body.0 as usize].preds != vec![header] {
-        return TryResult::NotApplicable;
-    }
-    // guard shape: [Load i, <const or invariant bound>, IfICmp(_, exit)]
-    if hb.end - hb.start != 3 {
-        return TryResult::NotApplicable;
-    }
-    let Instr::Load(ivar) = ctx.f.code[hb.start as usize] else {
-        return TryResult::NotApplicable;
-    };
-    let invariant = invariant_locals(ctx.f, ctx.cfg, lp);
-    match ctx.f.code[(hb.start + 1) as usize] {
-        Instr::IConst(_) => {}
-        Instr::Load(b) if b != ivar && invariant.get(b.0 as usize).copied().unwrap_or(false) => {}
-        _ => return TryResult::NotApplicable,
-    }
-    let Instr::IfICmp(_, t) = ctx.f.code[(hb.end - 1) as usize] else {
-        return TryResult::NotApplicable;
-    };
-    // taken edge must leave the loop; fallthrough must be the body
-    let exit_ok = ctx
-        .cfg
-        .block_of(t)
-        .is_some_and(|tb| !lp.blocks.contains(&tb));
-    let ft_ok = ctx.cfg.block_of(hb.end) == Some(body);
-    if !exit_ok || !ft_ok {
-        return TryResult::NotApplicable;
-    }
-    let Some(&(_, step)) = ctx.inductors.iter().find(|&&(l, _)| l == ivar) else {
-        return TryResult::NotApplicable;
-    };
-    if step == 0 {
-        return TryResult::NotApplicable;
-    }
-    // body shape: [stmts..., IInc(i, step), Goto(header)]
-    if bb.end - bb.start < 3 {
-        return TryResult::NotApplicable;
-    }
-    let Instr::IInc(v, c) = ctx.f.code[(bb.end - 2) as usize] else {
-        return TryResult::NotApplicable;
-    };
-    if v != ivar || c as i64 != step {
-        return TryResult::NotApplicable;
-    }
-    let Instr::Goto(back) = ctx.f.code[(bb.end - 1) as usize] else {
-        return TryResult::NotApplicable;
-    };
-    if ctx.cfg.block_of(back) != Some(header) {
-        return TryResult::NotApplicable;
-    }
-    let stmt_range = bb.start..bb.end - 2;
-    for idx in stmt_range.clone() {
-        match ctx.f.code[idx as usize] {
-            // no other definition of the inductor
-            Instr::Store(l) | Instr::IInc(l, _) if l == ivar => return TryResult::NotApplicable,
-            // faults and allocations must keep their program order:
-            // division can trap, allocation order decides heap addresses
-            Instr::IDiv | Instr::IRem | Instr::NewObject(_) | Instr::NewArray(_) => {
-                return rejected(
-                    T,
-                    format!(
-                        "pc {} can fault or allocate; reordering it across fission \
-                         loops changes observable behavior",
-                        idx
-                    ),
-                    deps.first().map(dep_witness),
-                )
-            }
-            Instr::Call(callee) => {
-                return rejected(
-                    T,
-                    format!(
-                        "the call at pc {} pins statement order; its side effects \
-                         cannot be reordered across fission loops",
-                        idx
-                    ),
-                    Some(DepWitness {
-                        src: idx,
-                        dst: idx,
-                        kind: BlockKind::OpaqueCall { callee },
-                    }),
-                )
-            }
-            _ => {}
-        }
-    }
-    let Some(stmts) = split_statements(ctx.program, ctx.f, stmt_range) else {
-        return TryResult::NotApplicable;
-    };
-    if stmts.len() < 2 {
-        return TryResult::NotApplicable;
-    }
-
-    // statement-level dependence graph
-    let n = stmts.len();
-    let reads_writes: Vec<(BTreeSet<Local>, BTreeSet<Local>)> = stmts
-        .iter()
-        .map(|&(s, e)| {
-            let mut r = BTreeSet::new();
-            let mut w = BTreeSet::new();
-            for idx in s..e {
-                match ctx.f.code[idx as usize] {
-                    Instr::Load(l) if l != ivar => {
-                        r.insert(l);
-                    }
-                    Instr::Store(l) => {
-                        w.insert(l);
-                    }
-                    Instr::IInc(l, _) => {
-                        r.insert(l);
-                        w.insert(l);
-                    }
-                    _ => {}
-                }
-            }
-            (r, w)
-        })
-        .collect();
-    let stmt_of = |pc: u32| stmts.iter().position(|&(s, e)| pc >= s && pc < e);
-    let mut edges = vec![[false; 2]; n * n]; // [a*n+b][0]=a→b, [1]=b→a ... flattened
-    let mut edge = |a: usize, b: usize, dir: EdgeDir| {
-        let (lo, hi, flip) = if a <= b { (a, b, false) } else { (b, a, true) };
-        let cell = &mut edges[lo * n + hi];
-        match (dir, flip) {
-            (EdgeDir::Both, _) => {
-                cell[0] = true;
-                cell[1] = true;
-            }
-            (EdgeDir::AtoB, false) | (EdgeDir::BtoA, true) => cell[0] = true,
-            (EdgeDir::AtoB, true) | (EdgeDir::BtoA, false) => cell[1] = true,
-        }
-    };
-    let mut cycle_witness: Option<DepWitness> = None;
-    for a in 0..n {
-        for b in a + 1..n {
-            let (ra, wa) = &reads_writes[a];
-            let (rb, wb) = &reads_writes[b];
-            let scalar_conflict = wa.intersection(rb).next().is_some()
-                || wa.intersection(wb).next().is_some()
-                || ra.intersection(wb).next().is_some();
-            if scalar_conflict {
-                edge(a, b, EdgeDir::Both);
-            }
-            for sa in ctx.sites.iter().filter(|s| stmt_of(s.instr) == Some(a)) {
-                for sb in ctx.sites.iter().filter(|s| stmt_of(s.instr) == Some(b)) {
-                    if let Some(dir) = dep_direction(sa, sb, ivar, step, &ctx.view) {
-                        edge(a, b, dir);
-                        if dir == EdgeDir::Both && cycle_witness.is_none() {
-                            cycle_witness = overlap_kind(&sa.access, &sb.access, Some(&ctx.view))
-                                .map(|kind| DepWitness {
-                                    src: sa.instr,
-                                    dst: sb.instr,
-                                    kind,
-                                });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let has_edge = |a: usize, b: usize| -> bool {
-        if a <= b {
-            edges[a * n + b][0]
-        } else {
-            edges[b * n + a][1]
-        }
-    };
-    // condensation into SCCs via pairwise reachability (n is tiny)
-    let mut reach = vec![false; n * n];
-    for a in 0..n {
-        for b in 0..n {
-            reach[a * n + b] = a != b && has_edge(a, b);
-        }
-    }
-    for k in 0..n {
-        for a in 0..n {
-            for b in 0..n {
-                if reach[a * n + k] && reach[k * n + b] {
-                    reach[a * n + b] = true;
-                }
-            }
-        }
-    }
-    let mut scc_of = vec![usize::MAX; n];
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-    for a in 0..n {
-        if scc_of[a] != usize::MAX {
-            continue;
-        }
-        let id = sccs.len();
-        let mut members = vec![a];
-        scc_of[a] = id;
-        for b in a + 1..n {
-            if scc_of[b] == usize::MAX && reach[a * n + b] && reach[b * n + a] {
-                scc_of[b] = id;
-                members.push(b);
-            }
-        }
-        sccs.push(members);
-    }
-    if sccs.len() < 2 {
-        return rejected(
-            T,
-            "every statement sits in one dependence cycle; no split is possible".into(),
-            cycle_witness.or_else(|| deps.first().map(dep_witness)),
-        );
-    }
-    // topological order of the condensation, ties by first statement
-    let mut order: Vec<usize> = Vec::new();
-    let mut placed = vec![false; sccs.len()];
-    while order.len() < sccs.len() {
-        let mut next: Option<usize> = None;
-        for (gi, members) in sccs.iter().enumerate() {
-            if placed[gi] {
-                continue;
-            }
-            let blocked = (0..sccs.len()).any(|gj| {
-                gj != gi
-                    && !placed[gj]
-                    && sccs[gj]
-                        .iter()
-                        .any(|&b| members.iter().any(|&a| has_edge(b, a)))
-            });
-            if blocked {
-                continue;
-            }
-            let key = members.iter().copied().min().unwrap_or(usize::MAX);
-            if next.is_none_or(|prev| key < sccs[prev].iter().copied().min().unwrap_or(usize::MAX))
-            {
-                next = Some(gi);
-            }
-        }
-        let Some(gi) = next else {
-            // cyclic condensation cannot happen, but never loop forever
-            return TryResult::NotApplicable;
-        };
-        placed[gi] = true;
-        order.push(gi);
-    }
-    // usefulness: at least one group must be free of every proven
-    // recurrence, otherwise the split rescues nothing
-    let dep_stmts: BTreeSet<usize> = deps
-        .iter()
-        .flat_map(|d| [stmt_of(d.load_at), stmt_of(d.store_at)])
-        .flatten()
-        .collect();
-    let clean_group_exists = order
-        .iter()
-        .any(|&gi| sccs[gi].iter().all(|s| !dep_stmts.contains(s)));
-    if !deps.is_empty() && !clean_group_exists {
-        return rejected(
-            T,
-            "the recurrence's statements reach every group; distribution cannot \
-             isolate it"
-                .into(),
-            deps.first().map(dep_witness),
-        );
-    }
-
-    let groups: Vec<Vec<(u32, u32)>> = order
-        .iter()
-        .map(|&gi| {
-            let mut members = sccs[gi].clone();
-            members.sort_unstable();
-            members.iter().map(|&s| stmts[s]).collect()
-        })
-        .collect();
-    let g_count = groups.len();
-    let inductors: Vec<Local> = (0..g_count)
-        .map(|g| {
-            if g + 1 == g_count {
-                ivar
-            } else {
-                Local(ctx.f.n_locals + g as u16)
-            }
-        })
-        .collect();
-    let plan = DistributionPlan {
-        header,
-        body,
-        groups: groups.clone(),
-        inductors: inductors.clone(),
-        orig_inductor: ivar,
-        extra_locals: (g_count - 1) as u16,
-    };
-    match apply_distribution(ctx.func.0, ctx.f, ctx.cfg, &plan) {
-        Ok((function, origin)) => {
-            let anchor_of = |pc: u32| origin.iter().position(|&o| o == Some(pc)).map(|i| i as u32);
-            let anchors: Vec<u32> = groups
-                .iter()
-                .filter_map(|g| g.first().and_then(|&(s, _)| anchor_of(s)))
-                .collect();
-            if anchors.len() != g_count {
-                return TryResult::NotApplicable;
-            }
-            TryResult::Transformed {
-                function,
-                origin,
-                transform: Transform::Distribution {
-                    groups,
-                    inductors,
-                    orig_inductor: ivar,
-                    anchors,
-                },
-                removed: match deps.first() {
-                    Some(d) => format!(
-                        "split into {} loops; {} is confined to one of them",
-                        g_count,
-                        d.reason()
-                    ),
-                    None => format!("split into {} independent loops", g_count),
-                },
-            }
-        }
-        Err(e) => rejected(T, format!("rewrite failed: {}", e), None),
+        removed: dep.reason(),
     }
 }
 
@@ -1377,49 +685,28 @@ fn original_header_pc(cum: &[Option<u32>], cfg: &Cfg, lp: &NaturalLoop) -> u32 {
         .unwrap_or(hb.start)
 }
 
-/// Rescues every loop of `program` that a legal transform can fix,
-/// re-extracting candidates after each application until a fixpoint
-/// (or [`MAX_ROUNDS`]). Every applied transform was accepted by the
-/// independent legality checker ([`verify::check`]); variants the
+/// Rescues every demoted loop of `program` whose recurrence is a legal
+/// reduction, re-extracting candidates after each rewrite until a
+/// fixpoint (or [`MAX_ROUNDS`]). Every applied rewrite was accepted by
+/// the independent legality checker ([`verify::check`]); variants the
 /// checker rejected are blocklisted and reported in
 /// [`RescueOutcome::rejected`].
 ///
-/// Extracts `program` first; a caller that already holds its eager
+/// Extracts `program` first; a caller that already holds its
 /// extraction passes it to [`rescue_extracted`] instead.
 pub fn rescue_program(program: &Program) -> RescueOutcome {
     rescue_extracted(program, &extract_candidates(program)).0
 }
 
-/// [`rescue_program`] starting from `cands`, which must be the eager
-/// ([`crate::Prescreen::Eager`]) extraction of `program`: round 0
-/// reads its per-function analyses, verdicts and points-to solve
-/// instead of solving them again. Alongside the outcome comes the
-/// eager extraction of [`RescueOutcome::program`] when a transform was
-/// applied; when none was, `cands` still describes that program.
+/// [`rescue_program`] starting from `cands`, which must be the
+/// extraction of `program`: round 0 reads its per-function analyses,
+/// verdicts and points-to solve instead of solving them again.
+/// Alongside the outcome comes the extraction of
+/// [`RescueOutcome::program`] when a rewrite was applied; when none
+/// was, `cands` still describes that program.
 pub fn rescue_extracted(
     program: &Program,
     cands: &ProgramCandidates,
-) -> (RescueOutcome, Option<ProgramCandidates>) {
-    rescue_with(program, cands, None)
-}
-
-/// Rescues a single loop, identified by its containing function and
-/// the pc of its header block *in the original program*.
-///
-/// This is the tier controller's scoped entry point: when one hot loop
-/// needs rescuing there is no reason to run the whole-program fixpoint.
-/// Loops other than the target are left untouched (their code is
-/// byte-identical to the input), so a caller holding per-loop state
-/// keyed by original header pcs stays consistent.
-pub fn rescue_loop(program: &Program, func: FuncId, orig_header_pc: u32) -> RescueOutcome {
-    let cands = extract_candidates(program);
-    rescue_with(program, &cands, Some((func, orig_header_pc))).0
-}
-
-fn rescue_with(
-    program: &Program,
-    cands: &ProgramCandidates,
-    target: Option<(FuncId, u32)>,
 ) -> (RescueOutcome, Option<ProgramCandidates>) {
     let mut cur = program.clone();
     let mut cum: Vec<Vec<Option<u32>>> = program
@@ -1436,34 +723,26 @@ fn rescue_with(
     for _round in 0..MAX_ROUNDS {
         last_rejections.clear();
         let cands = rescued_cands.as_ref().unwrap_or(cands);
+        // only a demoted loop has a recurrence to rescue
+        if cands.demoted_count() == 0 {
+            break;
+        }
         let load_effects = transitive_load_effects(&cur);
         let store_effects = transitive_store_effects(&cur);
         let mut applied: Option<(usize, Function, Vec<Option<u32>>, RescuedLoop)> = None;
 
-        'cands: for c in &cands.candidates {
+        'cands: for c in cands.candidates.iter().filter(|c| c.is_demoted()) {
             let fi = c.func.0 as usize;
             let fa = &cands.functions[fi];
             let f = &cur.functions[fi];
             let lp = &fa.forest.loops[c.loop_idx];
             let orig_header_pc = original_header_pc(&cum[fi], &fa.cfg, lp);
-            if let Some((tf, tpc)) = target {
-                if c.func != tf || orig_header_pc != tpc {
-                    continue;
-                }
-            }
             let view = cands.pointsto.view(c.func);
             let inductors = inductor_steps(f, &fa.cfg, &fa.dom, lp);
             let invariant = invariant_locals(f, &fa.cfg, lp);
             let sites =
                 collect_accesses(&cur, f, &fa.cfg, lp, &inductors, &invariant, &store_effects);
-            // an eager extraction demotes exactly the loops with a
-            // guaranteed dependence, so a clean loop has none
-            let deps = if c.is_demoted() {
-                analyze_loop(&cur, f, &fa.cfg, &fa.dom, lp, Some(&view))
-            } else {
-                Vec::new()
-            };
-            let header_block = fa.cfg.blocks[lp.header.0 as usize].clone();
+            let deps = analyze_loop(&cur, f, &fa.cfg, &fa.dom, lp, Some(&view));
             let ctx = LoopCtx {
                 program: &cur,
                 func: c.func,
@@ -1473,34 +752,20 @@ fn rescue_with(
                 lp,
                 view,
                 sites,
-                inductors,
                 load_effects: &load_effects,
             };
 
-            let mut attempts: Vec<TryResult> = Vec::new();
-            if c.is_demoted() {
-                for dep in &deps {
-                    attempts.push(try_reduction(&ctx, dep));
-                }
-                attempts.push(try_distribution(&ctx, &deps));
-            }
-            attempts.push(try_privatization(&ctx));
-
             let mut any_diag = false;
-            for att in attempts {
-                match att {
+            for dep in &deps {
+                match try_reduction(&ctx, dep) {
                     TryResult::NotApplicable => {}
-                    TryResult::Rejected {
-                        transform,
-                        reason,
-                        witness,
-                    } => {
+                    TryResult::Rejected { reason, witness } => {
                         any_diag = true;
                         last_rejections.push(RescueRejection {
                             func: c.func,
                             func_name: f.name.clone(),
                             orig_header_pc,
-                            transform,
+                            transform: REDUCTION,
                             reason,
                             witness,
                         });
@@ -1508,34 +773,14 @@ fn rescue_with(
                     TryResult::Transformed {
                         function,
                         origin,
-                        transform,
+                        proof,
                         removed,
                     } => {
                         any_diag = true;
-                        let sig = format!("f{}@{}:{}", fi, orig_header_pc, transform.target());
+                        let sig = format!("f{}@{}:{}", fi, orig_header_pc, proof.target());
                         if blocked.contains(&sig) {
                             continue;
                         }
-                        let post_anchor = match &transform {
-                            Transform::Distribution { anchors, .. } => anchors[0],
-                            _ => {
-                                let found = origin.iter().position(|&o| {
-                                    o.is_some_and(|p| {
-                                        p >= header_block.start && p < header_block.end
-                                    })
-                                });
-                                match found {
-                                    Some(i) => i as u32,
-                                    None => continue,
-                                }
-                            }
-                        };
-                        let proof = LegalityProof {
-                            func: c.func,
-                            pre_anchor: header_block.start,
-                            post_anchor,
-                            transform,
-                        };
                         let mut newp = cur.clone();
                         newp.functions[fi] = function.clone();
                         match verify::check(&cur, &newp, &proof) {
@@ -1560,7 +805,7 @@ fn rescue_with(
                                     func: c.func,
                                     func_name: f.name.clone(),
                                     orig_header_pc,
-                                    transform: proof.transform.name(),
+                                    transform: REDUCTION,
                                     reason: format!(
                                         "legality checker rejected the transformed \
                                          loop: {}",
@@ -1573,7 +818,7 @@ fn rescue_with(
                     }
                 }
             }
-            if c.is_demoted() && !any_diag {
+            if !any_diag {
                 if let Some(d) = deps.first() {
                     last_rejections.push(RescueRejection {
                         func: c.func,
@@ -1669,14 +914,8 @@ mod tests {
         assert_eq!(demoted_count(&p), 1, "the reduction loop starts demoted");
         let out = rescue_program(&p);
         assert_eq!(out.rescued.len(), 1, "rejections: {:?}", out.rejected);
-        assert!(matches!(
-            out.rescued[0].proof.transform,
-            Transform::Reduction {
-                op: Instr::IAdd,
-                identity: 0,
-                ..
-            }
-        ));
+        let proof = &out.rescued[0].proof;
+        assert_eq!((proof.op, proof.identity), (Instr::IAdd, 0));
         assert_eq!(demoted_count(&out.program), 0, "the rescued loop is clean");
         assert_same_state(&p, &out.program);
     }
@@ -1710,14 +949,8 @@ mod tests {
         let p = b.finish(main).unwrap();
         let out = rescue_program(&p);
         assert_eq!(out.rescued.len(), 1, "rejections: {:?}", out.rejected);
-        assert!(matches!(
-            out.rescued[0].proof.transform,
-            Transform::Reduction {
-                op: Instr::IMax,
-                identity: i64::MIN,
-                ..
-            }
-        ));
+        let proof = &out.rescued[0].proof;
+        assert_eq!((proof.op, proof.identity), (Instr::IMax, i64::MIN));
         assert_same_state(&p, &out.program);
     }
 
@@ -1749,14 +982,8 @@ mod tests {
         let p = b.finish(main).unwrap();
         let out = rescue_program(&p);
         assert_eq!(out.rescued.len(), 1, "rejections: {:?}", out.rejected);
-        assert!(matches!(
-            out.rescued[0].proof.transform,
-            Transform::Reduction {
-                op: Instr::IMul,
-                identity: 1,
-                ..
-            }
-        ));
+        let proof = &out.rescued[0].proof;
+        assert_eq!((proof.op, proof.identity), (Instr::IMul, 1));
         assert_same_state(&p, &out.program);
     }
 
@@ -1795,14 +1022,9 @@ mod tests {
         let p = b.finish(main).unwrap();
         let out = rescue_program(&p);
         assert_eq!(out.rescued.len(), 1, "rejections: {:?}", out.rejected);
-        assert!(matches!(
-            out.rescued[0].proof.transform,
-            Transform::Reduction {
-                channel: Channel::Field { .. },
-                op: Instr::IAdd,
-                ..
-            }
-        ));
+        let proof = &out.rescued[0].proof;
+        assert!(matches!(proof.channel, Channel::Field { .. }));
+        assert_eq!(proof.op, Instr::IAdd);
         assert_same_state(&p, &out.program);
     }
 
@@ -1879,161 +1101,10 @@ mod tests {
         let p = b.finish(main).unwrap();
         let out = rescue_program(&p);
         assert!(
-            !out.rescued
-                .iter()
-                .any(|r| matches!(r.proof.transform, Transform::Reduction { .. })),
+            out.rescued.is_empty(),
             "a reduction with an escaping chain value was rescued: {:?}",
             out.rescued
         );
-        assert_same_state(&p, &out.program);
-    }
-
-    #[test]
-    fn privatizable_temporary_is_rescued() {
-        // g is a scratch cell: written then read every iteration; the
-        // store-load pair through memory serializes the loop until g
-        // is privatized into a fresh local
-        let mut b = ProgramBuilder::new();
-        let g = b.global(ElemKind::Int);
-        let main = b.function("main", 0, true, |f| {
-            let (a, o, i) = (f.local(), f.local(), f.local());
-            f.ci(16).newarray(ElemKind::Int).st(a);
-            f.ci(16).newarray(ElemKind::Int).st(o);
-            f.for_in(i, 0.into(), 16.into(), |f| {
-                f.arr_set(
-                    a,
-                    |f| {
-                        f.ld(i);
-                    },
-                    |f| {
-                        f.ld(i).ci(3).imul();
-                    },
-                );
-            });
-            f.for_in(i, 0.into(), 16.into(), |f| {
-                f.ld(a).ld(i).aload().ci(1).iadd().putstatic(g);
-                f.arr_set(
-                    o,
-                    |f| {
-                        f.ld(i);
-                    },
-                    |f| {
-                        f.getstatic(g).getstatic(g).imul();
-                    },
-                );
-            });
-            f.getstatic(g).ret();
-        });
-        let p = b.finish(main).unwrap();
-        let out = rescue_program(&p);
-        assert!(
-            out.rescued
-                .iter()
-                .any(|r| matches!(r.proof.transform, Transform::Privatization { .. })),
-            "no privatization applied; rejected: {:?}",
-            out.rejected
-        );
-        assert_same_state(&p, &out.program);
-    }
-
-    #[test]
-    fn read_before_write_scalar_is_not_privatized() {
-        // o[i] = g; g = a[i] — the load sees the *previous* iteration's
-        // store, so the value genuinely flows across iterations
-        let mut b = ProgramBuilder::new();
-        let g = b.global(ElemKind::Int);
-        let main = b.function("main", 0, true, |f| {
-            let (a, o, i) = (f.local(), f.local(), f.local());
-            f.ci(8).newarray(ElemKind::Int).st(a);
-            f.ci(8).newarray(ElemKind::Int).st(o);
-            f.for_in(i, 0.into(), 8.into(), |f| {
-                f.arr_set(
-                    a,
-                    |f| {
-                        f.ld(i);
-                    },
-                    |f| {
-                        f.ld(i).ci(7).imul();
-                    },
-                );
-            });
-            f.for_in(i, 0.into(), 8.into(), |f| {
-                f.arr_set(
-                    o,
-                    |f| {
-                        f.ld(i);
-                    },
-                    |f| {
-                        f.getstatic(g);
-                    },
-                );
-                f.ld(a).ld(i).aload().putstatic(g);
-            });
-            f.getstatic(g).ret();
-        });
-        let p = b.finish(main).unwrap();
-        let out = rescue_program(&p);
-        assert!(
-            !out.rescued
-                .iter()
-                .any(|r| matches!(r.proof.transform, Transform::Privatization { .. })),
-            "a read-before-write cell was privatized: {:?}",
-            out.rescued
-        );
-        assert_same_state(&p, &out.program);
-    }
-
-    #[test]
-    fn distribution_splits_out_the_serial_scc() {
-        // one parallel statement (a[i] *= 2) fused with one serial one
-        // (r[i] = r[i-1] + 1): distribution must split them so the
-        // parallel half becomes a clean loop
-        let mut b = ProgramBuilder::new();
-        let main = b.function("main", 0, true, |f| {
-            let (a, r, i) = (f.local(), f.local(), f.local());
-            f.ci(32).newarray(ElemKind::Int).st(a);
-            f.ci(32).newarray(ElemKind::Int).st(r);
-            f.for_in(i, 0.into(), 32.into(), |f| {
-                f.arr_set(
-                    a,
-                    |f| {
-                        f.ld(i);
-                    },
-                    |f| {
-                        f.ld(i).ci(11).imul();
-                    },
-                );
-            });
-            f.for_in(i, 1.into(), 32.into(), |f| {
-                f.ld(a).ld(i); // a[i] = a[i] * 2
-                f.ld(a).ld(i).aload().ci(2).imul();
-                f.astore();
-                f.ld(r).ld(i); // r[i] = r[i-1] + 1
-                f.ld(r).ld(i).ci(1).isub().aload().ci(1).iadd();
-                f.astore();
-            });
-            f.ld(a).ci(31).aload().ld(r).ci(31).aload().iadd().ret();
-        });
-        let p = b.finish(main).unwrap();
-        assert_eq!(demoted_count(&p), 1);
-        let out = rescue_program(&p);
-        assert!(
-            out.rescued
-                .iter()
-                .any(|r| matches!(r.proof.transform, Transform::Distribution { .. })),
-            "no distribution applied; rejected: {:?}",
-            out.rejected
-        );
-        // the fission produced one clean loop; the serial SCC stays
-        // demoted and is reported as unrescuable
-        let after = extract_candidates(&out.program);
-        let loops_after: Vec<bool> = after.candidates.iter().map(|c| c.is_demoted()).collect();
-        assert!(
-            loops_after.iter().filter(|d| !**d).count() > 1,
-            "expected a new clean loop, got {:?}",
-            loops_after
-        );
-        assert_eq!(demoted_count(&out.program), 1, "the serial SCC remains");
         assert_same_state(&p, &out.program);
     }
 
@@ -2050,17 +1121,12 @@ mod tests {
 
         // (1) wrong identity claimed in the proof
         let mut bad_proof = proof.clone();
-        if let Transform::Reduction { identity, .. } = &mut bad_proof.transform {
-            *identity = 1;
-        }
+        bad_proof.identity = 1;
         assert!(verify::check(&p, good, &bad_proof).is_err());
 
         // (2) wrong identity seeded in the emitted code: flip the
         // entry payload's IConst(0) (the one right before Store(acc))
-        let acc = match proof.transform {
-            Transform::Reduction { acc, .. } => acc,
-            _ => unreachable!(),
-        };
+        let acc = proof.acc;
         let mut tampered = good.clone();
         let code = &mut tampered.functions[proof.func.0 as usize].code;
         let mut hit = false;
@@ -2075,13 +1141,6 @@ mod tests {
 
         // (3) wrong operator substituted in the loop body: turn the
         // in-loop IAdd into IMul
-        let (load_at, store_at) = match proof.transform {
-            Transform::Reduction {
-                load_at, store_at, ..
-            } => (load_at, store_at),
-            _ => unreachable!(),
-        };
-        let _ = (load_at, store_at);
         let mut tampered2 = good.clone();
         let code2 = &mut tampered2.functions[proof.func.0 as usize].code;
         let mut hit2 = false;
@@ -2094,6 +1153,117 @@ mod tests {
         }
         assert!(hit2, "no reduction update found to tamper with");
         assert!(verify::check(&p, &tampered2, proof).is_err());
+    }
+
+    /// `g = a[i] + 1; o[i] = g * g`: a scratch cell the iteration
+    /// writes before it reads it.
+    fn scratch_cell_program() -> Program {
+        let mut b = ProgramBuilder::new();
+        let g = b.global(ElemKind::Int);
+        let main = b.function("main", 0, true, |f| {
+            let (a, o, i) = (f.local(), f.local(), f.local());
+            f.ci(16).newarray(ElemKind::Int).st(a);
+            f.ci(16).newarray(ElemKind::Int).st(o);
+            f.for_in(i, 0.into(), 16.into(), |f| {
+                f.ld(a).ld(i).aload().ci(1).iadd().putstatic(g);
+                f.arr_set(
+                    o,
+                    |f| {
+                        f.ld(i);
+                    },
+                    |f| {
+                        f.getstatic(g).getstatic(g).imul();
+                    },
+                );
+            });
+            f.getstatic(g).ret();
+        });
+        b.finish(main).unwrap()
+    }
+
+    /// `o[i] = g; g = a[i]`: the load sees the previous iteration's
+    /// store, so the value genuinely flows across iterations.
+    fn read_before_write_program() -> Program {
+        let mut b = ProgramBuilder::new();
+        let g = b.global(ElemKind::Int);
+        let main = b.function("main", 0, true, |f| {
+            let (a, o, i) = (f.local(), f.local(), f.local());
+            f.ci(8).newarray(ElemKind::Int).st(a);
+            f.ci(8).newarray(ElemKind::Int).st(o);
+            f.for_in(i, 0.into(), 8.into(), |f| {
+                f.arr_set(
+                    o,
+                    |f| {
+                        f.ld(i);
+                    },
+                    |f| {
+                        f.getstatic(g);
+                    },
+                );
+                f.ld(a).ld(i).aload().putstatic(g);
+            });
+            f.getstatic(g).ret();
+        });
+        b.finish(main).unwrap()
+    }
+
+    /// `a[i] = a[i] * 2; r[i] = r[i-1] + 1`: a parallel statement fused
+    /// with a serial one in a single counted loop.
+    fn fused_statements_program() -> Program {
+        let mut b = ProgramBuilder::new();
+        let main = b.function("main", 0, true, |f| {
+            let (a, r, i) = (f.local(), f.local(), f.local());
+            f.ci(32).newarray(ElemKind::Int).st(a);
+            f.ci(32).newarray(ElemKind::Int).st(r);
+            f.for_in(i, 1.into(), 32.into(), |f| {
+                f.ld(a).ld(i);
+                f.ld(a).ld(i).aload().ci(2).imul();
+                f.astore();
+                f.ld(r).ld(i);
+                f.ld(r).ld(i).ci(1).isub().aload().ci(1).iadd();
+                f.astore();
+            });
+            f.ld(a).ci(31).aload().ld(r).ci(31).aload().iadd().ret();
+        });
+        b.finish(main).unwrap()
+    }
+
+    /// Rescue rewrites reductions only. Loops whose recurrence is a
+    /// scratch cell or a fused serial statement stay as written, and
+    /// each demoted one reports a rejection naming its blocking
+    /// dependence.
+    #[test]
+    fn non_reduction_loops_are_left_as_written() {
+        let cases = [
+            ("scratch cell", scratch_cell_program(), 0),
+            ("read before write", read_before_write_program(), 1),
+            ("fused statements", fused_statements_program(), 1),
+        ];
+        for (name, p, demoted) in cases {
+            let cands = extract_candidates(&p);
+            assert_eq!(cands.demoted_count(), demoted, "{name}: demoted loops");
+            let out = rescue_program(&p);
+            assert!(out.rescued.is_empty(), "{name}: rescued {:?}", out.rescued);
+            for (a, b) in p.functions.iter().zip(&out.program.functions) {
+                assert_eq!(
+                    (&a.code, a.n_locals),
+                    (&b.code, b.n_locals),
+                    "{name}: program changed"
+                );
+            }
+            for c in cands.candidates.iter().filter(|c| c.is_demoted()) {
+                let fa = &cands.functions[c.func.0 as usize];
+                let hb = &fa.cfg.blocks[fa.forest.loops[c.loop_idx].header.0 as usize];
+                assert!(
+                    out.rejected.iter().any(|r| r.func == c.func
+                        && (hb.start..hb.end).contains(&r.orig_header_pc)
+                        && r.witness.is_some()),
+                    "{name}: loop {} has no rejection with a witness: {:?}",
+                    c.id.0,
+                    out.rejected
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Bytecode rewriting machinery for the rescue transforms.
+//! Bytecode rewriting machinery for reduction rescue.
 //!
-//! Like the annotation compiler in `jrpm`, the transforms are
+//! Like the annotation compiler in `jrpm`, the rewrite is
 //! edge-precise: a reduction must initialize its private accumulator on
 //! every edge *entering* the loop and fold it back into the memory
 //! channel on every edge *leaving* it (including `return`/`halt` paths
@@ -262,157 +262,4 @@ fn emit_fallthrough(
         em.branch(Instr::Goto(l));
     }
     Ok(())
-}
-
-/// The distribution plan for a single-body-block counted loop: the
-/// body's statements are partitioned into `groups` (each a list of
-/// disjoint instruction ranges in original order), and the loop is
-/// replaced by one sequential copy per group, each driven by its own
-/// inductor copy. The last group reuses the original inductor local so
-/// code after the loop observing it sees the exit value.
-#[derive(Debug, Clone)]
-pub(crate) struct DistributionPlan {
-    /// The loop's guard (header) block.
-    pub header: BlockId,
-    /// The single body block (also the sole latch).
-    pub body: BlockId,
-    /// Per-group statement ranges `[start, end)` into the body block.
-    pub groups: Vec<Vec<(u32, u32)>>,
-    /// Per-group inductor local (fresh copies; last = the original).
-    pub inductors: Vec<tvm::program::Local>,
-    /// The original inductor local.
-    pub orig_inductor: tvm::program::Local,
-    /// How many fresh locals the plan introduces (`groups.len() - 1`).
-    pub extra_locals: u16,
-}
-
-/// Applies a [`DistributionPlan`], producing the rewritten function
-/// and an origin map.
-///
-/// # Errors
-///
-/// [`tvm::VmError`] on malformed branch structure.
-pub(crate) fn apply_distribution(
-    fi: u16,
-    f: &Function,
-    cfg: &Cfg,
-    plan: &DistributionPlan,
-) -> Result<(Function, Vec<Option<u32>>), tvm::VmError> {
-    let mut em = Emitter::default();
-    let block_labels: Vec<u32> = (0..cfg.len()).map(|_| em.new_label()).collect();
-    let n_groups = plan.groups.len();
-    let guard_labels: Vec<u32> = (0..n_groups).map(|_| em.new_label()).collect();
-
-    let header_block = &cfg.blocks[plan.header.0 as usize];
-    let body_block = &cfg.blocks[plan.body.0 as usize];
-    // the guard is [Load i, <bound push>, IfICmp(cond, exit)]
-    let guard_range = header_block.start..header_block.end;
-    let exit_target = f.code[(header_block.end - 1) as usize]
-        .branch_target()
-        .expect("distribution guard ends in a conditional branch");
-    let exit_block = cfg
-        .block_of(exit_target)
-        .ok_or(tvm::VmError::BadBranchTarget {
-            func: fi,
-            at: header_block.end - 1,
-            target: exit_target,
-        })?;
-    // the body ends with [IInc(i, step), Goto(header)]
-    let inc_instr = f.code[(body_block.end - 2) as usize];
-
-    let subst_local = |instr: Instr, g: usize| -> Instr {
-        let ind = plan.inductors[g];
-        match instr {
-            Instr::Load(l) if l == plan.orig_inductor => Instr::Load(ind),
-            Instr::IInc(l, c) if l == plan.orig_inductor => Instr::IInc(ind, c),
-            other => other,
-        }
-    };
-
-    for (bi, block) in cfg.blocks.iter().enumerate() {
-        let b = BlockId(bi as u32);
-        if b == plan.body {
-            continue; // consumed by the fission copies
-        }
-        em.bind(block_labels[bi]);
-        if b == plan.header {
-            // snapshot the inductor into each fresh copy, then emit one
-            // guarded loop per group, chained in topological order
-            for g in 0..n_groups {
-                if plan.inductors[g] != plan.orig_inductor {
-                    em.raw(Instr::Load(plan.orig_inductor));
-                    em.raw(Instr::Store(plan.inductors[g]));
-                }
-            }
-            for g in 0..n_groups {
-                em.bind(guard_labels[g]);
-                let next = if g + 1 < n_groups {
-                    guard_labels[g + 1]
-                } else {
-                    block_labels[exit_block.0 as usize]
-                };
-                for idx in guard_range.clone() {
-                    let instr = subst_local(f.code[idx as usize], g);
-                    if instr.is_terminator() {
-                        em.branch(instr.map_target(|_| next));
-                    } else {
-                        em.raw(instr);
-                    }
-                }
-                for &(s, e) in &plan.groups[g] {
-                    for idx in s..e {
-                        em.raw_at(subst_local(f.code[idx as usize], g), idx);
-                    }
-                }
-                em.raw(subst_local(inc_instr, g));
-                em.branch(Instr::Goto(guard_labels[g]));
-            }
-            continue;
-        }
-        for idx in block.start..block.end {
-            let instr = f.code[idx as usize];
-            let is_terminator_pos = idx == block.end - 1;
-            if is_terminator_pos && instr.is_terminator() {
-                if let Some(t) = instr.branch_target() {
-                    let tb = cfg.block_of(t).ok_or(tvm::VmError::BadBranchTarget {
-                        func: fi,
-                        at: idx,
-                        target: t,
-                    })?;
-                    em.branch_at(instr.map_target(|_| block_labels[tb.0 as usize]), idx);
-                } else {
-                    em.raw_at(instr, idx);
-                }
-            } else {
-                em.raw_at(instr, idx);
-                if is_terminator_pos {
-                    // plain fallthrough into the next block; since the
-                    // body block is skipped and the header re-emitted in
-                    // place, order is preserved and fallthrough stands —
-                    // unless the next block is the skipped body, which
-                    // has no predecessors other than its header
-                    let ft = cfg.block_of(block.end);
-                    if ft == Some(plan.body) {
-                        return Err(tvm::VmError::Verify {
-                            func: fi,
-                            at: idx,
-                            reason: "distribution body block has a fallthrough predecessor".into(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    let (code, origin) = em.finish(fi)?;
-    Ok((
-        Function {
-            name: f.name.clone(),
-            n_params: f.n_params,
-            n_locals: f.n_locals + plan.extra_locals,
-            returns: f.returns,
-            code,
-        },
-        origin,
-    ))
 }

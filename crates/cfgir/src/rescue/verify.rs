@@ -1,17 +1,19 @@
-//! # Independent legality checking for rescue transforms
+//! # Independent legality checking for reduction rescue
 //!
 //! [`check`] accepts the pre- and post-transform programs plus a
 //! [`LegalityProof`] and re-derives every claimed fact from scratch.
-//! It deliberately shares **no code** with the transform matchers in
+//! It deliberately shares **no code** with the reduction matcher in
 //! the parent module: where the matcher walks a forward provenance
 //! graph, the checker runs an abstract-value stack machine; where the
 //! matcher builds the rewrite, the checker reconstructs the *expected*
 //! loop body from the proof's parameters and diffs it against what the
 //! transform actually emitted. A bug in either side surfaces as a
 //! verifier rejection (the unit tests feed a deliberately broken
-//! transform through here to prove it).
+//! transform through here to prove it). The checker solves points-to
+//! once for each of the two programs itself, never taking the
+//! matcher's facts.
 //!
-//! What is re-derived, per transform:
+//! What is re-derived:
 //!
 //! * the pre-transform dependence being removed really exists
 //!   ([`crate::memdep::analyze_loop`] on the *original* code);
@@ -22,14 +24,13 @@
 //!   carry the right payloads (with the operator identity re-derived
 //!   from the operator, not read from the proof) and the loop body
 //!   matches the original modulo the expected substitutions;
-//! * scalar facts on the transformed loop: a reduction accumulator
-//!   must classify as a reduction local, a privatized temporary as
-//!   iteration-private.
+//! * scalar facts on the transformed loop: the accumulator must
+//!   classify as a reduction local.
 
-use super::{reduction_identity, Channel, LegalityProof, Transform};
+use super::{reduction_identity, Channel, LegalityProof};
 use crate::access::{
     collect_accesses, inductor_steps, invariant_locals, strongly_disjoint, transitive_load_effects,
-    transitive_store_effects, Access, AccessSite, Sym,
+    transitive_store_effects, AccessSite,
 };
 use crate::cfg::{BlockId, Cfg};
 use crate::dom::Dominators;
@@ -37,7 +38,7 @@ use crate::loops::{LoopForest, NaturalLoop};
 use crate::memdep::{analyze_loop, DepKind, GuaranteedDep};
 use crate::pointsto::{FnView, PointsTo};
 use crate::scalar::classify;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use tvm::alloc::SiteKind;
 use tvm::isa::{ElemKind, Instr};
 use tvm::program::{Function, Local, Program};
@@ -116,52 +117,134 @@ pub fn check(pre: &Program, post: &Program, proof: &LegalityProof) -> Result<(),
     }
 
     let loc_pre = locate(fpre, proof.pre_anchor)?;
-    match &proof.transform {
-        Transform::Reduction {
-            channel,
-            op,
-            identity,
-            acc,
-            load_at,
-            store_at,
-        } => {
-            let loc_post = locate(fpost, proof.post_anchor)?;
-            check_reduction(
-                pre, post, fi, &loc_pre, &loc_post, channel, op, *identity, *acc, *load_at,
-                *store_at,
-            )
+    let loc_post = locate(fpost, proof.post_anchor)?;
+    let LegalityProof {
+        channel: ref ch,
+        ref op,
+        identity,
+        acc,
+        load_at,
+        store_at,
+        ..
+    } = *proof;
+
+    // the identity is re-derived from the operator, never trusted: a
+    // transform that seeds the wrong constant is caught right here
+    let expected_identity = match op {
+        Instr::IAdd | Instr::IOr | Instr::IXor => 0,
+        Instr::IMul => 1,
+        Instr::IAnd => -1,
+        Instr::IMin => i64::MAX,
+        Instr::IMax => i64::MIN,
+        other => {
+            return Err(format!(
+                "{:?} is not an associative integer operator; the reduction is not \
+                 exact",
+                other
+            ))
         }
-        Transform::Privatization {
-            channel,
-            tmp,
-            loads,
-            stores,
-        } => {
-            let loc_post = locate(fpost, proof.post_anchor)?;
-            check_privatization(
-                pre, post, fi, &loc_pre, &loc_post, channel, *tmp, loads, stores,
-            )
-        }
-        Transform::Distribution {
-            groups,
-            inductors,
-            orig_inductor,
-            anchors,
-        } => check_distribution(
-            pre,
-            post,
-            fi,
-            &loc_pre,
-            groups,
-            inductors,
-            *orig_inductor,
-            anchors,
-        ),
+    };
+    debug_assert_eq!(reduction_identity(op), Some(expected_identity));
+    if identity != expected_identity {
+        return Err(format!(
+            "claimed identity {} does not match the operator's identity {}",
+            identity, expected_identity
+        ));
     }
+    if acc.0 != fpre.n_locals || fpost.n_locals != fpre.n_locals + 1 {
+        return Err("the accumulator local is not the single fresh local".into());
+    }
+
+    // the removed dependence must really exist on the original loop
+    let pt_pre = PointsTo::analyze(pre);
+    let view_pre = pt_pre.view(proof.func);
+    let pre_deps = deps_of(pre, fi, &loc_pre, &view_pre);
+    let removed_kind = channel_dep_kind(ch);
+    if !pre_deps
+        .iter()
+        .any(|d| d.kind == removed_kind && d.load_at == load_at && d.store_at == store_at)
+    {
+        return Err("the original loop has no such guaranteed recurrence".into());
+    }
+
+    check_channel_int(pre, &view_pre, ch)?;
+    let sites = pre_sites(pre, fi, &loc_pre);
+    check_exclusivity(&sites, ch, &view_pre, &[load_at, store_at])?;
+    check_calls_off_channel(pre, fpre, &loc_pre.cfg, loc_pre.lp(), ch)?;
+    if let Channel::Field { base, .. } = ch {
+        check_base_nonnull(pre, fpre, &loc_pre.cfg, &loc_pre.dom, loc_pre.lp(), *base)?;
+    }
+
+    // chain legality, re-derived with the abstract-value machine
+    let sb = loc_pre
+        .cfg
+        .block_of(store_at)
+        .ok_or("the channel store is unreachable")?;
+    if loc_pre.cfg.block_of(load_at) != Some(sb) {
+        return Err("load and store of the recurrence are in different blocks".into());
+    }
+    let block = &loc_pre.cfg.blocks[sb.0 as usize];
+    check_chain(pre, fpre, block.start..block.end, ch, op, load_at, store_at)?;
+
+    // the emitted code must be exactly the expected delta rewrite
+    let (load_subst, store_subst, entry, exit) = match *ch {
+        Channel::Static(g) => (
+            vec![Instr::IConst(expected_identity)],
+            vec![Instr::Load(acc), *op, Instr::Store(acc)],
+            vec![Instr::IConst(expected_identity), Instr::Store(acc)],
+            vec![
+                Instr::GetStatic(g),
+                Instr::Load(acc),
+                *op,
+                Instr::PutStatic(g),
+            ],
+        ),
+        Channel::Field { base, field } => (
+            vec![Instr::Pop, Instr::IConst(expected_identity)],
+            vec![Instr::Load(acc), *op, Instr::Store(acc), Instr::Pop],
+            vec![Instr::IConst(expected_identity), Instr::Store(acc)],
+            vec![
+                Instr::Load(base),
+                Instr::Load(base),
+                Instr::GetField(field),
+                Instr::Load(acc),
+                *op,
+                Instr::PutField(field),
+            ],
+        ),
+    };
+    let subst = BTreeMap::from([(load_at, load_subst), (store_at, store_subst)]);
+    check_loop_code(
+        fpre,
+        &loc_pre.cfg,
+        loc_pre.lp(),
+        fpost,
+        &loc_post.cfg,
+        loc_post.lp(),
+        &subst,
+    )?;
+    check_edge_payloads(fpost, &loc_post.cfg, loc_post.lp(), &entry, &exit)?;
+
+    // dependence refinement and scalar facts on the transformed loop
+    let pt_post = PointsTo::analyze(post);
+    let post_deps = deps_of(post, fi, &loc_post, &pt_post.view(proof.func));
+    check_refinement(&pre_deps, &post_deps, &removed_kind)?;
+    let classes = classify(
+        post,
+        fpost,
+        &loc_post.cfg,
+        &loc_post.dom,
+        &loc_post.forest,
+        loc_post.loop_idx,
+    );
+    if !classes.reductions.contains(&acc) {
+        return Err("the accumulator does not classify as a scalar reduction".into());
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
-// shared re-derivations
+// re-derivations
 // ---------------------------------------------------------------------
 
 fn pre_sites(program: &Program, fi: usize, loc: &Loc) -> Vec<AccessSite> {
@@ -180,11 +263,9 @@ fn pre_sites(program: &Program, fi: usize, loc: &Loc) -> Vec<AccessSite> {
     )
 }
 
-fn deps_of(program: &Program, fi: usize, loc: &Loc) -> Vec<GuaranteedDep> {
+fn deps_of(program: &Program, fi: usize, loc: &Loc, view: &FnView<'_>) -> Vec<GuaranteedDep> {
     let f = &program.functions[fi];
-    let pt = PointsTo::analyze(program);
-    let view = pt.view(tvm::program::FuncId(fi as u16));
-    analyze_loop(program, f, &loc.cfg, &loc.dom, loc.lp(), Some(&view))
+    analyze_loop(program, f, &loc.cfg, &loc.dom, loc.lp(), Some(view))
 }
 
 fn channel_dep_kind(ch: &Channel) -> DepKind {
@@ -195,14 +276,14 @@ fn channel_dep_kind(ch: &Channel) -> DepKind {
 }
 
 /// Post-transform dependences must be a refinement of the originals:
-/// no new kinds, and (when given) the removed channel's kind gone.
+/// no new kinds, and the removed channel's kind gone.
 fn check_refinement(
     pre_deps: &[GuaranteedDep],
     post_deps: &[GuaranteedDep],
-    removed: Option<&DepKind>,
+    removed: &DepKind,
 ) -> Result<(), String> {
     for d in post_deps {
-        if Some(&d.kind) == removed {
+        if d.kind == *removed {
             return Err(format!(
                 "the transformed loop still carries the removed dependence ({})",
                 d.reason()
@@ -561,608 +642,4 @@ fn check_chain(
         return Err("a chain value survives past the end of the update block".into());
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------
-// per-transform checks
-// ---------------------------------------------------------------------
-
-#[allow(clippy::too_many_arguments)]
-fn check_reduction(
-    pre: &Program,
-    post: &Program,
-    fi: usize,
-    loc_pre: &Loc,
-    loc_post: &Loc,
-    ch: &Channel,
-    op: &Instr,
-    identity: i64,
-    acc: Local,
-    load_at: u32,
-    store_at: u32,
-) -> Result<(), String> {
-    let fpre = &pre.functions[fi];
-    let fpost = &post.functions[fi];
-
-    // the identity is re-derived from the operator, never trusted: a
-    // transform that seeds the wrong constant is caught right here
-    let expected_identity = match op {
-        Instr::IAdd | Instr::IOr | Instr::IXor => 0,
-        Instr::IMul => 1,
-        Instr::IAnd => -1,
-        Instr::IMin => i64::MAX,
-        Instr::IMax => i64::MIN,
-        other => {
-            return Err(format!(
-                "{:?} is not an associative integer operator; the reduction is not \
-                 exact",
-                other
-            ))
-        }
-    };
-    debug_assert_eq!(reduction_identity(op), Some(expected_identity));
-    if identity != expected_identity {
-        return Err(format!(
-            "claimed identity {} does not match the operator's identity {}",
-            identity, expected_identity
-        ));
-    }
-    if acc.0 != fpre.n_locals || fpost.n_locals != fpre.n_locals + 1 {
-        return Err("the accumulator local is not the single fresh local".into());
-    }
-
-    // the removed dependence must really exist on the original loop
-    let pre_deps = deps_of(pre, fi, loc_pre);
-    let removed_kind = channel_dep_kind(ch);
-    if !pre_deps
-        .iter()
-        .any(|d| d.kind == removed_kind && d.load_at == load_at && d.store_at == store_at)
-    {
-        return Err("the original loop has no such guaranteed recurrence".into());
-    }
-
-    let pt_pre = PointsTo::analyze(pre);
-    let view_pre = pt_pre.view(tvm::program::FuncId(fi as u16));
-    check_channel_int(pre, &view_pre, ch)?;
-    let sites = pre_sites(pre, fi, loc_pre);
-    check_exclusivity(&sites, ch, &view_pre, &[load_at, store_at])?;
-    check_calls_off_channel(pre, fpre, &loc_pre.cfg, loc_pre.lp(), ch)?;
-    if let Channel::Field { base, .. } = ch {
-        check_base_nonnull(pre, fpre, &loc_pre.cfg, &loc_pre.dom, loc_pre.lp(), *base)?;
-    }
-
-    // chain legality, re-derived with the abstract-value machine
-    let sb = loc_pre
-        .cfg
-        .block_of(store_at)
-        .ok_or("the channel store is unreachable")?;
-    if loc_pre.cfg.block_of(load_at) != Some(sb) {
-        return Err("load and store of the recurrence are in different blocks".into());
-    }
-    let block = &loc_pre.cfg.blocks[sb.0 as usize];
-    check_chain(pre, fpre, block.start..block.end, ch, op, load_at, store_at)?;
-
-    // the emitted code must be exactly the expected delta rewrite
-    let (load_subst, store_subst, entry, exit) = match *ch {
-        Channel::Static(g) => (
-            vec![Instr::IConst(expected_identity)],
-            vec![Instr::Load(acc), *op, Instr::Store(acc)],
-            vec![Instr::IConst(expected_identity), Instr::Store(acc)],
-            vec![
-                Instr::GetStatic(g),
-                Instr::Load(acc),
-                *op,
-                Instr::PutStatic(g),
-            ],
-        ),
-        Channel::Field { base, field } => (
-            vec![Instr::Pop, Instr::IConst(expected_identity)],
-            vec![Instr::Load(acc), *op, Instr::Store(acc), Instr::Pop],
-            vec![Instr::IConst(expected_identity), Instr::Store(acc)],
-            vec![
-                Instr::Load(base),
-                Instr::Load(base),
-                Instr::GetField(field),
-                Instr::Load(acc),
-                *op,
-                Instr::PutField(field),
-            ],
-        ),
-    };
-    let subst = BTreeMap::from([(load_at, load_subst), (store_at, store_subst)]);
-    check_loop_code(
-        fpre,
-        &loc_pre.cfg,
-        loc_pre.lp(),
-        fpost,
-        &loc_post.cfg,
-        loc_post.lp(),
-        &subst,
-    )?;
-    check_edge_payloads(fpost, &loc_post.cfg, loc_post.lp(), &entry, &exit)?;
-
-    // dependence refinement and scalar facts on the transformed loop
-    let post_deps = deps_of(post, fi, loc_post);
-    check_refinement(&pre_deps, &post_deps, Some(&removed_kind))?;
-    let classes = classify(
-        post,
-        fpost,
-        &loc_post.cfg,
-        &loc_post.dom,
-        &loc_post.forest,
-        loc_post.loop_idx,
-    );
-    if !classes.reductions.contains(&acc) {
-        return Err("the accumulator does not classify as a scalar reduction".into());
-    }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_privatization(
-    pre: &Program,
-    post: &Program,
-    fi: usize,
-    loc_pre: &Loc,
-    loc_post: &Loc,
-    ch: &Channel,
-    tmp: Local,
-    loads: &[u32],
-    stores: &[u32],
-) -> Result<(), String> {
-    let fpre = &pre.functions[fi];
-    let fpost = &post.functions[fi];
-    if tmp.0 != fpre.n_locals || fpost.n_locals != fpre.n_locals + 1 {
-        return Err("the private local is not the single fresh local".into());
-    }
-
-    // re-derive the channel's site sets and compare with the claims
-    let sites = pre_sites(pre, fi, loc_pre);
-    let derived_loads: BTreeSet<u32> = sites
-        .iter()
-        .filter(|s| ch.matches(&s.access) && s.access.is_load())
-        .map(|s| s.instr)
-        .collect();
-    let derived_stores: BTreeSet<u32> = sites
-        .iter()
-        .filter(|s| ch.matches(&s.access) && !s.access.is_load())
-        .map(|s| s.instr)
-        .collect();
-    if derived_loads != loads.iter().copied().collect::<BTreeSet<u32>>()
-        || derived_stores != stores.iter().copied().collect::<BTreeSet<u32>>()
-    {
-        return Err("claimed channel sites do not match the loop's accesses".into());
-    }
-    if derived_stores.is_empty() {
-        return Err("a cell that is never stored cannot be privatized".into());
-    }
-
-    let pt_pre = PointsTo::analyze(pre);
-    let view_pre = pt_pre.view(tvm::program::FuncId(fi as u16));
-    let allowed: Vec<u32> = derived_loads
-        .iter()
-        .chain(&derived_stores)
-        .copied()
-        .collect();
-    check_exclusivity(&sites, ch, &view_pre, &allowed)?;
-    check_calls_off_channel(pre, fpre, &loc_pre.cfg, loc_pre.lp(), ch)?;
-    if let Channel::Field { base, .. } = ch {
-        check_base_nonnull(pre, fpre, &loc_pre.cfg, &loc_pre.dom, loc_pre.lp(), *base)?;
-    }
-
-    // written-before-read, re-derived with the checker's own ordering
-    let site_of = |pc: u32| sites.iter().find(|s| s.instr == pc);
-    let precedes = |a: &AccessSite, b: &AccessSite| {
-        if a.block == b.block {
-            a.instr < b.instr
-        } else {
-            loc_pre.dom.dominates(a.block, b.block)
-        }
-    };
-    for &l in &derived_loads {
-        let ls = site_of(l).ok_or("claimed load vanished")?;
-        let ok = derived_stores
-            .iter()
-            .filter_map(|&s| site_of(s))
-            .any(|ss| precedes(ss, ls));
-        if !ok {
-            return Err(format!(
-                "the load at pc {} is not preceded by a store on every path; the \
-                 cell's value flows across iterations",
-                l
-            ));
-        }
-    }
-
-    // structural: the loop body modulo the expected substitutions
-    let mut subst: BTreeMap<u32, Vec<Instr>> = BTreeMap::new();
-    for &l in &derived_loads {
-        subst.insert(
-            l,
-            match ch {
-                Channel::Static(_) => vec![Instr::Load(tmp)],
-                Channel::Field { .. } => vec![Instr::Pop, Instr::Load(tmp)],
-            },
-        );
-    }
-    for &s in &derived_stores {
-        subst.insert(
-            s,
-            match ch {
-                Channel::Static(_) => vec![Instr::Store(tmp)],
-                Channel::Field { .. } => vec![Instr::Store(tmp), Instr::Pop],
-            },
-        );
-    }
-    let (entry, exit) = match *ch {
-        Channel::Static(g) => (
-            vec![Instr::GetStatic(g), Instr::Store(tmp)],
-            vec![Instr::Load(tmp), Instr::PutStatic(g)],
-        ),
-        Channel::Field { base, field } => (
-            vec![Instr::Load(base), Instr::GetField(field), Instr::Store(tmp)],
-            vec![Instr::Load(base), Instr::Load(tmp), Instr::PutField(field)],
-        ),
-    };
-    check_loop_code(
-        fpre,
-        &loc_pre.cfg,
-        loc_pre.lp(),
-        fpost,
-        &loc_post.cfg,
-        loc_post.lp(),
-        &subst,
-    )?;
-    check_edge_payloads(fpost, &loc_post.cfg, loc_post.lp(), &entry, &exit)?;
-
-    // refinement plus scalar privacy of the fresh local
-    let pre_deps = deps_of(pre, fi, loc_pre);
-    let post_deps = deps_of(post, fi, loc_post);
-    check_refinement(&pre_deps, &post_deps, Some(&channel_dep_kind(ch)))?;
-    let classes = classify(
-        post,
-        fpost,
-        &loc_post.cfg,
-        &loc_post.dom,
-        &loc_post.forest,
-        loc_post.loop_idx,
-    );
-    if classes.serializing.contains(&tmp) {
-        return Err("privatizing moved the dependence into the fresh local".into());
-    }
-    if !classes.iteration_private.contains(&tmp) && !classes.block_local.contains(&tmp) {
-        return Err("the fresh local is not iteration-private in the transformed loop".into());
-    }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_distribution(
-    pre: &Program,
-    post: &Program,
-    fi: usize,
-    loc_pre: &Loc,
-    groups: &[Vec<(u32, u32)>],
-    inductors: &[Local],
-    orig_inductor: Local,
-    anchors: &[u32],
-) -> Result<(), String> {
-    let fpre = &pre.functions[fi];
-    let fpost = &post.functions[fi];
-    let lp = loc_pre.lp();
-    let g_count = groups.len();
-    if g_count < 2 || inductors.len() != g_count || anchors.len() != g_count {
-        return Err("malformed distribution proof".into());
-    }
-    if inductors[g_count - 1] != orig_inductor {
-        return Err("the last fission loop must reuse the original inductor".into());
-    }
-    let fresh: BTreeSet<Local> = inductors[..g_count - 1].iter().copied().collect();
-    if fresh.len() != g_count - 1
-        || fresh.iter().any(|l| l.0 < fpre.n_locals)
-        || fpost.n_locals != fpre.n_locals + (g_count as u16 - 1)
-    {
-        return Err("fission inductors are not distinct fresh locals".into());
-    }
-
-    // re-derive the loop shape
-    if lp.blocks.len() != 2 || lp.latches.len() != 1 {
-        return Err("the original loop is not a single-body-block counted loop".into());
-    }
-    let header = lp.header;
-    let body = lp.latches[0];
-    let hb = &loc_pre.cfg.blocks[header.0 as usize];
-    let bb = &loc_pre.cfg.blocks[body.0 as usize];
-    if hb.end - hb.start != 3 || bb.end - bb.start < 3 {
-        return Err("the original loop's guard or body has an unexpected shape".into());
-    }
-    let Instr::Load(ivar) = fpre.code[hb.start as usize] else {
-        return Err("the guard does not begin by loading the inductor".into());
-    };
-    if ivar != orig_inductor {
-        return Err("the claimed inductor is not the guard's".into());
-    }
-    let Instr::IInc(inc_var, step) = fpre.code[(bb.end - 2) as usize] else {
-        return Err("the body does not end with the inductor increment".into());
-    };
-    if inc_var != ivar {
-        return Err("the body's increment is not the inductor's".into());
-    }
-    let stmt_range = bb.start..bb.end - 2;
-    for idx in stmt_range.clone() {
-        match fpre.code[idx as usize] {
-            Instr::Store(l) | Instr::IInc(l, _) if l == ivar => {
-                return Err("the body redefines the inductor".into())
-            }
-            Instr::IDiv
-            | Instr::IRem
-            | Instr::NewObject(_)
-            | Instr::NewArray(_)
-            | Instr::Call(_) => {
-                return Err(format!(
-                    "pc {} can fault, allocate or call; its order is not free to change",
-                    idx
-                ))
-            }
-            _ => {}
-        }
-    }
-
-    // re-split statements and check the claimed partition
-    let mut stmts: Vec<(u32, u32)> = Vec::new();
-    {
-        let mut depth: i64 = 0;
-        let mut start = stmt_range.start;
-        for idx in stmt_range.clone() {
-            let (pops, pushes) = stack_effect(pre, &fpre.code[idx as usize])
-                .map_err(|e| format!("stack model failure at pc {}: {}", idx, e))?;
-            depth -= pops as i64;
-            if depth < 0 {
-                return Err("the body is not a sequence of whole statements".into());
-            }
-            depth += pushes as i64;
-            if depth == 0 {
-                stmts.push((start, idx + 1));
-                start = idx + 1;
-            }
-        }
-        if depth != 0 || start != stmt_range.end {
-            return Err("the body is not a sequence of whole statements".into());
-        }
-    }
-    let mut claimed: Vec<(u32, u32)> = groups.iter().flatten().copied().collect();
-    claimed.sort_unstable();
-    let mut derived = stmts.clone();
-    derived.sort_unstable();
-    if claimed != derived {
-        return Err("the claimed groups do not partition the body's statements".into());
-    }
-    let stmt_idx = |pc: u32| stmts.iter().position(|&(s, e)| pc >= s && pc < e);
-    let group_pos = |stmt: usize| -> Option<usize> {
-        let (s, e) = stmts[stmt];
-        groups.iter().position(|g| g.contains(&(s, e)))
-    };
-
-    // re-derive inter-statement dependences and check the claimed order
-    // respects all of them
-    let step = step as i64;
-    let sites = pre_sites(pre, fi, loc_pre);
-    let pt_pre = PointsTo::analyze(pre);
-    let view = pt_pre.view(tvm::program::FuncId(fi as u16));
-    let reads_writes: Vec<(BTreeSet<Local>, BTreeSet<Local>)> = stmts
-        .iter()
-        .map(|&(s, e)| {
-            let mut r = BTreeSet::new();
-            let mut w = BTreeSet::new();
-            for idx in s..e {
-                match fpre.code[idx as usize] {
-                    Instr::Load(l) if l != ivar => {
-                        r.insert(l);
-                    }
-                    Instr::Store(l) => {
-                        w.insert(l);
-                    }
-                    Instr::IInc(l, _) => {
-                        r.insert(l);
-                        w.insert(l);
-                    }
-                    _ => {}
-                }
-            }
-            (r, w)
-        })
-        .collect();
-    for a in 0..stmts.len() {
-        for b in a + 1..stmts.len() {
-            let (ga, gb) = match (group_pos(a), group_pos(b)) {
-                (Some(x), Some(y)) => (x, y),
-                _ => return Err("a statement is missing from every group".into()),
-            };
-            if ga == gb {
-                continue;
-            }
-            let (ra, wa) = &reads_writes[a];
-            let (rb, wb) = &reads_writes[b];
-            if wa.intersection(rb).next().is_some()
-                || wa.intersection(wb).next().is_some()
-                || ra.intersection(wb).next().is_some()
-            {
-                return Err(format!(
-                    "statements at pcs {} and {} share a written local across groups",
-                    stmts[a].0, stmts[b].0
-                ));
-            }
-            for sa in sites.iter().filter(|s| stmt_idx(s.instr) == Some(a)) {
-                for sb in sites.iter().filter(|s| stmt_idx(s.instr) == Some(b)) {
-                    if !sa.access.is_store() && !sb.access.is_store() {
-                        continue;
-                    }
-                    if strongly_disjoint(&sa.access, &sb.access, Some(&view)) {
-                        continue;
-                    }
-                    // affine same-base pairs have a provable direction
-                    let dir = affine_direction(&sa.access, &sb.access, ivar, step);
-                    match dir {
-                        Some(0) => {
-                            // never coincide: independent
-                        }
-                        Some(1) => {
-                            // source = a, sink = b: a's group must not run later
-                            if ga > gb {
-                                return Err(format!(
-                                    "the dependence from pc {} to pc {} runs backwards \
-                                     across groups",
-                                    sa.instr, sb.instr
-                                ));
-                            }
-                        }
-                        Some(-1) => {
-                            if gb > ga {
-                                return Err(format!(
-                                    "the dependence from pc {} to pc {} runs backwards \
-                                     across groups",
-                                    sb.instr, sa.instr
-                                ));
-                            }
-                        }
-                        _ => {
-                            return Err(format!(
-                                "pcs {} and {} may touch the same memory across groups \
-                                 with no provable direction",
-                                sa.instr, sb.instr
-                            ))
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // post-transform structure: one counted loop per group, in order,
-    // each body an exact substituted copy of its group's statements
-    let post_cfg = Cfg::build(fpost);
-    let post_dom = Dominators::compute(&post_cfg);
-    let post_forest = LoopForest::build(&post_cfg, &post_dom);
-    let norm = |i: Instr| i.map_target(|_| 0);
-    let mut fission_headers: Vec<BlockId> = Vec::new();
-    let mut fission_all_blocks: BTreeSet<BlockId> = BTreeSet::new();
-    for (g, &anchor) in anchors.iter().enumerate() {
-        let ab = post_cfg
-            .block_of(anchor)
-            .ok_or("a fission anchor is unreachable")?;
-        let li = post_forest
-            .innermost_containing(ab)
-            .ok_or("a fission anchor is not inside a loop")?;
-        let flp = &post_forest.loops[li];
-        if flp.blocks.len() != 2 || flp.latches.len() != 1 {
-            return Err("a fission loop is not a single-body-block counted loop".into());
-        }
-        fission_headers.push(flp.header);
-        fission_all_blocks.extend(flp.blocks.iter().copied());
-        let fh = &post_cfg.blocks[flp.header.0 as usize];
-        let fb = &post_cfg.blocks[flp.latches[0].0 as usize];
-        // guard: the original's guard with the inductor substituted
-        let subst = |i: Instr| match i {
-            Instr::Load(l) if l == ivar => Instr::Load(inductors[g]),
-            Instr::IInc(l, c) if l == ivar => Instr::IInc(inductors[g], c),
-            other => other,
-        };
-        if fh.end - fh.start != 3 {
-            return Err("a fission guard has an unexpected shape".into());
-        }
-        for k in 0..3 {
-            let want = subst(fpre.code[(hb.start + k) as usize]);
-            let got = fpost.code[(fh.start + k) as usize];
-            if norm(want) != norm(got) {
-                return Err(format!(
-                    "fission guard {} diverges from the original guard",
-                    g
-                ));
-            }
-        }
-        // body: the group's statements, then the increment, then the
-        // back edge
-        let mut expected: Vec<Instr> = Vec::new();
-        for &(s, e) in &groups[g] {
-            for idx in s..e {
-                expected.push(subst(fpre.code[idx as usize]));
-            }
-        }
-        expected.push(subst(fpre.code[(bb.end - 2) as usize]));
-        let got: Vec<Instr> = (fb.start..fb.end).map(|i| fpost.code[i as usize]).collect();
-        if got.len() != expected.len() + 1
-            || !matches!(got.last(), Some(Instr::Goto(_) | Instr::AGoto(_)))
-        {
-            return Err(format!("fission body {} has an unexpected shape", g));
-        }
-        for (e, gi) in expected.iter().zip(&got) {
-            if norm(*e) != norm(*gi) {
-                return Err(format!(
-                    "fission body {} diverges from its group's statements",
-                    g
-                ));
-            }
-        }
-        // refinement per fission loop
-        let post_loc = Loc {
-            cfg: post_cfg.clone(),
-            dom: Dominators::compute(&post_cfg),
-            forest: post_forest.clone(),
-            loop_idx: li,
-        };
-        let pre_deps = deps_of(pre, fi, loc_pre);
-        let post_deps = deps_of(post, fi, &post_loc);
-        check_refinement(&pre_deps, &post_deps, None)?;
-    }
-    // the loops must chain in the claimed order: each guard's exit edge
-    // leads to the next guard, the last to the outside world
-    for g in 0..g_count {
-        let fh = &post_cfg.blocks[fission_headers[g].0 as usize];
-        let Some(target) = fpost.code[(fh.end - 1) as usize].branch_target() else {
-            return Err("a fission guard does not end in a branch".into());
-        };
-        let tb = post_cfg
-            .block_of(target)
-            .ok_or("a fission guard branches nowhere")?;
-        if g + 1 < g_count {
-            if tb != fission_headers[g + 1] {
-                return Err("the fission loops do not chain in the claimed order".into());
-            }
-        } else if fission_all_blocks.contains(&tb) {
-            return Err("the last fission loop does not exit the nest".into());
-        }
-    }
-    Ok(())
-}
-
-/// Provable direction for two affine same-base accesses of the same
-/// inductor and scale: `Some(0)` = never coincide, `Some(1)` = source
-/// is the first access, `Some(-1)` = source is the second, `None` = no
-/// proof.
-fn affine_direction(a: &Access, b: &Access, ivar: Local, step: i64) -> Option<i32> {
-    let parts = |x: &Access| match x {
-        Access::ArrayLoad {
-            base: Sym::Invariant(b),
-            index: Sym::Affine { ind, scale, offset },
-        }
-        | Access::ArrayStore {
-            base: Sym::Invariant(b),
-            index: Sym::Affine { ind, scale, offset },
-        } => Some((*b, *ind, *scale, *offset)),
-        _ => None,
-    };
-    let (ba, ia, ca, oa) = parts(a)?;
-    let (bb, ib, cb, ob) = parts(b)?;
-    if ba != bb || ia != ivar || ib != ivar || ca != cb {
-        return None;
-    }
-    let per = ca.checked_mul(step)?;
-    if per == 0 {
-        return None;
-    }
-    let delta = ob.wrapping_sub(oa);
-    if delta % per != 0 {
-        return Some(0);
-    }
-    Some(if delta / per > 0 { -1 } else { 1 })
 }

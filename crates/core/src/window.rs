@@ -183,9 +183,11 @@ impl SelectionWindow {
     }
 
     /// [`Self::reselect`] with dependence-distance floors (see
-    /// [`select_with_distances`]); the tier runtime passes the floors
-    /// its deferred pre-screen has accumulated so far, keeping the
-    /// windowed schedule aligned with what final selection will use.
+    /// [`select_with_distances`]); the tier runtime passes the same
+    /// floors, solved once at startup, that its final selection uses,
+    /// keeping the windowed schedule aligned with it. Only loops in the
+    /// aggregated profile are weighed, so floors and demotions of loops
+    /// not yet profiled change nothing.
     pub fn reselect_with_distances(
         &self,
         params: &EstimatorParams,

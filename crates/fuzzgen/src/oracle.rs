@@ -359,15 +359,10 @@ fn check_rescue(program: &Program, cands: &ProgramCandidates) -> Result<usize, F
         return Err(fail(
             "rescue-state",
             format!(
-                "rescue changed the return value: {:?} vs {:?} ({} transform(s): {})",
+                "rescue changed the return value: {:?} vs {:?} ({} reduction(s))",
                 a.result.ret,
                 b.result.ret,
                 out.rescued.len(),
-                out.rescued
-                    .iter()
-                    .map(|r| r.proof.transform.name())
-                    .collect::<Vec<_>>()
-                    .join(", ")
             ),
         ));
     }
@@ -375,13 +370,8 @@ fn check_rescue(program: &Program, cands: &ProgramCandidates) -> Result<usize, F
         return Err(fail(
             "rescue-state",
             format!(
-                "rescue changed the final memory image ({} transform(s): {})",
-                out.rescued.len(),
-                out.rescued
-                    .iter()
-                    .map(|r| r.proof.transform.name())
-                    .collect::<Vec<_>>()
-                    .join(", ")
+                "rescue changed the final memory image ({} reduction(s))",
+                out.rescued.len()
             ),
         ));
     }

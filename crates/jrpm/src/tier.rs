@@ -26,10 +26,12 @@
 //!   (yk's `MT`) takes over. The probe costs zero *simulated* cycles
 //!   and a couple of array loads of real time, so it can stay on
 //!   forever (the `tier` regression gate pins its wall-clock overhead).
-//! * **Tracing** — the loop is promoted: the static memory-dependence
-//!   pre-screen runs *now* (it was deferred at extraction —
-//!   [`cfgir::Prescreen::Deferred`]), and if clean, the loop alone is
-//!   patched into the running image ([`crate::annotate::PatchState`]).
+//! * **Tracing** — the loop is promoted: its static memory-dependence
+//!   verdict, computed once by extraction, is revealed *now*, and if
+//!   clean, the loop alone is patched into the running image
+//!   ([`crate::annotate::PatchState`]). Verdicts are eager because
+//!   rescue needs them at startup anyway; screening each loop again on
+//!   promotion would solve its dependences twice.
 //! * **Profiled / Selected / Revised** — each subsequent *epoch* (one
 //!   deterministic execution of the current image) feeds a windowed
 //!   profile ([`test_tracer::SelectionWindow`]); Equation 1+2 re-runs
@@ -50,12 +52,11 @@
 //! of interpreting. `pipeline.interpreter_passes` counts the runs,
 //! `tier.reused_epochs` the rest.
 //!
-//! **Online ≡ offline.** Finalization completes the pre-screen for
-//! every candidate, patches every remaining clean loop, and runs one
-//! last epoch of the now-complete image — or, when finalization
-//! patched nothing and the last run was traced, reuses that run (a
-//! traced run, `obs.trace`, always runs it, for its tracer series and
-//! sink track). Because the incremental image is exactly
+//! **Online ≡ offline.** Finalization patches every remaining clean
+//! loop and runs one last epoch of the now-complete image — or, when
+//! finalization patched nothing and the last run was traced, reuses
+//! that run (a traced run, `obs.trace`, always runs it, for its
+//! tracer series and sink track). Because the incremental image is exactly
 //! `annotate(original, only(all clean loops))` (the [`PatchState`]
 //! invariant) and that equals the offline profiling image, the final
 //! epoch's profile, derived sequential baseline, selection, and
@@ -70,12 +71,10 @@ use crate::pipeline::{
     PipelineObservability, PipelineReport, RescueSummary, StageRecorder,
 };
 use cfgir::{
-    distance_floors, extract_candidates, extract_candidates_with,
-    prescreen_candidate_with_distance, rescue_extracted, Prescreen, ProgramCandidates,
-    StaticVerdict,
+    distance_floors, extract_candidates, rescue_extracted, ProgramCandidates, StaticVerdict,
 };
 use obs::{Telemetry, Trace as ObsTrace};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use test_tracer::{select_with_distances, Profile, SelectionWindow, TestTracer};
 use tvm::bus::{BusReport, TraceBus};
@@ -386,7 +385,7 @@ fn drive_immediate(program: &Program, cfg: &PipelineConfig) -> Result<TieredOutc
     }
 
     // 1.–1b. identify candidate STLs and rescue demoted loops
-    let (candidates, rescue) = extract_and_rescue(program, Prescreen::Eager, cfg, &mut stages);
+    let (candidates, rescue) = extract_and_rescue(program, cfg, &mut stages);
     let program: &Program = rescue.program_for(program);
 
     // 2. annotate every candidate for profiling (loops the static
@@ -518,17 +517,12 @@ fn drive_immediate(program: &Program, cfg: &PipelineConfig) -> Result<TieredOutc
 }
 
 /// Stages 1 and 1b, shared by both schedules: extract the candidate
-/// STLs with the pre-screen run per `prescreen`, then try to rescue the
-/// demoted loops (reduction delta-rewrite, scalar privatization, loop
-/// distribution) into provably parallelizable variants. Every applied
-/// transform carries a legality proof re-checked by the independent
-/// verifier. Rescue starts from this extraction and hands back the one
-/// of any program it rewrites, so no program is extracted twice.
-///
-/// Rescue reads the eager verdicts, so with rescue on the extraction
-/// is eager whatever `prescreen` says, and a deferred caller gets it
-/// with every verdict reset to clean: the two forms differ in nothing
-/// else.
+/// STLs with their pre-screen verdicts, then try to rescue the demoted
+/// loops whose recurrence is a reduction (a delta-rewrite into private
+/// partial sums). Every applied rewrite carries a legality proof
+/// re-checked by the independent verifier. Rescue starts from this
+/// extraction and hands back the one of any program it rewrites, so no
+/// program is extracted twice.
 ///
 /// The whole-program points-to solve that sharpens the pre-screen runs
 /// inside `extract`, and its statistics ride along as `pointsto.*`
@@ -537,17 +531,12 @@ fn drive_immediate(program: &Program, cfg: &PipelineConfig) -> Result<TieredOutc
 /// `rescue.rejections`.
 fn extract_and_rescue(
     program: &Program,
-    prescreen: Prescreen,
     cfg: &PipelineConfig,
     stages: &mut StageRecorder<'_>,
 ) -> (ProgramCandidates, RescueSummary) {
     let registry = stages.registry;
     let t = stages.begin("extract");
-    let candidates = if cfg.no_rescue {
-        extract_candidates_with(program, prescreen)
-    } else {
-        extract_candidates(program)
-    };
+    let candidates = extract_candidates(program);
     stages.end("extract", t);
     let ps = candidates.pointsto.stats();
     for (name, v) in [
@@ -568,12 +557,7 @@ fn extract_and_rescue(
         (candidates, RescueSummary::default())
     } else {
         let (out, rescued) = rescue_extracted(program, &candidates);
-        let mut candidates = rescued.unwrap_or(candidates);
-        if prescreen == Prescreen::Deferred {
-            for c in &mut candidates.candidates {
-                c.static_verdict = StaticVerdict::Clean;
-            }
-        }
+        let candidates = rescued.unwrap_or(candidates);
         let changed = !out.rescued.is_empty();
         let rescue = RescueSummary {
             rescued: out.rescued,
@@ -732,9 +716,9 @@ fn run_epoch(
 }
 
 /// The online schedule: repeated execution epochs of an incrementally
-/// patched image, hot-location promotion, deferred pre-screening, and
-/// windowed re-selection with hysteresis — then a finalization pass
-/// that completes the pre-screen, patches every remaining clean loop,
+/// patched image, hot-location promotion (revealing each loop's eager
+/// pre-screen verdict), and windowed re-selection with hysteresis —
+/// then a finalization pass that patches every remaining clean loop
 /// and runs one authoritative epoch whose numbers match the offline
 /// batch bit for bit.
 fn drive_online(
@@ -759,19 +743,15 @@ fn drive_online(
         tr.begin(t, "run");
     }
 
-    // extraction with the pre-screen deferred: candidate ids, nesting,
-    // and rejections are identical to the eager form; per-loop
-    // dependence analysis is paid only at promotion time. Rescue runs
-    // eagerly at startup: it rewrites loop bodies, and patching must
-    // target stable post-rescue loop ids (this also keeps online loop
-    // ids equal to offline ones)
-    let (mut candidates, rescue) =
-        extract_and_rescue(program, Prescreen::Deferred, cfg, &mut stages);
+    // extraction and rescue run at startup, exactly as in the batch:
+    // rescue rewrites loop bodies, and patching must target stable
+    // post-rescue loop ids (this also keeps online loop ids equal to
+    // offline ones). A candidate's verdict is revealed when its loop
+    // is promoted; re-selection may read every verdict and floor from
+    // the start, because it only weighs loops already profiled, and a
+    // profiled loop was promoted clean
+    let (candidates, rescue) = extract_and_rescue(program, cfg, &mut stages);
     let program: &Program = rescue.program_for(program);
-
-    // the same alias view the eager pre-screen would have used, so
-    // deferred verdicts are identical to eager ones
-    let pt = &candidates.pointsto;
     let params = cfg.tls.estimator_params();
     let masks = candidates.tracked_masks();
     let n = candidates.candidates.len();
@@ -793,11 +773,6 @@ fn drive_online(
         .iter()
         .map(|c| LoopState::new(u64::from(c.id.0)))
         .collect();
-    let mut screened: Vec<Option<StaticVerdict>> = vec![None; n];
-    // scev distance floors, accumulated alongside the deferred
-    // pre-screen; finalization completes the map so the authoritative
-    // selection sees exactly what the eager offline path computes
-    let mut floors: BTreeMap<LoopId, u32> = BTreeMap::new();
     let mut diagnostics: Vec<TierDiagnostic> = Vec::new();
     let mut dynamic_demoted: BTreeSet<LoopId> = BTreeSet::new();
     let mut window = SelectionWindow::new(tcfg.window);
@@ -808,6 +783,8 @@ fn drive_online(
     let mut last: Option<EpochRun> = None;
 
     let t = stages.begin("epochs");
+    // the scev distance floors, solved once for every clean loop
+    let floors = distance_floors(program, &candidates);
     loop {
         if let (Some(tr), Some(tt)) = (trace.as_deref(), ttrack) {
             tr.begin(tt, "epoch");
@@ -972,33 +949,17 @@ fn drive_online(
                 continue;
             }
 
-            // promotion: run the deferred pre-screen now, and patch
-            // the loop into the live image only if it comes back clean
+            // promotion: reveal the loop's pre-screen verdict, and patch
+            // the loop into the live image only if it is clean
             let id = LoopId(i as u32);
             registry.counter("tier.promotions").inc();
-            let verdict = match &screened[i] {
-                Some(v) => v.clone(),
-                None => {
-                    let c = &candidates.candidates[i];
-                    let fa = &candidates.functions[c.func.0 as usize];
-                    let view = pt.view(c.func);
-                    let (v, floor) =
-                        prescreen_candidate_with_distance(program, fa, c.loop_idx, Some(&view));
-                    if let Some(d) = floor {
-                        floors.insert(id, d);
-                    }
-                    screened[i] = Some(v.clone());
-                    v
-                }
-            };
-            candidates.candidates[i].static_verdict = verdict.clone();
-            match verdict {
+            match &candidates.candidates[i].static_verdict {
                 StaticVerdict::Demoted { reason } => {
                     registry.counter("tier.demotions_static").inc();
                     states[i].set_tier(
                         epoch,
                         LoopTier::Demoted {
-                            reason,
+                            reason: reason.clone(),
                             dynamic: false,
                         },
                     );
@@ -1049,32 +1010,15 @@ fn drive_online(
 
     // ---- finalization: drive every loop to a terminal tier ----
     //
-    // Complete the pre-screen (so the demotion set equals the eager,
-    // offline one), patch every remaining clean loop (so the image
-    // equals the offline profiling image), and run one authoritative
-    // epoch of the complete image. Everything downstream — profile,
+    // Patch every remaining clean loop (so the image equals the offline
+    // profiling image), and run one authoritative epoch of the complete
+    // image with every verdict known. Everything downstream — profile,
     // derived baseline, selection, actual TLS — is then bit-identical
     // to the offline batch.
     let t = stages.begin("annotate");
-    for (i, slot) in screened.iter_mut().enumerate() {
-        let verdict = match &*slot {
-            Some(v) => v.clone(),
-            None => {
-                let c = &candidates.candidates[i];
-                let fa = &candidates.functions[c.func.0 as usize];
-                let view = pt.view(c.func);
-                let (v, floor) =
-                    prescreen_candidate_with_distance(program, fa, c.loop_idx, Some(&view));
-                if let Some(d) = floor {
-                    floors.insert(LoopId(i as u32), d);
-                }
-                *slot = Some(v.clone());
-                v
-            }
-        };
-        candidates.candidates[i].static_verdict = verdict.clone();
-        if verdict == StaticVerdict::Clean && !patch.annotated().contains(&LoopId(i as u32)) {
-            patch.patch_loop(&candidates, LoopId(i as u32))?;
+    for c in &candidates.candidates {
+        if !c.is_demoted() && !patch.annotated().contains(&c.id) {
+            patch.patch_loop(&candidates, c.id)?;
             registry.counter("tier.patches").inc();
         }
     }
@@ -1258,10 +1202,17 @@ mod tests {
         assert_eq!(a.actual.baseline_cycles, b.actual.baseline_cycles);
         assert_eq!(a.actual.tls_cycles, b.actual.tls_cycles);
         assert_eq!(a.actual.per_loop, b.actual.per_loop);
+        let static_demoted: BTreeSet<LoopId> = online
+            .tiers
+            .loops
+            .iter()
+            .filter(|l| matches!(l.tier, LoopTier::Demoted { dynamic: false, .. }))
+            .map(|l| l.loop_id)
+            .collect();
         assert_eq!(
+            static_demoted,
             a.candidates.demoted_ids(),
-            b.candidates.demoted_ids(),
-            "completed deferred pre-screen must equal the eager one"
+            "online static demotions must equal the eager pre-screen's"
         );
         assert_eq!(
             online.tiers.selected_ids(),
@@ -1414,9 +1365,9 @@ mod tests {
             "static recurrence must demote at promotion, got {t:?}"
         );
         assert!(out.tiers.diagnostics.is_empty());
-        // the deferred screen was actually deferred: promotion happened
+        // the verdict was revealed at promotion, after the loop counted
         let s = &out.tiers.loops[0];
-        assert!(s.hot_count > 0, "the loop counted before being screened");
+        assert!(s.hot_count > 0, "the loop counted before being demoted");
     }
 
     #[test]

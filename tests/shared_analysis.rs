@@ -7,15 +7,21 @@
 //! then read them instead of solving again. Rescue starts from the
 //! caller's extraction and hands back the extraction of the program it
 //! rewrote. Each shared fact must equal what a fresh computation on
-//! the same program gives. This is checked on the 26 benchmarks at two
+//! the same program gives. The online tier reveals extraction's
+//! pre-screen verdicts as loops turn hot instead of screening again,
+//! so the loops it demotes statically must be exactly the ones
+//! extraction demoted. This is checked on the 26 benchmarks at two
 //! sizes and on a range of generated programs.
 
 use benchsuite::DataSize;
 use cfgir::scalar::classify;
 use cfgir::{
-    extract_candidates, extract_candidates_with, rescue_extracted, rescue_program, Dominators,
-    LocalGenKill, PointsTo, Prescreen, ReachingDefs, StaticVerdict,
+    extract_candidates, rescue_extracted, rescue_program, Dominators, LocalGenKill, PointsTo,
+    ReachingDefs,
 };
+use jrpm::tier::{run_tiered, LoopTier, TierConfig};
+use jrpm::PipelineConfig;
+use std::collections::BTreeSet;
 use tvm::Program;
 
 /// A `Debug` rendering with the solver's wall-clock time cut out: it is
@@ -63,20 +69,6 @@ fn check(name: &str, p: &Program) {
         "{name}: points-to"
     );
 
-    // the deferred form is the eager one with every verdict clean
-    let mut cleared = pc.clone();
-    for c in &mut cleared.candidates {
-        c.static_verdict = StaticVerdict::Clean;
-    }
-    assert_eq!(
-        without_wall_time(format!("{cleared:?}")),
-        without_wall_time(format!(
-            "{:?}",
-            extract_candidates_with(p, Prescreen::Deferred)
-        )),
-        "{name}: deferred extraction"
-    );
-
     let (out, rescued) = rescue_extracted(p, &pc);
     assert_eq!(
         format!("{out:?}"),
@@ -88,13 +80,30 @@ fn check(name: &str, p: &Program) {
         out.changed(),
         "{name}: rescued extraction"
     );
-    if let Some(after) = rescued {
+    if let Some(after) = &rescued {
         assert_eq!(
             without_wall_time(format!("{after:?}")),
             without_wall_time(format!("{:?}", extract_candidates(&out.program))),
             "{name}: extraction of the rescued program"
         );
     }
+
+    // the tier runs on the rescued program, so its loop ids are those
+    // of the rescued extraction
+    let online = run_tiered(p, &PipelineConfig::default(), &TierConfig::default())
+        .unwrap_or_else(|e| panic!("{name}: online tier: {e}"));
+    let static_demoted: BTreeSet<_> = online
+        .tiers
+        .loops
+        .iter()
+        .filter(|l| matches!(l.tier, LoopTier::Demoted { dynamic: false, .. }))
+        .map(|l| l.loop_id)
+        .collect();
+    assert_eq!(
+        static_demoted,
+        rescued.as_ref().unwrap_or(&pc).demoted_ids(),
+        "{name}: online static demotions"
+    );
 }
 
 #[test]

@@ -21,9 +21,7 @@
 //! Exit status is nonzero if any program fails verification.
 
 use benchsuite::DataSize;
-use cfgir::{
-    classify_loop_pairs, classify_loop_pairs_evo, extract_slices, scev, PairVerdict, StaticVerdict,
-};
+use cfgir::{classify_loop_pairs, classify_loop_pairs_evo, extract_slices, scev, PairVerdict};
 use jrpm::tier::{run_tiered, TierConfig};
 use jrpm::{annotate, AnnotateOptions, PipelineConfig};
 use jrpm_bench::diag::{explain, EXPLANATIONS};
@@ -133,10 +131,8 @@ fn main() {
 
         let mut loops: Vec<String> = Vec::new();
         for c in &cands.candidates {
-            let (verdict, reason) = match &c.static_verdict {
-                StaticVerdict::Clean => ("clean", String::new()),
-                StaticVerdict::Demoted { reason } => ("demoted", reason.clone()),
-            };
+            let verdict = if c.is_demoted() { "demoted" } else { "clean" };
+            let reason = c.static_verdict.reason();
             // PT001: pairs this loop's pre-screen proved disjoint only
             // thanks to points-to (the structural rules alone could not)
             let fa = &cands.functions[c.func.0 as usize];

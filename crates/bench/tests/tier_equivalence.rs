@@ -14,7 +14,7 @@
 //! interpreting again.)
 
 use benchsuite::{all, DataSize};
-use jrpm::pipeline::{PipelineConfig, PipelineReport};
+use jrpm::pipeline::{run_pipeline, PipelineConfig, PipelineReport};
 use jrpm::tier::{run_tiered, LoopTier, TierConfig};
 use jrpm::{annotate_mapped, AnnotateOptions};
 use std::collections::{BTreeMap, BTreeSet};
@@ -46,7 +46,7 @@ fn online_tier_controller_matches_offline_batch_on_every_benchmark() {
     let cfg = PipelineConfig::default();
     for bench in all() {
         let program = (bench.build)(DataSize::Small);
-        let offline = run_tiered(&program, &cfg, &TierConfig::immediate())
+        let offline = run_pipeline(&program, &cfg)
             .unwrap_or_else(|e| panic!("{}: offline run failed: {e:?}", bench.name));
         let online = run_tiered(&program, &cfg, &TierConfig::default())
             .unwrap_or_else(|e| panic!("{}: online run failed: {e:?}", bench.name));
@@ -56,7 +56,7 @@ fn online_tier_controller_matches_offline_batch_on_every_benchmark() {
             online.tiers.all_terminal(),
             "{name}: controller stopped with a non-terminal loop tier"
         );
-        let (a, b) = (&offline.report, &online.report);
+        let (a, b) = (&offline, &online.report);
         assert_eq!(
             a.seq_cycles, b.seq_cycles,
             "{name}: derived baseline differs"
@@ -173,10 +173,10 @@ fn an_epoch_is_a_pure_function_of_its_image() {
     for bench in all() {
         let name = bench.name;
         let original = (bench.build)(DataSize::Small);
-        let offline = run_tiered(&original, &cfg, &TierConfig::immediate())
+        let offline = run_pipeline(&original, &cfg)
             .unwrap_or_else(|e| panic!("{name}: offline run failed: {e:?}"));
-        let program = offline.report.rescue.program_for(&original);
-        let cands = &offline.report.candidates;
+        let program = offline.rescue.program_for(&original);
+        let cands = &offline.candidates;
         let (image, maps) = annotate_mapped(program, cands, &AnnotateOptions::profiling())
             .unwrap_or_else(|e| panic!("{name}: annotation failed: {e:?}"));
         let run = || {
@@ -213,9 +213,6 @@ fn an_epoch_is_a_pure_function_of_its_image() {
             "{name}: memory image differs"
         );
         // and the image is the one the offline batch profiled
-        assert_eq!(
-            p1, offline.report.profile,
-            "{name}: not the profiling image"
-        );
+        assert_eq!(p1, offline.profile, "{name}: not the profiling image");
     }
 }

@@ -14,13 +14,6 @@ pub fn lcg_step(f: &mut FnBuilder, x: Local) {
     f.ld(x).ci(LCG_A).imul().ci(LCG_C).iadd().st(x);
 }
 
-/// Emits code pushing a pseudo-random value in `[0, bound)` derived
-/// from local `x` (which is advanced). `bound` must be positive.
-pub fn lcg_bounded(f: &mut FnBuilder, x: Local, bound: i64) {
-    lcg_step(f, x);
-    f.ld(x).ci(33).iushr().ci(bound).irem();
-}
-
 /// Emits a mixing hash of the value on top of the stack (a cheap
 /// `splitmix`-style finalizer). Used to derive per-iteration seeds
 /// from loop counters, which keeps Monte-Carlo-style loops free of a

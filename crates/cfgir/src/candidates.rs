@@ -11,9 +11,11 @@
 //! of any program it rewrites) and the annotator in `jrpm`.
 //!
 //! The memory-dependence pre-screen has one mode: extraction screens
-//! every candidate and records its [`StaticVerdict`]. The online tier
-//! in `jrpm` keeps these verdicts and reveals each one when its loop
-//! turns hot; screening a loop again on promotion would solve the same
+//! every candidate and records its [`StaticVerdict`]; a demoted
+//! verdict carries the dependences it proved, which rescue reads
+//! instead of solving them again. The online tier in `jrpm` keeps
+//! these verdicts and reveals each one when its loop turns hot;
+//! screening a loop again on promotion would solve the same
 //! dependences twice. The rescue legality checker
 //! ([`crate::rescue::verify`]) is the exception: it re-derives every
 //! fact itself, because its independence from the matcher is the
@@ -23,7 +25,7 @@ use crate::cfg::Cfg;
 use crate::dataflow::{LocalGenKill, ReachingDefs};
 use crate::dom::Dominators;
 use crate::loops::LoopForest;
-use crate::memdep::{analyze_loop, classify_loop_pairs_evo};
+use crate::memdep::{analyze_loop, classify_loop_pairs_evo, GuaranteedDep};
 use crate::pointsto::PointsTo;
 use crate::scalar::{classify_with, LocalClasses};
 use crate::scev;
@@ -78,9 +80,28 @@ pub enum StaticVerdict {
     /// id (annotation filters may still select it explicitly) but the
     /// pipeline skips tracing it by default.
     Demoted {
-        /// Why tracing this loop would be wasted effort.
-        reason: String,
+        /// The proven dependences, as [`analyze_loop`] found them (never
+        /// empty). Rescue reads them instead of solving again.
+        deps: Vec<GuaranteedDep>,
     },
+}
+
+impl StaticVerdict {
+    /// The proven dependences (empty for a clean loop).
+    pub fn deps(&self) -> &[GuaranteedDep] {
+        match self {
+            StaticVerdict::Clean => &[],
+            StaticVerdict::Demoted { deps } => deps,
+        }
+    }
+
+    /// Why tracing this loop would be wasted effort: its first proven
+    /// dependence, in words (empty for a clean loop).
+    pub fn reason(&self) -> String {
+        self.deps()
+            .first()
+            .map_or_else(String::new, GuaranteedDep::reason)
+    }
 }
 
 /// One candidate speculative thread loop.
@@ -326,9 +347,10 @@ pub fn extract_candidates(program: &Program) -> ProgramCandidates {
             // cross-iteration RAW means tracing cannot find
             // parallelism, so demote (but keep the id dense)
             let deps = analyze_loop(program, f, &cfg, &dom, l, Some(&view));
-            let static_verdict = match deps.first() {
-                None => StaticVerdict::Clean,
-                Some(d) => StaticVerdict::Demoted { reason: d.reason() },
+            let static_verdict = if deps.is_empty() {
+                StaticVerdict::Clean
+            } else {
+                StaticVerdict::Demoted { deps }
             };
             let id = LoopId(candidates.len() as u32);
             loop_to_candidate[li] = Some(id);
@@ -488,10 +510,7 @@ mod tests {
         let demoted = c.demoted_ids();
         assert_eq!(demoted.len(), 1);
         let d = c.candidate(*demoted.iter().next().unwrap());
-        assert!(matches!(
-            &d.static_verdict,
-            StaticVerdict::Demoted { reason } if reason.contains("static")
-        ));
+        assert!(d.is_demoted() && d.static_verdict.reason().contains("static"));
     }
 
     /// `a[i] = a[i + load_off]`, the whole body guarded by `i < 32`.

@@ -44,7 +44,7 @@ use crate::candidates::{extract_candidates, ProgramCandidates};
 use crate::cfg::{BlockId, Cfg};
 use crate::dom::Dominators;
 use crate::loops::NaturalLoop;
-use crate::memdep::{analyze_loop, DepKind, GuaranteedDep};
+use crate::memdep::{DepKind, GuaranteedDep};
 use crate::pointsto::FnView;
 use rewrite::{apply_loop_rewrite, LoopRewrite};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -700,7 +700,8 @@ pub fn rescue_program(program: &Program) -> RescueOutcome {
 
 /// [`rescue_program`] starting from `cands`, which must be the
 /// extraction of `program`: round 0 reads its per-function analyses,
-/// verdicts and points-to solve instead of solving them again.
+/// verdicts (with each demoted loop's proven dependences) and points-to
+/// solve instead of solving them again.
 /// Alongside the outcome comes the extraction of
 /// [`RescueOutcome::program`] when a rewrite was applied; when none
 /// was, `cands` still describes that program.
@@ -742,7 +743,9 @@ pub fn rescue_extracted(
             let invariant = invariant_locals(f, &fa.cfg, lp);
             let sites =
                 collect_accesses(&cur, f, &fa.cfg, lp, &inductors, &invariant, &store_effects);
-            let deps = analyze_loop(&cur, f, &fa.cfg, &fa.dom, lp, Some(&view));
+            // `cands` is the extraction of `cur`, so its verdict holds
+            // the very dependences a fresh solve would find
+            let deps = c.static_verdict.deps();
             let ctx = LoopCtx {
                 program: &cur,
                 func: c.func,
@@ -756,7 +759,7 @@ pub fn rescue_extracted(
             };
 
             let mut any_diag = false;
-            for dep in &deps {
+            for dep in deps {
                 match try_reduction(&ctx, dep) {
                     TryResult::NotApplicable => {}
                     TryResult::Rejected { reason, witness } => {

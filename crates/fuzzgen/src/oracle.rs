@@ -427,10 +427,7 @@ fn check_tiers(program: &Program) -> Result<(), Failure> {
     let mut sink = tvm::NullSink;
     let plain = Interp::run_to_state(program, &mut sink, CostModel::default(), FUZZ_FUEL)
         .map_err(|e| fail("tier-state", format!("plain run failed: {e}")))?;
-    let fin = online
-        .final_state
-        .as_ref()
-        .ok_or_else(|| fail("tier-state", "online run produced no final state"))?;
+    let fin = &online.final_state;
     if format!("{:?}", fin.result.ret) != format!("{:?}", plain.result.ret) {
         return Err(fail(
             "tier-state",

@@ -36,6 +36,5 @@ pub use pipeline::{
 };
 pub use slowdown::{profile_slowdown, software_comparison, SlowdownReport, SoftwareComparison};
 pub use tier::{
-    run_tiered, LoopTier, LoopTierSummary, TierConfig, TierDiagnostic, TierReport, TierSchedule,
-    TieredOutcome,
+    run_tiered, LoopTier, LoopTierSummary, TierConfig, TierDiagnostic, TierReport, TieredOutcome,
 };

@@ -20,6 +20,13 @@
 //! annotated program, so it cannot share the profiling stream without
 //! changing timestamps).
 //!
+//! [`run_pipeline`] is the one straight-line batch: extract and rescue,
+//! annotate once for profiling, then a tail it shares with the online
+//! tier ([`crate::tier::run_tiered`]): the profiling pass, selection,
+//! collection and simulation, and the report. The tier opens its run
+//! the same way and ends in the same tail, so both book the same
+//! stages and produce the same numbers through one implementation.
+//!
 //! The collection pass streams as well: each loop entry is simulated
 //! on Hydra as soon as the collector closes it, and its trace is
 //! dropped, so the pass holds at most one finished entry. Its wall
@@ -39,18 +46,22 @@
 //! shows is also present in the exported metrics.
 
 use crate::annotate::{annotate, AnnotateOptions};
-use cfgir::{ProgramCandidates, RescueRejection, RescuedLoop};
+use cfgir::{
+    distance_floors, extract_candidates, rescue_extracted, ProgramCandidates, RescueRejection,
+    RescuedLoop,
+};
 use hydra_sim::{simulate_entry, TlsConfig, TlsTraceCollector};
 use obs::{Registry, Snapshot, Telemetry, Trace as ObsTrace, TrackId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Instant;
-use test_tracer::{Profile, SelectionResult, TracerConfig};
-use tvm::bus::{BusReport, EventKind, KindCounts, SinkStats};
-use tvm::interp::AnnotationCycles;
+use test_tracer::{select_with_distances, Profile, SelectionResult, TestTracer, TracerConfig};
+use tvm::bus::{BusReport, EventKind, KindCounts, SinkStats, TraceBus};
+use tvm::interp::{AnnotationCycles, FinalState, RunResult};
 use tvm::isa::{LoopId, Pc};
 use tvm::program::Program;
 use tvm::trace::{Addr, Cycles, TraceSink};
-use tvm::{Interp, VmError};
+use tvm::{Interp, NoHook, VmError, DEFAULT_BATCH_CAPACITY};
 
 /// Span/trace emission parameters for a pipeline run. Registry
 /// counters are always collected (they cost a handful of atomic adds
@@ -130,7 +141,8 @@ pub struct StageTime {
 pub struct PipelineObservability {
     /// Per-stage wall times, in execution order.
     pub stages: Vec<StageTime>,
-    /// Interpreter executions performed (at most 2).
+    /// Interpreter executions performed (at most 2 in the batch; the
+    /// online tier adds one per interpreted epoch).
     pub interpreter_passes: u32,
     /// Trace events that crossed the bus in the profiling stage.
     pub recorded_events: u64,
@@ -239,19 +251,43 @@ impl PipelineObservability {
     }
 }
 
-/// Stage bookkeeping: one registry counter per stage (sequence-
-/// numbered so snapshots preserve execution order) plus, when tracing,
-/// a span on the `pipeline` wall track. Shared with the tier
-/// controller (`crate::tier`), which drives the same stages per-loop.
-pub(crate) struct StageRecorder<'a> {
-    pub(crate) registry: &'a Registry,
-    pub(crate) trace: Option<(&'a ObsTrace, TrackId)>,
-    pub(crate) seq: u32,
+/// Stage bookkeeping of one run: its telemetry, one registry counter
+/// per stage (sequence-numbered so snapshots preserve execution order)
+/// and, when the run is traced, a span on the `pipeline` wall track.
+pub(crate) struct StageRecorder {
+    pub(crate) telemetry: Telemetry,
+    /// The `pipeline` track; `Some` exactly when the run is traced.
+    track: Option<TrackId>,
+    seq: u32,
 }
 
-impl StageRecorder<'_> {
+impl StageRecorder {
+    /// Fresh telemetry, with the `pipeline` track when `traced`.
+    pub(crate) fn new(traced: bool) -> StageRecorder {
+        let telemetry = Telemetry::new();
+        let track = traced.then(|| telemetry.trace.track("pipeline"));
+        StageRecorder {
+            telemetry,
+            track,
+            seq: 0,
+        }
+    }
+
+    pub(crate) fn registry(&self) -> &Registry {
+        &self.telemetry.registry
+    }
+
+    /// The run's span trace, when the run is traced.
+    pub(crate) fn trace(&self) -> Option<&Arc<ObsTrace>> {
+        self.track.map(|_| &self.telemetry.trace)
+    }
+
+    fn span(&self) -> Option<(&ObsTrace, TrackId)> {
+        self.track.map(|t| (&*self.telemetry.trace, t))
+    }
+
     pub(crate) fn begin(&self, name: &str) -> Instant {
-        if let Some((tr, t)) = self.trace {
+        if let Some((tr, t)) = self.span() {
             tr.begin(t, name);
         }
         Instant::now()
@@ -259,7 +295,7 @@ impl StageRecorder<'_> {
 
     pub(crate) fn end(&mut self, name: &str, started: Instant) {
         self.count(name, started.elapsed().as_nanos() as u64);
-        if let Some((tr, t)) = self.trace {
+        if let Some((tr, t)) = self.span() {
             tr.end(t, name);
         }
     }
@@ -282,14 +318,15 @@ impl StageRecorder<'_> {
         let wall = started.elapsed().as_nanos() as u64;
         self.count(name, wall.saturating_sub(inner_nanos));
         self.count(inner, inner_nanos);
-        if let Some((tr, t)) = self.trace {
+        if let Some((tr, t)) = self.span() {
             tr.end(t, name);
         }
         wall
     }
 
     fn count(&mut self, name: &str, nanos: u64) {
-        self.registry
+        self.telemetry
+            .registry
             .counter(&format!("pipeline.stage.{:02}.{name}", self.seq))
             .add(nanos);
         self.seq += 1;
@@ -480,28 +517,277 @@ impl PipelineReport {
 /// Any [`VmError`] from the two executions (profiling,
 /// trace-collection).
 pub fn run_pipeline(program: &Program, cfg: &PipelineConfig) -> Result<PipelineReport, VmError> {
-    crate::tier::run_tiered(program, cfg, &crate::tier::TierConfig::immediate()).map(|o| o.report)
+    // 1.–1b. identify candidate STLs and rescue demoted loops
+    let mut run = PipelineRun::start(program, cfg);
+
+    // 2. annotate every candidate for profiling (loops the static
+    //    pre-screen demoted are left unannotated, so the tracer
+    //    spends no banks on them)
+    let t = run.stages.begin("annotate");
+    let annotated = annotate(
+        run.program(),
+        &run.candidates,
+        &AnnotateOptions::profiling(),
+    )?;
+    run.stages.end("annotate", t);
+
+    // 3. interpret the annotated program ONCE — execution pass 1 —
+    //    streaming its events into TEST over the bus, one batch at a
+    //    time
+    let (state, profile) = run.profile(&annotated, None)?;
+
+    // 4. select decompositions, solving the distance floors in the
+    //    stage; 5.–6. collect TLS traces for the chosen loops and
+    //    simulate them
+    let selection = run.select(&profile, state.result.cycles, &BTreeSet::new(), None);
+    run.finish(state.result, profile, selection)
+}
+
+/// One pipeline run from its start to its report, shared by the batch
+/// ([`run_pipeline`]) and the online tier ([`crate::tier::run_tiered`]).
+/// Both open it alike — telemetry, then extraction and rescue — and end
+/// it alike: [`PipelineRun::profile`] over the full profiling image,
+/// [`PipelineRun::select`], then [`PipelineRun::finish`]. What lies
+/// between is the driver's own: one-shot annotation, or the tier's
+/// epochs and incremental patches.
+pub(crate) struct PipelineRun<'a> {
+    cfg: &'a PipelineConfig,
+    original: &'a Program,
+    pub(crate) stages: StageRecorder,
+    /// Candidates of the post-rescue program.
+    pub(crate) candidates: ProgramCandidates,
+    rescue: RescueSummary,
+}
+
+impl<'a> PipelineRun<'a> {
+    /// Opens the run's telemetry (and its `run` span when traced), then
+    /// runs stages 1 and 1b: extract the candidate STLs with their
+    /// pre-screen verdicts, and try to rescue the demoted loops whose
+    /// recurrence is a reduction (a delta-rewrite into private partial
+    /// sums). Every applied rewrite carries a legality proof re-checked
+    /// by the independent verifier. Rescue starts from this extraction
+    /// and hands back the one of any program it rewrites, so no
+    /// program is extracted twice.
+    ///
+    /// The whole-program points-to solve that sharpens the pre-screen
+    /// runs inside `extract`, and its statistics ride along as
+    /// `pointsto.*` counters (so the committed obs baseline keeps its
+    /// stage list); the rescue outcome is counted as `rescue.applied`
+    /// and `rescue.rejections`.
+    pub(crate) fn start(original: &'a Program, cfg: &'a PipelineConfig) -> PipelineRun<'a> {
+        let mut stages = StageRecorder::new(cfg.obs.trace);
+        let registry = Arc::clone(&stages.telemetry.registry);
+        registry
+            .counter("pipeline.batch_capacity")
+            .record_max(DEFAULT_BATCH_CAPACITY as u64);
+        if let Some((tr, t)) = stages.span() {
+            tr.begin(t, "run");
+        }
+
+        let t = stages.begin("extract");
+        let candidates = extract_candidates(original);
+        stages.end("extract", t);
+        let ps = candidates.pointsto.stats();
+        for (name, v) in [
+            ("pointsto.abstract_objects", ps.abstract_objects as u64),
+            ("pointsto.variables", ps.variables as u64),
+            ("pointsto.constraint_edges", ps.constraint_edges as u64),
+            ("pointsto.iterations", ps.iterations as u64),
+            ("pointsto.wall_nanos", ps.wall_nanos),
+        ] {
+            registry.counter(name).add(v);
+            if let Some((tr, track)) = stages.span() {
+                tr.counter(track, name, v);
+            }
+        }
+
+        let t = stages.begin("rescue");
+        let (candidates, rescue) = if cfg.no_rescue {
+            (candidates, RescueSummary::default())
+        } else {
+            let (out, rescued) = rescue_extracted(original, &candidates);
+            let candidates = rescued.unwrap_or(candidates);
+            let changed = !out.rescued.is_empty();
+            let rescue = RescueSummary {
+                rescued: out.rescued,
+                rejected: out.rejected,
+                program: changed.then_some(out.program),
+            };
+            (candidates, rescue)
+        };
+        stages.end("rescue", t);
+        registry
+            .counter("rescue.applied")
+            .add(rescue.rescued.len() as u64);
+        registry
+            .counter("rescue.rejections")
+            .add(rescue.rejected.len() as u64);
+        PipelineRun {
+            cfg,
+            original,
+            stages,
+            candidates,
+            rescue,
+        }
+    }
+
+    /// The program everything after rescue reads.
+    pub(crate) fn program(&self) -> &Program {
+        self.rescue.program_for(self.original)
+    }
+
+    /// The profiling pass: one run of `image` streamed into a fresh TEST
+    /// tracer (with its spans and series when the run is traced), timed
+    /// as the `record` and `replay-profile` stages, with the bus and
+    /// tracer counters recorded.
+    ///
+    /// `held` is an online epoch that already ran this very image
+    /// through the same tracer configuration: its bits are taken instead
+    /// of interpreting again. Its (near-zero) wall time is booked as
+    /// `record`, with 0 as `replay-profile` and as every sink's
+    /// `drain_nanos`, so the sinks' drain work stays booked once, under
+    /// `epochs`, and `replay-profile` still equals the summed drains.
+    pub(crate) fn profile(
+        &mut self,
+        image: &Program,
+        held: Option<TracedRun>,
+    ) -> Result<(FinalState, Profile), VmError> {
+        let stages = &mut self.stages;
+        let registry = Arc::clone(&stages.telemetry.registry);
+        let run = match held {
+            Some(mut run) => {
+                registry.counter("tier.reused_epochs").inc();
+                let t = stages.begin("record");
+                for sink in &mut run.report.sinks {
+                    sink.drain_nanos = 0;
+                }
+                stages.end_streamed(t, &run.report);
+                run
+            }
+            None => {
+                registry.counter("pipeline.interpreter_passes").inc();
+                let trace = stages.trace().cloned();
+                let mut tracer =
+                    TestTracer::with_masks(self.cfg.tracer, self.candidates.tracked_masks());
+                if let Some(tr) = &trace {
+                    tracer.set_obs(Arc::clone(tr), self.cfg.obs.sample_every);
+                }
+                let t = stages.begin("record");
+                let mut bus = TraceBus::new().sink("test-tracer", &mut tracer);
+                if let Some(tr) = trace {
+                    bus = bus.observe(tr);
+                }
+                let (state, report) = bus.run(image, &mut NoHook)?;
+                stages.end_streamed(t, &report);
+                TracedRun {
+                    profile: tracer.into_profile(),
+                    state,
+                    report,
+                }
+            }
+        };
+        record_bus_report(&registry, &run.report);
+        record_tracer_profile(&registry, &run.profile);
+        Ok((run.state, run.profile))
+    }
+
+    /// Stage 4, `select`: Equations 1 and 2 over `profile`, from a run
+    /// of `profile_cycles`, with the static verdicts and the `dynamic`
+    /// demotions as priors and scev distance floors bounding the
+    /// speculative overlap of proven RAW chains. `floors` are floors
+    /// the caller solved already; `None` solves them here, in the stage.
+    pub(crate) fn select(
+        &mut self,
+        profile: &Profile,
+        profile_cycles: u64,
+        dynamic: &BTreeSet<LoopId>,
+        floors: Option<&BTreeMap<LoopId, u32>>,
+    ) -> SelectionResult {
+        let t = self.stages.begin("select");
+        let solved;
+        let floors = match floors {
+            Some(floors) => floors,
+            None => {
+                solved = distance_floors(self.program(), &self.candidates);
+                &solved
+            }
+        };
+        let mut priors = self.candidates.demoted_ids();
+        priors.extend(dynamic.iter().copied());
+        let selection = select_with_distances(
+            profile,
+            &self.cfg.tls.estimator_params(),
+            profile_cycles,
+            &priors,
+            floors,
+        );
+        self.stages.end("select", t);
+        selection
+    }
+
+    /// Stages 5–6 and the report: collect and simulate the chosen loops,
+    /// close the run, and assemble its report. The plain sequential
+    /// baseline is derived exactly from `prof_run`: the annotation pass
+    /// only inserts annotation instructions, and the interpreter tallies
+    /// their cycles separately while charging them.
+    pub(crate) fn finish(
+        mut self,
+        prof_run: RunResult,
+        profile: Profile,
+        selection: SelectionResult,
+    ) -> Result<PipelineReport, VmError> {
+        let seq_cycles = prof_run.cycles - prof_run.annotation_cycles.total();
+        let actual = collect_and_simulate(
+            self.rescue.program_for(self.original),
+            &self.candidates,
+            selection.chosen.iter().map(|c| c.loop_id).collect(),
+            seq_cycles,
+            self.cfg,
+            &mut self.stages,
+        )?;
+        if let Some((tr, t)) = self.stages.span() {
+            tr.end(t, "run");
+        }
+        let telemetry = self.stages.telemetry;
+        let obs = PipelineObservability::from_snapshot(&telemetry.registry.snapshot());
+        Ok(PipelineReport {
+            seq_cycles,
+            profile_cycles: prof_run.cycles,
+            annotation: prof_run.annotation_cycles,
+            candidates: self.candidates,
+            rescue: self.rescue,
+            profile,
+            selection,
+            actual,
+            obs,
+            telemetry,
+        })
+    }
+}
+
+/// A run streamed into a fresh tracer: everything the profiling pass
+/// reads back.
+pub(crate) struct TracedRun {
+    pub(crate) profile: Profile,
+    pub(crate) state: FinalState,
+    pub(crate) report: BusReport,
 }
 
 /// Stages 5–6: recompile only the selected loops, collect TLS traces
 /// (one more interpreter pass), and simulate each entry on Hydra.
-/// Shared by the offline batch and the tier controller's finalization
-/// — both converge on the same selected set, so both produce identical
-/// actual-TLS numbers through this single implementation.
 ///
 /// The pass streams: each loop entry is simulated as soon as the
 /// collector closes it, and its trace is dropped, so at most one
 /// finished [`hydra_sim::EntryTrace`] is alive at a time. One `collect`
 /// span covers the pass; its wall time splits into `simulate` (the
 /// summed [`simulate_entry`] time) and `collect` (the rest).
-pub(crate) fn collect_and_simulate(
+fn collect_and_simulate(
     program: &Program,
     candidates: &ProgramCandidates,
     chosen: Vec<LoopId>,
     seq_cycles: u64,
     cfg: &PipelineConfig,
-    registry: &Registry,
-    stages: &mut StageRecorder<'_>,
+    stages: &mut StageRecorder,
 ) -> Result<ActualTls, VmError> {
     if chosen.is_empty() {
         return Ok(ActualTls {
@@ -519,7 +805,10 @@ pub(crate) fn collect_and_simulate(
         TlsTraceCollector::with_masks(chosen, candidates.tracked_masks()),
         &cfg.tls,
     );
-    registry.counter("pipeline.interpreter_passes").inc();
+    stages
+        .registry()
+        .counter("pipeline.interpreter_passes")
+        .inc();
     let spec_run = Interp::run(&spec, &mut sink)?;
     stages.end_split(t, "collect", "simulate", sink.sim_nanos);
     Ok(sink.finish(spec_run.cycles))
@@ -835,12 +1124,7 @@ mod tests {
     #[test]
     fn streamed_pass_splits_its_wall_time_between_record_and_replay_profile() {
         let p = parallel_program(100);
-        let registry = Registry::new();
-        let mut stages = StageRecorder {
-            registry: &registry,
-            trace: None,
-            seq: 0,
-        };
+        let mut stages = StageRecorder::new(false);
         let mut sink = CountingSink::default();
         let t = stages.begin("record");
         let (_, report) = TraceBus::new()
@@ -848,7 +1132,7 @@ mod tests {
             .run(&p, &mut NoHook)
             .unwrap();
         let wall = stages.end_streamed(t, &report);
-        let obs = PipelineObservability::from_snapshot(&registry.snapshot());
+        let obs = PipelineObservability::from_snapshot(&stages.registry().snapshot());
         let names: Vec<&str> = obs.stages.iter().map(|s| s.stage.as_str()).collect();
         assert_eq!(names, ["record", "replay-profile"]);
         assert_eq!(
@@ -996,12 +1280,7 @@ mod tests {
         let r = run_pipeline(&p, &cfg).unwrap();
         let chosen = chosen_ids(&r);
         let spec = annotate(&p, &r.candidates, &AnnotateOptions::only(chosen.clone())).unwrap();
-        let registry = Registry::new();
-        let mut stages = StageRecorder {
-            registry: &registry,
-            trace: None,
-            seq: 0,
-        };
+        let mut stages = StageRecorder::new(false);
         let mut sink = SimulatingSink::new(
             TlsTraceCollector::with_masks(chosen, r.candidates.tracked_masks()),
             &cfg.tls,
@@ -1009,7 +1288,7 @@ mod tests {
         let t = stages.begin("collect");
         Interp::run(&spec, &mut sink).unwrap();
         let wall = stages.end_split(t, "collect", "simulate", sink.sim_nanos);
-        let obs = PipelineObservability::from_snapshot(&registry.snapshot());
+        let obs = PipelineObservability::from_snapshot(&stages.registry().snapshot());
         let names: Vec<&str> = obs.stages.iter().map(|s| s.stage.as_str()).collect();
         assert_eq!(names, ["collect", "simulate"]);
         assert_eq!(

@@ -4,10 +4,10 @@
 use crate::annotate::{annotate, AnnotateOptions};
 use cfgir::ProgramCandidates;
 use test_tracer::{SoftwareTracer, TestTracer, TracerConfig};
-use tvm::bus::Tee;
-use tvm::interp::AnnotationCycles;
+use tvm::bus::TraceBus;
+use tvm::interp::{AnnotationCycles, FinalState};
 use tvm::program::Program;
-use tvm::{Interp, VmError};
+use tvm::{Interp, NoHook, VmError};
 
 /// Slowdown of one annotation mode, with the component breakdown of
 /// Figure 6's stacked bars.
@@ -104,10 +104,10 @@ pub struct SoftwareComparison {
 /// software oracle and compares costs and findings.
 ///
 /// One interpretation serves both consumers: the annotated program
-/// runs once with a [`Tee`] fanning the event stream out to the
-/// hardware model and the oracle (both observe exactly the stream a
-/// dedicated run would have fed them), and the plain baseline is
-/// derived from the separately tallied annotation cycles.
+/// runs once on a [`TraceBus`] with the hardware model and the oracle
+/// as its two sinks (both observe exactly the stream a dedicated run
+/// would have fed them), and the plain baseline is derived from the
+/// separately tallied annotation cycles.
 ///
 /// # Errors
 ///
@@ -120,10 +120,10 @@ pub fn software_comparison(
 
     let mut hw = TestTracer::with_masks(TracerConfig::default(), cands.tracked_masks());
     let mut sw = SoftwareTracer::with_masks(cands.tracked_masks());
-    let run = {
-        let mut tee = Tee::new().sink(&mut hw).sink(&mut sw);
-        Interp::run(&ann, &mut tee)?
-    };
+    let (FinalState { result: run, .. }, _) = TraceBus::new()
+        .sink("test-tracer", &mut hw)
+        .sink("software", &mut sw)
+        .run(&ann, &mut NoHook)?;
     let seq_cycles = run.cycles - run.annotation_cycles.total();
     let hw_profile = hw.into_profile();
     let sw_cost = sw.modeled_cost();

@@ -61,47 +61,33 @@
 //! invariant) and that equals the offline profiling image, the final
 //! epoch's profile, derived sequential baseline, selection, and
 //! actual-TLS numbers are bit-identical to the offline batch — the
-//! property the `tier_equivalence` suite pins across every benchmark. [`run_pipeline`](crate::pipeline::run_pipeline) itself
-//! is now a thin wrapper over [`run_tiered`] with
-//! [`TierConfig::immediate`].
+//! property the `tier_equivalence` suite pins across every benchmark.
+//!
+//! **One chain, two drivers.** The controller is not a schedule the
+//! batch runs through: [`run_pipeline`](crate::pipeline::run_pipeline)
+//! is its own straight-line driver, which annotates the whole program
+//! once. [`run_tiered`] opens its run exactly as the batch does
+//! (extraction and rescue), drives its epochs, and ends in the batch's
+//! tail (profiling pass, selection, collect + simulate, report). Its
+//! one extra step is the terminal tier commit between selection and
+//! collection.
 
-use crate::annotate::{AnnotateOptions, PatchState};
-use crate::pipeline::{
-    collect_and_simulate, record_bus_report, record_tracer_profile, PipelineConfig,
-    PipelineObservability, PipelineReport, RescueSummary, StageRecorder,
-};
-use cfgir::{
-    distance_floors, extract_candidates, rescue_extracted, ProgramCandidates, StaticVerdict,
-};
-use obs::{Telemetry, Trace as ObsTrace};
+use crate::annotate::PatchState;
+use crate::pipeline::{PipelineConfig, PipelineReport, PipelineRun, TracedRun};
+use cfgir::distance_floors;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use test_tracer::{select_with_distances, Profile, SelectionWindow, TestTracer};
-use tvm::bus::{BusReport, TraceBus};
+use test_tracer::{SelectionWindow, TestTracer};
+use tvm::bus::TraceBus;
 use tvm::interp::FinalState;
 use tvm::isa::LoopId;
 use tvm::program::Program;
-use tvm::{CostModel, HotLocations, Interp, NoHook, NullSink, VmError, DEFAULT_BATCH_CAPACITY};
-
-/// How the tier controller schedules promotion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TierSchedule {
-    /// Promote every candidate at once and run the classic two-pass
-    /// offline batch. Stage structure, counters, and results are those
-    /// of the original `run_pipeline` — this is what `run_pipeline`
-    /// delegates to.
-    Immediate,
-    /// Drive loops through the counting/tracing/profiled tiers across
-    /// repeated execution epochs, promoting on hot-location evidence.
-    Online,
-}
+use tvm::{CostModel, HotLocations, Interp, NullSink, VmError};
 
 /// Tier-controller thresholds (see DESIGN.md §14 for the rationale
 /// behind each default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierConfig {
-    /// Promotion schedule.
-    pub schedule: TierSchedule,
     /// Cumulative header-execution count that promotes a Counting loop.
     pub hot_threshold: u64,
     /// Epochs a loop may sit in Counting before it is force-promoted
@@ -125,7 +111,6 @@ pub struct TierConfig {
 impl Default for TierConfig {
     fn default() -> TierConfig {
         TierConfig {
-            schedule: TierSchedule::Online,
             hot_threshold: 256,
             counting_epoch_budget: 2,
             trace_budget: 3,
@@ -133,16 +118,6 @@ impl Default for TierConfig {
             flap_limit: 3,
             window: 4,
             max_epochs: 32,
-        }
-    }
-}
-
-impl TierConfig {
-    /// The offline batch as a degenerate schedule.
-    pub fn immediate() -> TierConfig {
-        TierConfig {
-            schedule: TierSchedule::Immediate,
-            ..TierConfig::default()
         }
     }
 }
@@ -244,9 +219,7 @@ pub struct LoopTierSummary {
 /// What the tier controller did, alongside the pipeline's numbers.
 #[derive(Debug, Clone)]
 pub struct TierReport {
-    /// The schedule that ran.
-    pub schedule: TierSchedule,
-    /// Execution epochs driven (1 for Immediate).
+    /// Execution epochs driven, the finalization epoch included.
     pub epochs: u32,
     /// Epochs that ran with *no* loop annotated (pure counting tier).
     pub counting_epochs: u32,
@@ -289,10 +262,9 @@ pub struct TieredOutcome {
     pub report: PipelineReport,
     /// Tier-controller history.
     pub tiers: TierReport,
-    /// Final program state of the last online epoch (`None` for
-    /// Immediate). Lets oracles check online execution changed nothing
-    /// observable.
-    pub final_state: Option<FinalState>,
+    /// Final program state of the authoritative epoch. Lets oracles
+    /// check online execution changed nothing observable.
+    pub final_state: FinalState,
 }
 
 /// Internal per-loop controller state.
@@ -341,12 +313,13 @@ impl LoopState {
     }
 }
 
-/// Runs the Jrpm pipeline under the tier controller.
-///
-/// With [`TierSchedule::Immediate`] this *is* the offline batch; with
-/// [`TierSchedule::Online`] loops are promoted on hot-location
-/// evidence across repeated execution epochs and the controller drives
-/// every loop to a terminal tier before producing the report.
+/// Runs the Jrpm pipeline under the tier controller: loops are
+/// promoted on hot-location evidence across repeated execution epochs
+/// (revealing each loop's eager pre-screen verdict), re-selected over a
+/// windowed profile with hysteresis, and driven to a terminal tier. The
+/// run then ends exactly as the offline batch does, with one
+/// authoritative epoch of the complete image whose numbers match the
+/// batch bit for bit.
 ///
 /// # Errors
 ///
@@ -354,395 +327,8 @@ impl LoopState {
 pub fn run_tiered(
     program: &Program,
     cfg: &PipelineConfig,
-    tier: &TierConfig,
-) -> Result<TieredOutcome, VmError> {
-    match tier.schedule {
-        TierSchedule::Immediate => drive_immediate(program, cfg),
-        TierSchedule::Online => drive_online(program, cfg, tier),
-    }
-}
-
-/// The classic offline batch, expressed as the degenerate schedule:
-/// every candidate is promoted at once, one profiling epoch runs, and
-/// selection is final. Stage names, counters, and the two-pass
-/// structure are exactly the historical `run_pipeline` behaviour (the
-/// committed observability baseline pins them).
-fn drive_immediate(program: &Program, cfg: &PipelineConfig) -> Result<TieredOutcome, VmError> {
-    let telemetry = Telemetry::new();
-    let registry = Arc::clone(&telemetry.registry);
-    registry
-        .counter("pipeline.batch_capacity")
-        .record_max(DEFAULT_BATCH_CAPACITY as u64);
-    let trace = cfg.obs.trace.then(|| Arc::clone(&telemetry.trace));
-    let ptrack = trace.as_ref().map(|tr| tr.track("pipeline"));
-    let mut stages = StageRecorder {
-        registry: &registry,
-        trace: trace.as_deref().zip(ptrack),
-        seq: 0,
-    };
-    if let Some((tr, t)) = stages.trace {
-        tr.begin(t, "run");
-    }
-
-    // 1.–1b. identify candidate STLs and rescue demoted loops
-    let (candidates, rescue) = extract_and_rescue(program, cfg, &mut stages);
-    let program: &Program = rescue.program_for(program);
-
-    // 2. annotate every candidate for profiling (loops the static
-    //    pre-screen demoted are left unannotated, so the tracer
-    //    spends no banks on them)
-    let t = stages.begin("annotate");
-    let annotated = crate::annotate::annotate(program, &candidates, &AnnotateOptions::profiling())?;
-    stages.end("annotate", t);
-
-    // 3. interpret the annotated program ONCE — execution pass 1 —
-    //    streaming its events into TEST over the bus, one batch at a
-    //    time.
-    let (
-        FinalState {
-            result: prof_run, ..
-        },
-        profile,
-    ) = profile_pass(
-        &annotated,
-        candidates.tracked_masks(),
-        cfg,
-        trace.as_ref(),
-        &mut stages,
-        None,
-    )?;
-
-    // the plain sequential baseline, exactly: the annotation pass
-    // only inserts annotation instructions, and the interpreter
-    // tallies their cycles separately while charging them
-    let seq_cycles = prof_run.cycles - prof_run.annotation_cycles.total();
-
-    // 4. select decompositions (Equations 1 and 2), with the static
-    //    verdicts as priors and scev distance floors bounding the
-    //    speculative overlap of proven RAW chains
-    let t = stages.begin("select");
-    let floors = distance_floors(program, &candidates);
-    let selection = select_with_distances(
-        &profile,
-        &cfg.tls.estimator_params(),
-        prof_run.cycles,
-        &candidates.demoted_ids(),
-        &floors,
-    );
-    stages.end("select", t);
-
-    // 5.–6. collect TLS traces for the chosen loops and simulate them
-    let chosen: Vec<LoopId> = selection.chosen.iter().map(|c| c.loop_id).collect();
-    let chosen_set: BTreeSet<LoopId> = chosen.iter().copied().collect();
-    let actual = collect_and_simulate(
-        program,
-        &candidates,
-        chosen,
-        seq_cycles,
-        cfg,
-        &registry,
-        &mut stages,
-    )?;
-
-    if let Some((tr, t)) = stages.trace {
-        tr.end(t, "run");
-    }
-    let obs = PipelineObservability::from_snapshot(&registry.snapshot());
-
-    // the degenerate tier history: everything promoted at epoch 0,
-    // terminal by epoch 1
-    let loops = candidates
-        .candidates
-        .iter()
-        .map(|c| {
-            let tier = if chosen_set.contains(&c.id) {
-                LoopTier::Selected
-            } else {
-                match &c.static_verdict {
-                    StaticVerdict::Demoted { reason } => LoopTier::Demoted {
-                        reason: reason.clone(),
-                        dynamic: false,
-                    },
-                    StaticVerdict::Clean => {
-                        let executed = profile
-                            .stl
-                            .get(&c.id)
-                            .is_some_and(|s| s.entries + s.untraced_entries > 0);
-                        LoopTier::Demoted {
-                            reason: if executed {
-                                "not chosen by Equation 2".to_string()
-                            } else {
-                                "never executed".to_string()
-                            },
-                            dynamic: true,
-                        }
-                    }
-                }
-            };
-            LoopTierSummary {
-                loop_id: c.id,
-                transitions: vec![(0, tier.name().to_string())],
-                tier,
-                hot_count: 0,
-                flips: 0,
-            }
-        })
-        .collect();
-    let tiers = TierReport {
-        schedule: TierSchedule::Immediate,
-        epochs: 1,
-        counting_epochs: 0,
-        generations: 0,
-        revisions: 0,
-        loops,
-        diagnostics: Vec::new(),
-    };
-
-    Ok(TieredOutcome {
-        report: PipelineReport {
-            seq_cycles,
-            profile_cycles: prof_run.cycles,
-            annotation: prof_run.annotation_cycles,
-            candidates,
-            rescue,
-            profile,
-            selection,
-            actual,
-            obs,
-            telemetry,
-        },
-        tiers,
-        final_state: None,
-    })
-}
-
-/// Stages 1 and 1b, shared by both schedules: extract the candidate
-/// STLs with their pre-screen verdicts, then try to rescue the demoted
-/// loops whose recurrence is a reduction (a delta-rewrite into private
-/// partial sums). Every applied rewrite carries a legality proof
-/// re-checked by the independent verifier. Rescue starts from this
-/// extraction and hands back the one of any program it rewrites, so no
-/// program is extracted twice.
-///
-/// The whole-program points-to solve that sharpens the pre-screen runs
-/// inside `extract`, and its statistics ride along as `pointsto.*`
-/// counters (so the committed obs baseline keeps its stage list); the
-/// rescue outcome is counted as `rescue.applied` and
-/// `rescue.rejections`.
-fn extract_and_rescue(
-    program: &Program,
-    cfg: &PipelineConfig,
-    stages: &mut StageRecorder<'_>,
-) -> (ProgramCandidates, RescueSummary) {
-    let registry = stages.registry;
-    let t = stages.begin("extract");
-    let candidates = extract_candidates(program);
-    stages.end("extract", t);
-    let ps = candidates.pointsto.stats();
-    for (name, v) in [
-        ("pointsto.abstract_objects", ps.abstract_objects as u64),
-        ("pointsto.variables", ps.variables as u64),
-        ("pointsto.constraint_edges", ps.constraint_edges as u64),
-        ("pointsto.iterations", ps.iterations as u64),
-        ("pointsto.wall_nanos", ps.wall_nanos),
-    ] {
-        registry.counter(name).add(v);
-        if let Some((tr, track)) = stages.trace {
-            tr.counter(track, name, v);
-        }
-    }
-
-    let t = stages.begin("rescue");
-    let (candidates, rescue) = if cfg.no_rescue {
-        (candidates, RescueSummary::default())
-    } else {
-        let (out, rescued) = rescue_extracted(program, &candidates);
-        let candidates = rescued.unwrap_or(candidates);
-        let changed = !out.rescued.is_empty();
-        let rescue = RescueSummary {
-            rescued: out.rescued,
-            rejected: out.rejected,
-            program: changed.then_some(out.program),
-        };
-        (candidates, rescue)
-    };
-    stages.end("rescue", t);
-    registry
-        .counter("rescue.applied")
-        .add(rescue.rescued.len() as u64);
-    registry
-        .counter("rescue.rejections")
-        .add(rescue.rejected.len() as u64);
-    (candidates, rescue)
-}
-
-/// The profiling pass, shared by both schedules: one run of `image`
-/// streamed into a fresh TEST tracer (with its spans and series when
-/// the run is traced), timed as the `record` and `replay-profile`
-/// stages, with the bus and tracer counters recorded.
-///
-/// `held` is an online epoch that already ran this very image through
-/// the same tracer configuration: its bits are taken instead of
-/// interpreting again. Its (near-zero) wall time is booked as
-/// `record`, with 0 as `replay-profile` and as every sink's
-/// `drain_nanos`, so the sinks' drain work stays booked once, under
-/// `epochs`, and `replay-profile` still equals the summed drains.
-fn profile_pass(
-    image: &Program,
-    masks: Vec<(LoopId, u64)>,
-    cfg: &PipelineConfig,
-    trace: Option<&Arc<ObsTrace>>,
-    stages: &mut StageRecorder<'_>,
-    held: Option<TracedRun>,
-) -> Result<(FinalState, Profile), VmError> {
-    let registry = stages.registry;
-    let run = match held {
-        Some(mut run) => {
-            registry.counter("tier.reused_epochs").inc();
-            let t = stages.begin("record");
-            for sink in &mut run.report.sinks {
-                sink.drain_nanos = 0;
-            }
-            stages.end_streamed(t, &run.report);
-            run
-        }
-        None => {
-            registry.counter("pipeline.interpreter_passes").inc();
-            let mut tracer = TestTracer::with_masks(cfg.tracer, masks);
-            if let Some(tr) = trace {
-                tracer.set_obs(Arc::clone(tr), cfg.obs.sample_every);
-            }
-            let t = stages.begin("record");
-            let mut bus = TraceBus::new().sink("test-tracer", &mut tracer);
-            if let Some(tr) = trace {
-                bus = bus.observe(Arc::clone(tr));
-            }
-            let (state, report) = bus.run(image, &mut NoHook)?;
-            stages.end_streamed(t, &report);
-            TracedRun {
-                profile: tracer.into_profile(),
-                state,
-                report,
-            }
-        }
-    };
-    record_bus_report(registry, &run.report);
-    record_tracer_profile(registry, &run.profile);
-    Ok((run.state, run.profile))
-}
-
-/// What one online epoch's execution produced, held so that a later
-/// epoch on the same image takes it instead of interpreting again.
-///
-/// An epoch is a pure function of its image: the interpreter is
-/// deterministic, the hot-location probes cost no simulated cycles,
-/// and the tracer is fresh with fixed masks. So an epoch on an
-/// unchanged image would return exactly these bits.
-struct EpochRun {
-    /// [`PatchState::generation`] of the image that ran.
-    generation: u64,
-    /// Hot-location count of every candidate probed in the run, by
-    /// candidate index (`None` for unprobed ones). The probed set only
-    /// shrinks, so a later epoch never asks for a missing count.
-    counts: Vec<Option<u64>>,
-    /// The traced half; `None` for a pure counting run.
-    traced: Option<TracedRun>,
-}
-
-/// A run streamed into a fresh tracer: everything the profiling pass
-/// reads back.
-struct TracedRun {
-    profile: Profile,
-    state: FinalState,
-    report: BusReport,
-}
-
-/// Runs one online epoch of `patch`'s current image, probing the
-/// header of every candidate whose `probed` entry is set. With nothing
-/// patched in yet this is a pure counting-tier run (no event stream,
-/// no tracer); otherwise it streams into a fresh tracer exactly like
-/// the offline profiling pass.
-fn run_epoch(
-    patch: &PatchState,
-    header_pcs: &[(u16, u32)],
-    probed: &[bool],
-    masks: &[(LoopId, u64)],
-    cfg: &PipelineConfig,
-) -> Result<EpochRun, VmError> {
-    // translate original header pcs through the live image's origin
-    // maps (identity for un-patched functions)
-    let mut hot = HotLocations::for_program(patch.program());
-    let slots: Vec<Option<usize>> = header_pcs
-        .iter()
-        .zip(probed)
-        .map(|(&(func, orig_pc), &on)| {
-            on.then(|| {
-                let pc = patch.maps()[func as usize]
-                    .iter()
-                    .position(|&o| o == Some(orig_pc))
-                    .unwrap_or(orig_pc as usize);
-                hot.register(func, pc as u32)
-            })
-        })
-        .collect();
-    let traced = if patch.annotated().is_empty() {
-        Interp::run_to_state_hooked(
-            patch.program(),
-            &mut NullSink,
-            CostModel::default(),
-            Interp::DEFAULT_FUEL,
-            &mut hot,
-        )?;
-        None
-    } else {
-        let mut tracer = TestTracer::with_masks(cfg.tracer, masks.to_vec());
-        let (state, report) = TraceBus::new()
-            .sink("test-tracer", &mut tracer)
-            .run(patch.program(), &mut hot)?;
-        Some(TracedRun {
-            profile: tracer.into_profile(),
-            state,
-            report,
-        })
-    };
-    Ok(EpochRun {
-        generation: patch.generation(),
-        counts: slots
-            .iter()
-            .map(|s| s.map(|slot| hot.count(slot)))
-            .collect(),
-        traced,
-    })
-}
-
-/// The online schedule: repeated execution epochs of an incrementally
-/// patched image, hot-location promotion (revealing each loop's eager
-/// pre-screen verdict), and windowed re-selection with hysteresis —
-/// then a finalization pass that patches every remaining clean loop
-/// and runs one authoritative epoch whose numbers match the offline
-/// batch bit for bit.
-fn drive_online(
-    program: &Program,
-    cfg: &PipelineConfig,
     tcfg: &TierConfig,
 ) -> Result<TieredOutcome, VmError> {
-    let telemetry = Telemetry::new();
-    let registry = Arc::clone(&telemetry.registry);
-    registry
-        .counter("pipeline.batch_capacity")
-        .record_max(DEFAULT_BATCH_CAPACITY as u64);
-    let trace = cfg.obs.trace.then(|| Arc::clone(&telemetry.trace));
-    let ptrack = trace.as_ref().map(|tr| tr.track("pipeline"));
-    let ttrack = trace.as_ref().map(|tr| tr.track("tier"));
-    let mut stages = StageRecorder {
-        registry: &registry,
-        trace: trace.as_deref().zip(ptrack),
-        seq: 0,
-    };
-    if let Some((tr, t)) = stages.trace {
-        tr.begin(t, "run");
-    }
-
     // extraction and rescue run at startup, exactly as in the batch:
     // rescue rewrites loop bodies, and patching must target stable
     // post-rescue loop ids (this also keeps online loop ids equal to
@@ -750,8 +336,11 @@ fn drive_online(
     // is promoted; re-selection may read every verdict and floor from
     // the start, because it only weighs loops already profiled, and a
     // profiled loop was promoted clean
-    let (candidates, rescue) = extract_and_rescue(program, cfg, &mut stages);
-    let program: &Program = rescue.program_for(program);
+    let mut run = PipelineRun::start(program, cfg);
+    let registry = Arc::clone(&run.stages.telemetry.registry);
+    let trace = run.stages.trace().cloned();
+    let ttrack = trace.as_ref().map(|tr| tr.track("tier"));
+    let candidates = &run.candidates;
     let params = cfg.tls.estimator_params();
     let masks = candidates.tracked_masks();
     let n = candidates.candidates.len();
@@ -776,15 +365,15 @@ fn drive_online(
     let mut diagnostics: Vec<TierDiagnostic> = Vec::new();
     let mut dynamic_demoted: BTreeSet<LoopId> = BTreeSet::new();
     let mut window = SelectionWindow::new(tcfg.window);
-    let mut patch = PatchState::new(program);
+    let mut patch = PatchState::new(run.program());
     let mut counting_epochs = 0u32;
     let mut revisions = 0u32;
     let mut epoch = 0u32;
     let mut last: Option<EpochRun> = None;
 
-    let t = stages.begin("epochs");
+    let t = run.stages.begin("epochs");
     // the scev distance floors, solved once for every clean loop
-    let floors = distance_floors(program, &candidates);
+    let floors = distance_floors(run.program(), candidates);
     loop {
         if let (Some(tr), Some(tt)) = (trace.as_deref(), ttrack) {
             tr.begin(tt, "epoch");
@@ -953,23 +542,21 @@ fn drive_online(
             // the loop into the live image only if it is clean
             let id = LoopId(i as u32);
             registry.counter("tier.promotions").inc();
-            match &candidates.candidates[i].static_verdict {
-                StaticVerdict::Demoted { reason } => {
-                    registry.counter("tier.demotions_static").inc();
-                    states[i].set_tier(
-                        epoch,
-                        LoopTier::Demoted {
-                            reason: reason.clone(),
-                            dynamic: false,
-                        },
-                    );
-                }
-                StaticVerdict::Clean => {
-                    patch.patch_loop(&candidates, id)?;
-                    patched_any = true;
-                    registry.counter("tier.patches").inc();
-                    states[i].set_tier(epoch, LoopTier::Tracing);
-                }
+            let c = &candidates.candidates[i];
+            if c.is_demoted() {
+                registry.counter("tier.demotions_static").inc();
+                states[i].set_tier(
+                    epoch,
+                    LoopTier::Demoted {
+                        reason: c.static_verdict.reason(),
+                        dynamic: false,
+                    },
+                );
+            } else {
+                patch.patch_loop(candidates, id)?;
+                patched_any = true;
+                registry.counter("tier.patches").inc();
+                states[i].set_tier(epoch, LoopTier::Tracing);
             }
         }
         if patched_any {
@@ -999,7 +586,7 @@ fn drive_online(
             break;
         }
     }
-    stages.end("epochs", t);
+    run.stages.end("epochs", t);
     registry.counter("tier.epochs").add(u64::from(epoch));
     registry
         .counter("tier.counting_epochs")
@@ -1015,14 +602,14 @@ fn drive_online(
     // image with every verdict known. Everything downstream — profile,
     // derived baseline, selection, actual TLS — is then bit-identical
     // to the offline batch.
-    let t = stages.begin("annotate");
+    let t = run.stages.begin("annotate");
     for c in &candidates.candidates {
         if !c.is_demoted() && !patch.annotated().contains(&c.id) {
-            patch.patch_loop(&candidates, c.id)?;
+            patch.patch_loop(candidates, c.id)?;
             registry.counter("tier.patches").inc();
         }
     }
-    stages.end("annotate", t);
+    run.stages.end("annotate", t);
 
     // the authoritative epoch: the full image, probes off. When
     // finalization patched nothing and the last epoch that ran was
@@ -1035,26 +622,12 @@ fn drive_online(
         .take()
         .filter(|r| r.generation == patch.generation() && !cfg.obs.trace)
         .and_then(|r| r.traced);
-    let (final_state, profile) = profile_pass(
-        patch.program(),
-        masks,
-        cfg,
-        trace.as_ref(),
-        &mut stages,
-        held,
-    )?;
+    let (final_state, profile) = run.profile(patch.program(), held)?;
     let prof_run = final_state.result.clone();
-    let seq_cycles = prof_run.cycles - prof_run.annotation_cycles.total();
-
-    let t = stages.begin("select");
-    let mut priors = candidates.demoted_ids();
-    priors.extend(dynamic_demoted.iter().copied());
-    let selection = select_with_distances(&profile, &params, prof_run.cycles, &priors, &floors);
-    stages.end("select", t);
+    let selection = run.select(&profile, prof_run.cycles, &dynamic_demoted, Some(&floors));
 
     // terminal commit: the full-image selection is authoritative
-    let chosen: Vec<LoopId> = selection.chosen.iter().map(|c| c.loop_id).collect();
-    let chosen_set: BTreeSet<LoopId> = chosen.iter().copied().collect();
+    let chosen_set: BTreeSet<LoopId> = selection.chosen.iter().map(|c| c.loop_id).collect();
     for (i, state) in states.iter_mut().enumerate() {
         let id = LoopId(i as u32);
         if chosen_set.contains(&id) {
@@ -1063,36 +636,23 @@ fn drive_online(
             }
             state.committed_selected = true;
         } else if !matches!(state.tier, LoopTier::Demoted { .. }) {
-            let (reason, dynamic) = match &candidates.candidates[i].static_verdict {
-                StaticVerdict::Demoted { reason } => (reason.clone(), false),
-                StaticVerdict::Clean => {
-                    let executed = state.hot_count > 0 || state.tier != LoopTier::Cold;
-                    if executed {
-                        ("not chosen by Equation 2".to_string(), true)
-                    } else {
-                        ("never executed".to_string(), true)
-                    }
-                }
+            let c = &run.candidates.candidates[i];
+            let executed = state.hot_count > 0 || state.tier != LoopTier::Cold;
+            let (reason, dynamic) = if c.is_demoted() {
+                (c.static_verdict.reason(), false)
+            } else if executed {
+                ("not chosen by Equation 2".to_string(), true)
+            } else {
+                ("never executed".to_string(), true)
             };
             state.set_tier(epoch, LoopTier::Demoted { reason, dynamic });
         }
     }
-    registry.counter("tier.selected").add(chosen.len() as u64);
+    registry
+        .counter("tier.selected")
+        .add(chosen_set.len() as u64);
 
-    let actual = collect_and_simulate(
-        program,
-        &candidates,
-        chosen,
-        seq_cycles,
-        cfg,
-        &registry,
-        &mut stages,
-    )?;
-
-    if let Some((tr, t)) = stages.trace {
-        tr.end(t, "run");
-    }
-    let obs = PipelineObservability::from_snapshot(&registry.snapshot());
+    let report = run.finish(prof_run, profile, selection)?;
     let loops = states
         .iter()
         .enumerate()
@@ -1105,7 +665,6 @@ fn drive_online(
         })
         .collect();
     let tiers = TierReport {
-        schedule: TierSchedule::Online,
         epochs: epoch + 1, // the finalization epoch counts
         counting_epochs,
         generations: window.generation(),
@@ -1114,26 +673,92 @@ fn drive_online(
         diagnostics,
     };
     Ok(TieredOutcome {
-        report: PipelineReport {
-            seq_cycles,
-            profile_cycles: prof_run.cycles,
-            annotation: prof_run.annotation_cycles,
-            candidates,
-            rescue,
-            profile,
-            selection,
-            actual,
-            obs,
-            telemetry,
-        },
+        report,
         tiers,
-        final_state: Some(final_state),
+        final_state,
+    })
+}
+
+/// What one online epoch's execution produced, held so that a later
+/// epoch on the same image takes it instead of interpreting again.
+///
+/// An epoch is a pure function of its image: the interpreter is
+/// deterministic, the hot-location probes cost no simulated cycles,
+/// and the tracer is fresh with fixed masks. So an epoch on an
+/// unchanged image would return exactly these bits.
+struct EpochRun {
+    /// [`PatchState::generation`] of the image that ran.
+    generation: u64,
+    /// Hot-location count of every candidate probed in the run, by
+    /// candidate index (`None` for unprobed ones). The probed set only
+    /// shrinks, so a later epoch never asks for a missing count.
+    counts: Vec<Option<u64>>,
+    /// The traced half; `None` for a pure counting run.
+    traced: Option<TracedRun>,
+}
+
+/// Runs one online epoch of `patch`'s current image, probing the
+/// header of every candidate whose `probed` entry is set. With nothing
+/// patched in yet this is a pure counting-tier run (no event stream,
+/// no tracer); otherwise it streams into a fresh tracer exactly like
+/// the offline profiling pass.
+fn run_epoch(
+    patch: &PatchState,
+    header_pcs: &[(u16, u32)],
+    probed: &[bool],
+    masks: &[(LoopId, u64)],
+    cfg: &PipelineConfig,
+) -> Result<EpochRun, VmError> {
+    // translate original header pcs through the live image's origin
+    // maps (identity for un-patched functions)
+    let mut hot = HotLocations::for_program(patch.program());
+    let slots: Vec<Option<usize>> = header_pcs
+        .iter()
+        .zip(probed)
+        .map(|(&(func, orig_pc), &on)| {
+            on.then(|| {
+                let pc = patch.maps()[func as usize]
+                    .iter()
+                    .position(|&o| o == Some(orig_pc))
+                    .unwrap_or(orig_pc as usize);
+                hot.register(func, pc as u32)
+            })
+        })
+        .collect();
+    let traced = if patch.annotated().is_empty() {
+        Interp::run_to_state_hooked(
+            patch.program(),
+            &mut NullSink,
+            CostModel::default(),
+            Interp::DEFAULT_FUEL,
+            &mut hot,
+        )?;
+        None
+    } else {
+        let mut tracer = TestTracer::with_masks(cfg.tracer, masks.to_vec());
+        let (state, report) = TraceBus::new()
+            .sink("test-tracer", &mut tracer)
+            .run(patch.program(), &mut hot)?;
+        Some(TracedRun {
+            profile: tracer.into_profile(),
+            state,
+            report,
+        })
+    };
+    Ok(EpochRun {
+        generation: patch.generation(),
+        counts: slots
+            .iter()
+            .map(|s| s.map(|slot| hot.count(slot)))
+            .collect(),
+        traced,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::run_pipeline;
     use test_tracer::TracerConfig;
     use tvm::{ElemKind, ProgramBuilder};
 
@@ -1185,13 +810,13 @@ mod tests {
     /// reaches all-terminal: same derived baseline, same profile, same
     /// selection, same actual TLS numbers, same demotion set.
     fn assert_equivalent(program: &Program, cfg: &PipelineConfig, tcfg: &TierConfig) {
-        let offline = run_tiered(program, cfg, &TierConfig::immediate()).unwrap();
+        let offline = run_pipeline(program, cfg).unwrap();
         let online = run_tiered(program, cfg, tcfg).unwrap();
         assert!(
             online.tiers.all_terminal(),
             "online must reach all-terminal"
         );
-        let (a, b) = (&offline.report, &online.report);
+        let (a, b) = (&offline, &online.report);
         assert_eq!(a.seq_cycles, b.seq_cycles);
         assert_eq!(a.profile_cycles, b.profile_cycles);
         assert_eq!(a.annotation, b.annotation);
@@ -1290,13 +915,8 @@ mod tests {
             reused > 0,
             "confirmation epochs on unchanged images are reused"
         );
-        let offline = run_tiered(
-            &parallel_program(200),
-            &PipelineConfig::default(),
-            &TierConfig::immediate(),
-        )
-        .unwrap();
-        let snap = offline.report.telemetry.registry.snapshot();
+        let offline = run_pipeline(&parallel_program(200), &PipelineConfig::default()).unwrap();
+        let snap = offline.telemetry.registry.snapshot();
         assert_eq!(
             snap.counter("tier.reused_epochs"),
             0,
@@ -1368,25 +988,6 @@ mod tests {
         // the verdict was revealed at promotion, after the loop counted
         let s = &out.tiers.loops[0];
         assert!(s.hot_count > 0, "the loop counted before being demoted");
-    }
-
-    #[test]
-    fn immediate_schedule_is_the_offline_batch() {
-        let p = parallel_program(200);
-        let out = run_tiered(&p, &PipelineConfig::default(), &TierConfig::immediate()).unwrap();
-        assert_eq!(out.tiers.epochs, 1);
-        assert!(out.tiers.all_terminal());
-        assert!(out.final_state.is_none());
-        assert_eq!(out.report.obs.interpreter_passes, 2);
-        assert_eq!(
-            out.tiers.selected_ids(),
-            out.report
-                .selection
-                .chosen
-                .iter()
-                .map(|c| c.loop_id)
-                .collect::<BTreeSet<_>>()
-        );
     }
 
     #[test]
@@ -1475,6 +1076,5 @@ mod tests {
         .unwrap();
         assert!(out.tiers.counting_epochs >= 1);
         assert!(out.tiers.epochs >= 2);
-        assert!(out.final_state.is_some());
     }
 }

@@ -123,11 +123,6 @@ impl FnBuilder {
         self.emit_branch(Instr::Goto(label.0))
     }
 
-    /// Pops an int; branches to `label` if it compares `cond` against 0.
-    pub fn br_if(&mut self, cond: Cond, label: Label) -> &mut Self {
-        self.emit_branch(Instr::If(cond, label.0))
-    }
-
     /// Pops b then a (ints); branches if `a cond b`.
     pub fn br_icmp(&mut self, cond: Cond, label: Label) -> &mut Self {
         self.emit_branch(Instr::IfICmp(cond, label.0))

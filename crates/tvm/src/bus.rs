@@ -11,7 +11,6 @@
 //!   event volume by an order of magnitude);
 //! * [`Batcher`] — a [`TraceSink`] that groups an emission stream into
 //!   batches and hands each full batch to a flush callback;
-//! * [`Tee`] — a fan-out combinator: one emission feeds N sinks;
 //! * [`TraceBus`] — the orchestrator: labelled sinks, each batch
 //!   delivered to every sink in turn on the calling thread, and a
 //!   [`BusReport`] with per-sink event counts and drain times.
@@ -509,63 +508,6 @@ pub fn record_batches(
     Ok((run, batches))
 }
 
-/// Fan-out combinator: forwards every event to each inner sink, in
-/// registration order.
-#[derive(Default)]
-pub struct Tee<'a> {
-    sinks: Vec<&'a mut dyn TraceSink>,
-}
-
-impl<'a> Tee<'a> {
-    /// Creates an empty tee.
-    pub fn new() -> Tee<'a> {
-        Tee { sinks: Vec::new() }
-    }
-
-    /// Adds a sink; events are forwarded in registration order.
-    #[must_use]
-    pub fn sink(mut self, sink: &'a mut dyn TraceSink) -> Tee<'a> {
-        self.sinks.push(sink);
-        self
-    }
-
-    /// Number of registered sinks.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// True when no sink is registered.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-macro_rules! tee_forward {
-    ($($method:ident($($arg:ident: $ty:ty),*);)*) => {
-        impl TraceSink for Tee<'_> {
-            $(fn $method(&mut self, $($arg: $ty),*) {
-                for s in self.sinks.iter_mut() {
-                    s.$method($($arg),*);
-                }
-            })*
-        }
-    };
-}
-
-tee_forward! {
-    heap_load(addr: Addr, now: Cycles, pc: Pc);
-    heap_store(addr: Addr, now: Cycles, pc: Pc);
-    local_load(var: u16, activation: u32, now: Cycles, pc: Pc);
-    local_store(var: u16, activation: u32, now: Cycles, pc: Pc);
-    loop_enter(loop_id: crate::isa::LoopId, n_locals: u16, activation: u32, now: Cycles);
-    loop_iter(loop_id: crate::isa::LoopId, now: Cycles);
-    loop_exit(loop_id: crate::isa::LoopId, now: Cycles);
-    stats_read(loop_id: crate::isa::LoopId, now: Cycles);
-    call_enter(site: Pc, activation: u32, now: Cycles);
-    call_exit(site: Pc, now: Cycles);
-    call_result_use(site: Pc, now: Cycles);
-}
-
 /// Per-sink observability counters of one bus run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SinkStats {
@@ -861,19 +803,6 @@ mod tests {
             batches.iter().map(|b| b.len() as u64).sum::<u64>()
         );
         assert!(total.get(EventKind::CallEnter) > 0, "calls are captured");
-    }
-
-    #[test]
-    fn tee_feeds_every_sink_identically() {
-        let p = sample_program();
-        let mut a = CountingSink::default();
-        let mut b = CountingSink::default();
-        let mut tee = Tee::new().sink(&mut a).sink(&mut b);
-        Interp::run(&p, &mut tee).unwrap();
-        let mut direct = CountingSink::default();
-        Interp::run(&p, &mut direct).unwrap();
-        assert_eq!(a, direct);
-        assert_eq!(b, direct);
     }
 
     #[test]

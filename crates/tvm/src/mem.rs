@@ -119,11 +119,6 @@ impl Memory {
         }
     }
 
-    /// Currently allocated size in words (diagnostics).
-    pub fn len_words(&self) -> usize {
-        self.words.len()
-    }
-
     /// The whole memory image, word by word (statics segment and heap).
     /// Exposed so state-equivalence checks can compare two runs
     /// bit-for-bit.

@@ -82,11 +82,6 @@ impl Value {
             Value::Null => "null",
         }
     }
-
-    /// True if the value is a reference or null (i.e. reference-kinded).
-    pub fn is_ref_like(self) -> bool {
-        matches!(self, Value::Ref(_) | Value::Null)
-    }
 }
 
 impl Default for Value {

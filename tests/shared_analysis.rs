@@ -7,17 +7,18 @@
 //! then read them instead of solving again. Rescue starts from the
 //! caller's extraction and hands back the extraction of the program it
 //! rewrote. Each shared fact must equal what a fresh computation on
-//! the same program gives. The online tier reveals extraction's
-//! pre-screen verdicts as loops turn hot instead of screening again,
-//! so the loops it demotes statically must be exactly the ones
-//! extraction demoted. This is checked on the 26 benchmarks at two
+//! the same program gives, and so must the dependences a demoted
+//! loop's verdict carries, which rescue reads instead of solving
+//! again. The online tier reveals extraction's pre-screen verdicts as
+//! loops turn hot instead of screening again, so the loops it demotes
+//! statically must be exactly the ones extraction demoted. This is checked on the 26 benchmarks at two
 //! sizes and on a range of generated programs.
 
 use benchsuite::DataSize;
 use cfgir::scalar::classify;
 use cfgir::{
-    extract_candidates, rescue_extracted, rescue_program, Dominators, LocalGenKill, PointsTo,
-    ReachingDefs,
+    analyze_loop, extract_candidates, rescue_extracted, rescue_program, Dominators, LocalGenKill,
+    PointsTo, ReachingDefs,
 };
 use jrpm::tier::{run_tiered, LoopTier, TierConfig};
 use jrpm::PipelineConfig;
@@ -63,11 +64,30 @@ fn check(name: &str, p: &Program) {
             );
         }
     }
+    let pt = PointsTo::analyze(p);
     assert_eq!(
         without_wall_time(format!("{:?}", pc.pointsto)),
-        without_wall_time(format!("{:?}", PointsTo::analyze(p))),
+        without_wall_time(format!("{pt:?}")),
         "{name}: points-to"
     );
+    // rescue reads a demoted loop's dependences from its verdict
+    for c in &pc.candidates {
+        let fa = &pc.functions[c.func.0 as usize];
+        let fresh = analyze_loop(
+            p,
+            &p.functions[c.func.0 as usize],
+            &fa.cfg,
+            &Dominators::compute(&fa.cfg),
+            &fa.forest.loops[c.loop_idx],
+            Some(&pt.view(c.func)),
+        );
+        assert_eq!(
+            c.static_verdict.deps(),
+            fresh,
+            "{name} loop {}: pre-screen dependences",
+            c.id.0
+        );
+    }
 
     let (out, rescued) = rescue_extracted(p, &pc);
     assert_eq!(

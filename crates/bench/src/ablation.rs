@@ -16,8 +16,8 @@ use jrpm::annotate::{annotate, AnnotateOptions};
 use jrpm::pipeline::{run_pipeline, PipelineConfig};
 use std::time::{Duration, Instant};
 use test_tracer::{SoftwareTracer, TestTracer, TracerConfig};
-use tvm::bus::{record_batches, EventBatch, DEFAULT_BATCH_CAPACITY};
-use tvm::Interp;
+use tvm::record::{Recording, RecordingSink};
+use tvm::{Interp, Program, RunResult};
 
 /// Wall-clock accounting for one record-once/replay-many sweep.
 ///
@@ -34,20 +34,25 @@ struct SweepClock {
     reinterps: u32,
 }
 
+/// Interprets `ann` once, capturing its whole event stream.
+fn record(ann: &Program) -> (RunResult, Recording) {
+    let mut sink = RecordingSink::new();
+    let run = Interp::run(ann, &mut sink).expect("record run");
+    (run, sink.into_recording())
+}
+
 impl SweepClock {
-    /// Replays every batch into `sink`, accumulating replay time.
-    fn replay_into(&mut self, batches: &[EventBatch], sink: &mut impl tvm::TraceSink) {
+    /// Replays `recording` into `sink`, accumulating replay time.
+    fn replay(&mut self, recording: &Recording, sink: &mut impl tvm::TraceSink) {
         let t = Instant::now();
-        for b in batches {
-            b.replay_into(sink);
-        }
+        recording.replay(sink);
         self.replay += t.elapsed();
         self.replays += 1;
     }
 
     /// Times one real re-interpretation of `ann` and scales it by the
     /// number of consumer passes the old sweep would have run.
-    fn baseline(&mut self, ann: &tvm::Program, masks: Vec<(tvm::LoopId, u64)>, consumers: u32) {
+    fn baseline(&mut self, ann: &Program, masks: Vec<(tvm::LoopId, u64)>, consumers: u32) {
         let mut hw = TestTracer::with_masks(TracerConfig::default(), masks);
         let t = Instant::now();
         Interp::run(ann, &mut hw).expect("baseline re-interpretation");
@@ -96,12 +101,12 @@ pub fn fifo_sweep(size: DataSize) -> String {
 
         // one interpretation captures the whole event stream …
         let t = Instant::now();
-        let (_run, batches) = record_batches(&ann, DEFAULT_BATCH_CAPACITY).expect("record run");
+        let (_run, recording) = record(&ann);
         clock.record += t.elapsed();
 
         // … which then feeds the oracle and every FIFO variant
         let mut sw = SoftwareTracer::with_masks(cands.tracked_masks());
-        clock.replay_into(&batches, &mut sw);
+        clock.replay(&recording, &mut sw);
         let oracle = arcs(&sw.into_profile());
 
         let mut row = format!("{name:<14}{oracle:>12}");
@@ -111,7 +116,7 @@ pub fn fifo_sweep(size: DataSize) -> String {
                 ..TracerConfig::default()
             };
             let mut hw = TestTracer::with_masks(cfg, cands.tracked_masks());
-            clock.replay_into(&batches, &mut hw);
+            clock.replay(&recording, &mut hw);
             let found = arcs(&hw.into_profile());
             row.push_str(&format!(
                 "{:>9.0}%",
@@ -144,7 +149,7 @@ pub fn bank_sweep(size: DataSize) -> String {
         let ann = annotate(&program, &cands, &AnnotateOptions::profiling()).expect("annotate");
 
         let t = Instant::now();
-        let (_run, batches) = record_batches(&ann, DEFAULT_BATCH_CAPACITY).expect("record run");
+        let (_run, recording) = record(&ann);
         clock.record += t.elapsed();
 
         let mut row = String::new();
@@ -155,7 +160,7 @@ pub fn bank_sweep(size: DataSize) -> String {
                 ..TracerConfig::default()
             };
             let mut hw = TestTracer::with_masks(cfg, cands.tracked_masks());
-            clock.replay_into(&batches, &mut hw);
+            clock.replay(&recording, &mut hw);
             let p = hw.into_profile();
             if i == 0 {
                 depth = p.max_dynamic_depth;
@@ -229,14 +234,12 @@ pub fn quick(size: DataSize) -> String {
     let ann = annotate(&program, &cands, &AnnotateOptions::profiling()).expect("annotate");
 
     let t = Instant::now();
-    let (run, batches) = record_batches(&ann, DEFAULT_BATCH_CAPACITY).expect("record run");
+    let (run, recording) = record(&ann);
     let t_record = t.elapsed();
 
     let mut replayed = TestTracer::with_masks(TracerConfig::default(), cands.tracked_masks());
     let t = Instant::now();
-    for b in &batches {
-        b.replay_into(&mut replayed);
-    }
+    recording.replay(&mut replayed);
     let t_replay = t.elapsed();
     let replayed = replayed.into_profile();
 
@@ -246,7 +249,7 @@ pub fn quick(size: DataSize) -> String {
     let t_direct = t.elapsed();
     let direct = direct.into_profile();
 
-    let events: u64 = batches.iter().map(|b| b.len() as u64).sum();
+    let events = recording.len() as u64;
     let identical = replayed == direct;
     let mut s = String::new();
     s.push_str("Ablation smoke - record-once/replay-many on Huffman (1 config)\n");
@@ -254,7 +257,7 @@ pub fn quick(size: DataSize) -> String {
         "  events {} in {} batches; cycles {}; record {:.1} ms, replay {:.1} ms,\n\
          \x20 direct re-interpretation {:.1} ms (replay {:.1}x faster)\n",
         events,
-        batches.len(),
+        recording.batches().len(),
         run.cycles,
         t_record.as_secs_f64() * 1e3,
         t_replay.as_secs_f64() * 1e3,

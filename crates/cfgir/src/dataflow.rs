@@ -307,9 +307,9 @@ impl Analysis for ReachingAnalysis {
 ///
 /// Definition ids: `0..n_locals` are the entry definitions (id `l` for
 /// local `l`), followed by instruction definitions in instruction
-/// order. Query one local with [`ReachingDefs::reaching_defs_of`], or
-/// take the ids reaching a block with [`ReachingDefs::reaching_in`]
-/// and map them back through [`ReachingDefs::def`].
+/// order. Query the definitions of one local reaching an instruction
+/// with [`ReachingDefs::reaching_defs_of`]; [`ReachingDefs::def`] maps
+/// an id back to its site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachingDefs {
     defs: Vec<DefSite>,
@@ -400,11 +400,6 @@ impl ReachingDefs {
     /// The definition behind id `id`.
     pub fn def(&self, id: usize) -> DefSite {
         self.defs[id]
-    }
-
-    /// Definitions reaching the entry of block `b`.
-    pub fn reaching_in(&self, b: BlockId) -> &BitSet {
-        self.sol.entry_of(b)
     }
 
     /// Definitions of `local` reaching just before instruction `instr`

@@ -445,8 +445,8 @@ mod tests {
 
     #[test]
     fn replayed_call_events_reproduce_direct_stats() {
-        use tvm::record::{Event, Recording};
-        use tvm::TraceSink;
+        use tvm::record::Event;
+        use tvm::{EventBatch, TraceSink};
 
         // a call-heavy stream with result uses, as the interpreter
         // would emit it
@@ -462,11 +462,10 @@ mod tests {
             now += 90;
         }
         events.push(Event::HeapStore(0xF00, now + 1000, pc(8)));
-        let recording = Recording { events };
 
         let mut direct = MethodTracer::new();
-        for e in &recording.events {
-            match *e {
+        for &e in &events {
+            match e {
                 Event::CallEnter(s, a, t) => direct.call_enter(s, a, t),
                 Event::CallExit(s, t) => direct.call_exit(s, t),
                 Event::CallResultUse(s, t) => direct.call_result_use(s, t),
@@ -476,13 +475,17 @@ mod tests {
             }
         }
 
-        // whole-recording replay and batched bus replay must both
+        // per-event delivery and delivery in batches of 3 must both
         // produce identical method statistics
         let mut replayed = MethodTracer::new();
-        recording.replay(&mut replayed);
+        for &e in &events {
+            e.deliver(&mut replayed);
+        }
         let mut batched = MethodTracer::new();
-        for b in recording.to_batches(3) {
-            b.replay_into(&mut batched);
+        for chunk in events.chunks(3) {
+            let mut b = EventBatch::with_capacity(3);
+            chunk.iter().for_each(|&e| b.push(e));
+            batched.consume_batch(&b);
         }
 
         let want = direct.into_stats();

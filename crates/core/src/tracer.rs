@@ -1570,51 +1570,6 @@ mod tests {
     }
 
     #[test]
-    fn consume_batch_matches_per_event_delivery() {
-        // nested loops, releases, local vars and calls — every event
-        // kind crosses the batch boundary at least once
-        let events = vec![
-            Event::LoopEnter(L0, 2, 7, 0),
-            Event::LocalStore(0, 7, 2, pc(1)),
-            Event::HeapStore(0x100, 10, pc(2)),
-            Event::LoopEnter(L1, 0, 7, 12),
-            Event::HeapStore(0x200, 14, pc(3)),
-            Event::LoopIter(L1, 20),
-            Event::HeapLoad(0x200, 22, pc(4)),
-            Event::LoopIter(L1, 30),
-            Event::LoopExit(L1, 31),
-            Event::CallEnter(pc(5), 7, 32),
-            Event::CallExit(pc(5), 35),
-            Event::CallResultUse(pc(5), 36),
-            Event::LoopIter(L0, 40),
-            Event::HeapLoad(0x100, 50, pc(6)),
-            Event::LocalLoad(0, 7, 52, pc(7)),
-            Event::StatsRead(L0, 55),
-            Event::LoopIter(L0, 60),
-            Event::LoopExit(L0, 61),
-        ];
-        // split across two batches to exercise batch boundaries
-        let (first, second) = events.split_at(events.len() / 2);
-        let mut batches = Vec::new();
-        for chunk in [first, second] {
-            let mut b = EventBatch::with_capacity(chunk.len());
-            for &e in chunk {
-                b.push(e);
-            }
-            batches.push(b);
-        }
-        let mut via_default = tracer();
-        for b in &batches {
-            b.replay_into(&mut via_default);
-        }
-        let mut via_override = tracer();
-        for b in &batches {
-            via_override.consume_batch(b);
-        }
-        assert_eq!(via_default.into_profile(), via_override.into_profile());
-    }
-
-    #[test]
     fn pc_bins_record_consumer_sites() {
         let mut t = tracer();
         t.loop_enter(L0, 0, 0, 0);

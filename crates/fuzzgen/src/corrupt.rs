@@ -224,7 +224,7 @@ fn check(
     let decoded = catch_unwind(AssertUnwindSafe(|| {
         (
             reference_decode(bytes),
-            Recording::from_bytes(bytes).map(|r| r.events),
+            Recording::from_bytes(bytes).map(|r| r.iter().collect()),
             streamed(),
         )
     }));

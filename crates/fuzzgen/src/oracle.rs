@@ -60,7 +60,10 @@ use jrpm::{run_pipeline, PipelineConfig};
 use serve::{ProfileRequest, Server, ServerConfig};
 use test_tracer::{Profile, TestTracer, TracerConfig};
 use tvm::record::{Event, Recording, RecordingSink};
-use tvm::{record_batches, Addr, CostModel, Interp, LoopId, Program, RunResult, TraceBus, VmError};
+use tvm::{
+    Addr, Batcher, CostModel, EventBatch, Interp, LoopId, Program, RunResult, TraceBus, TraceSink,
+    VmError,
+};
 
 /// Instruction budget per interpreter run. Generated programs retire a
 /// few thousand instructions; anything near this limit is a
@@ -209,21 +212,14 @@ pub fn check_program(program: &Program) -> Result<CheckStats, Failure> {
         ));
     }
 
-    // -- transport 2: serial bus (record batches, flatten) ------------
-    let (run_b, batches) =
-        record_batches(&ann, 64).map_err(|e| fail("serial-batches", e.to_string()))?;
+    // -- transport 2: batches of 64, each delivered as it is cut -------
+    let mut rec_batched = RecordingSink::default();
+    let mut batcher = Batcher::with_flush(64, |b: &EventBatch| rec_batched.consume_batch(b));
+    let run_b =
+        run_bounded(&ann, &mut batcher).map_err(|e| fail("serial-batches", e.to_string()))?;
+    batcher.finish();
     same_run("serial-batches", &run_d, &run_b)?;
-    let flat: Vec<Event> = batches.iter().flat_map(|b| b.events()).collect();
-    if flat != rec.events {
-        return Err(fail(
-            "serial-batches",
-            format!(
-                "flattened batch stream has {} events, direct capture has {}",
-                flat.len(),
-                rec.events.len()
-            ),
-        ));
-    }
+    same_events("serial-batches", &rec, &rec_batched.into_recording())?;
 
     // -- transport 3: serial bus replay into two sinks ----------------
     let mut rec_serial = RecordingSink::default();
@@ -231,7 +227,7 @@ pub fn check_program(program: &Program) -> Result<CheckStats, Failure> {
     let serial_report = TraceBus::new()
         .sink("recording", &mut rec_serial)
         .sink("tracer", &mut tr_serial)
-        .replay(&batches);
+        .replay(&rec);
     same_events("serial-replay", &rec, &rec_serial.into_recording())
         .map_err(|f| with_sinks(f, &serial_report))?;
     let profile = tr_serial.into_profile();
@@ -518,7 +514,7 @@ fn check_tiers(program: &Program) -> Result<(), Failure> {
     Ok(())
 }
 
-fn run_bounded<S: tvm::TraceSink>(program: &Program, sink: &mut S) -> Result<RunResult, VmError> {
+fn run_bounded<S: TraceSink>(program: &Program, sink: &mut S) -> Result<RunResult, VmError> {
     Interp::run_with(program, sink, CostModel::default(), FUZZ_FUEL)
 }
 
@@ -533,18 +529,13 @@ fn same_run(oracle: &'static str, a: &RunResult, b: &RunResult) -> Result<(), Fa
 fn same_events(oracle: &'static str, a: &Recording, b: &Recording) -> Result<(), Failure> {
     if a != b {
         let first = a
-            .events
             .iter()
-            .zip(&b.events)
-            .position(|(x, y)| x != y)
+            .zip(b.iter())
+            .enumerate()
+            .find(|(_, (x, y))| x != y)
             .map_or_else(
                 || format!("lengths {} vs {}", a.len(), b.len()),
-                |i| {
-                    format!(
-                        "first divergence at event {i}: {:?} vs {:?}",
-                        a.events[i], b.events[i]
-                    )
-                },
+                |(i, (x, y))| format!("first divergence at event {i}: {x:?} vs {y:?}"),
             );
         return Err(fail(oracle, format!("event streams diverged: {first}")));
     }
@@ -688,8 +679,8 @@ fn check_pointsto(
     rec: &Recording,
 ) -> Result<(), Failure> {
     let mut addrs: HashMap<(u16, u32), BTreeSet<Addr>> = HashMap::new();
-    for e in &rec.events {
-        if let Event::HeapLoad(a, _, pc) | Event::HeapStore(a, _, pc) = *e {
+    for e in rec.iter() {
+        if let Event::HeapLoad(a, _, pc) | Event::HeapStore(a, _, pc) = e {
             addrs.entry((pc.func.0, pc.idx)).or_default().insert(a);
         }
     }
@@ -734,8 +725,8 @@ struct EntryWalk {
 /// least one load observing an earlier iteration's store.
 fn check_memdep_stream(rec: &Recording, deps: &HashMap<LoopId, u32>) -> Result<(), Failure> {
     let mut stack: Vec<EntryWalk> = Vec::new();
-    for e in &rec.events {
-        match *e {
+    for e in rec.iter() {
+        match e {
             Event::LoopEnter(l, _, _, _) => stack.push(EntryWalk {
                 loop_id: l,
                 iter: 0,

@@ -324,31 +324,34 @@ mod tests {
 
     #[test]
     fn replayed_streams_collect_identical_traces() {
-        use tvm::record::{Event, Recording};
+        use tvm::record::Event;
+        use tvm::EventBatch;
 
-        let recording = Recording {
-            events: vec![
-                Event::LoopEnter(L0, 2, 0, 100),
-                Event::HeapLoad(0x40, 110, pc()),
-                Event::LocalStore(1, 0, 112, pc()),
-                Event::LoopIter(L0, 120),
-                Event::LoopEnter(L1, 0, 1, 122),
-                Event::HeapStore(0x60, 130, pc()),
-                Event::LoopIter(L1, 132),
-                Event::LoopExit(L1, 134),
-                Event::LoopIter(L0, 140),
-                Event::LoopExit(L0, 145),
-            ],
-        };
+        let events = [
+            Event::LoopEnter(L0, 2, 0, 100),
+            Event::HeapLoad(0x40, 110, pc()),
+            Event::LocalStore(1, 0, 112, pc()),
+            Event::LoopIter(L0, 120),
+            Event::LoopEnter(L1, 0, 1, 122),
+            Event::HeapStore(0x60, 130, pc()),
+            Event::LoopIter(L1, 132),
+            Event::LoopExit(L1, 134),
+            Event::LoopIter(L0, 140),
+            Event::LoopExit(L0, 145),
+        ];
 
         let mut direct = TlsTraceCollector::with_masks([L0], [(L0, 0b10)]);
-        recording.replay(&mut direct);
+        for e in events {
+            e.deliver(&mut direct);
+        }
 
-        // batched replay through the bus representation must agree
+        // batched delivery, whatever the cut, must agree
         for cap in [1usize, 3, 64] {
             let mut batched = TlsTraceCollector::with_masks([L0], [(L0, 0b10)]);
-            for b in recording.to_batches(cap) {
-                b.replay_into(&mut batched);
+            for chunk in events.chunks(cap) {
+                let mut b = EventBatch::with_capacity(cap);
+                chunk.iter().for_each(|&e| b.push(e));
+                batched.consume_batch(&b);
             }
             assert_eq!(batched.entries, direct.entries, "capacity {cap}");
         }

@@ -424,8 +424,8 @@ fn profile(rec: &Recording, maps: &[Vec<Option<u32>>]) -> (SiteAddrs, LoopDyn) {
         e.0 += st.iter;
         e.1 |= st.found_cross_raw;
     };
-    for e in &rec.events {
-        match *e {
+    for e in rec.iter() {
+        match e {
             Event::LoopEnter(l, _, _, _) => stack.push(EntryWalk {
                 loop_id: l,
                 iter: 0,
@@ -720,8 +720,8 @@ fn check_addresses(
             }
         }
     };
-    for e in &rec.events {
-        match *e {
+    for e in rec.iter() {
+        match e {
             Event::LoopEnter(l, _, _, _) => {
                 stack.push(Frame {
                     loop_id: l,

@@ -1261,7 +1261,7 @@ mod tests {
             TlsTraceCollector::with_masks(chosen, r.candidates.tracked_masks()),
             &cfg.tls,
         );
-        for &event in &recording.events {
+        for event in recording.iter() {
             let simulated = sink.entries.len();
             event.deliver(&mut sink);
             assert!(sink.collector.entries.is_empty(), "a closed entry was kept");

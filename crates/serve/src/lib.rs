@@ -18,8 +18,8 @@
 //! * [`ProfileRequest::ReplayMapped`] — a recording *file*, mmapped
 //!   and streamed as borrowed batches through one reusable buffer
 //!   (zero-copy: no `Vec<Event>` is ever materialized).
-//! * [`ProfileRequest::Replay`] — an in-memory [`Recording`], encoded
-//!   and then streamed through the same batch path.
+//! * [`ProfileRequest::Replay`] — an in-memory [`Recording`], whose
+//!   batches go through the same tracer path.
 //!
 //! Failure is typed end to end: a malformed recording, a VM error, or
 //! even a panicking request produces a [`ServeError`] on that
@@ -58,8 +58,8 @@ use obs::{FlightDump, FlightRing, LiveEventKind, Registry, TailConfig, TailSampl
 use test_tracer::config::TracerConfig;
 use test_tracer::stats::Profile;
 use test_tracer::tracer::TestTracer;
-use tvm::bus::DEFAULT_BATCH_CAPACITY;
-use tvm::record::{MappedRecording, Recording, RecordingError, RecordingView};
+use tvm::bus::{EventBatch, DEFAULT_BATCH_CAPACITY};
+use tvm::record::{MappedRecording, Recording, RecordingError};
 use tvm::{Program, VmError};
 
 mod http;
@@ -597,33 +597,36 @@ fn handle(id: u64, req: ProfileRequest) -> Result<ProfileResponse, ServeError> {
                 tiers: outcome.tiers,
             })
         }
-        ProfileRequest::Replay { recording, tracer } => {
-            replay(id, &recording.to_bytes(), tracer, DEFAULT_REPLAY_BATCH)
-        }
+        ProfileRequest::Replay { recording, tracer } => replay(id, tracer, |deliver| {
+            recording.batches().for_each(deliver);
+            Ok(recording.len() as u64)
+        }),
         ProfileRequest::ReplayMapped {
             path,
             tracer,
             batch_capacity,
         } => {
             let mapped = MappedRecording::open(&path)?;
-            replay(id, mapped.bytes(), tracer, batch_capacity)
+            let view = mapped.view()?;
+            replay(id, tracer, |deliver| {
+                view.stream_batches(batch_capacity, deliver)
+            })
         }
     }
 }
 
-/// Streams an encoded recording through a fresh TEST tracer as
-/// borrowed batches, logging each batch to the worker's flight ring.
-/// The one replay path both replay request shapes share.
+/// Feeds a recording's batches through a fresh TEST tracer, logging
+/// each batch to the worker's flight ring. The one replay path both
+/// replay request shapes share: `stream` hands every batch to the
+/// callback it is given and returns the event count.
 fn replay(
     id: u64,
-    bytes: &[u8],
     tracer: TracerConfig,
-    batch_capacity: usize,
+    stream: impl FnOnce(&mut dyn FnMut(&EventBatch)) -> Result<u64, RecordingError>,
 ) -> Result<ProfileResponse, ServeError> {
     use tvm::trace::TraceSink;
-    let view = RecordingView::parse(bytes)?;
     let mut t = TestTracer::new(tracer);
-    let events = view.stream_batches(batch_capacity, |batch| {
+    let events = stream(&mut |batch| {
         live::emit(LiveEventKind::BatchConsumed, id, batch.len() as u64, 0);
         t.consume_batch(batch);
     })?;
@@ -760,7 +763,7 @@ mod tests {
         };
         let err = server
             .profile(ProfileRequest::Replay {
-                recording: Recording { events: Vec::new() },
+                recording: Recording::default(),
                 tracer: bad,
             })
             .expect_err("panicking request answers with a typed error");
@@ -785,7 +788,7 @@ mod tests {
         assert_eq!(parsed, *dump);
         // the single worker survived and answers the next request
         let resp = server.profile(ProfileRequest::Replay {
-            recording: Recording { events: Vec::new() },
+            recording: Recording::default(),
             tracer: TracerConfig::default(),
         });
         match resp.expect("empty replay succeeds after the panic") {

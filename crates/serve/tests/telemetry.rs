@@ -38,7 +38,7 @@ fn get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 
 fn empty_replay() -> ProfileRequest {
     ProfileRequest::Replay {
-        recording: Recording { events: Vec::new() },
+        recording: Recording::default(),
         tracer: TracerConfig::default(),
     }
 }
@@ -47,7 +47,7 @@ fn empty_replay() -> ProfileRequest {
 /// size that is not a power of two.
 fn panicking_replay() -> ProfileRequest {
     ProfileRequest::Replay {
-        recording: Recording { events: Vec::new() },
+        recording: Recording::default(),
         tracer: TracerConfig {
             ld_table_entries: 3,
             ..TracerConfig::default()

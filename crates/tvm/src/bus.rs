@@ -10,16 +10,21 @@
 //!   struct-of-arrays fast path for heap loads/stores (which dominate
 //!   event volume by an order of magnitude);
 //! * [`Batcher`] — a [`TraceSink`] that groups an emission stream into
-//!   batches and hands each full batch to a flush callback;
+//!   batches and hands each full batch to a flush callback, or keeps
+//!   them all as a [`Recording`] (that is what
+//!   [`crate::record::RecordingSink`] is);
 //! * [`TraceBus`] — the orchestrator: labelled sinks, each batch
 //!   delivered to every sink in turn on the calling thread, and a
 //!   [`BusReport`] with per-sink event counts and drain times.
 //!   [`TraceBus::run`] streams a live run: the interpreter fills one
 //!   reused batch and each full batch is delivered before execution
 //!   goes on, so no trace is stored (the profiling pass). For
-//!   consumers that need the stream more than once, [`record_batches`]
-//!   captures a run and [`TraceBus::replay`] delivers the recording;
-//!   the two paths cut and deliver identical batches.
+//!   consumers that need the stream more than once, a
+//!   [`crate::record::RecordingSink`] captures a run and
+//!   [`TraceBus::replay`] delivers the [`Recording`]; the two paths cut
+//!   and deliver identical batches.
+//!
+//! Every path delivers a batch through [`TraceSink::consume_batch`].
 //!
 //! Delivery order is the emission order, so any sink observes exactly
 //! the stream a direct [`crate::interp::Interp`] run would have fed
@@ -27,10 +32,10 @@
 
 use crate::cost::CostModel;
 use crate::hotloc::LocationHook;
-use crate::interp::{FinalState, Interp, RunResult};
+use crate::interp::{FinalState, Interp};
 use crate::isa::Pc;
 use crate::program::Program;
-use crate::record::Event;
+use crate::record::{Event, Recording};
 use crate::trace::{Addr, Cycles, TraceSink};
 use crate::VmError;
 use obs::{Trace as ObsTrace, TrackId};
@@ -173,7 +178,7 @@ impl KindCounts {
 
 /// Control-stream entry: where the payload of one event lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ctrl {
+pub(crate) enum Ctrl {
     /// Payload in the heap struct-of-arrays columns; event is a load.
     HeapLoad,
     /// Payload in the heap struct-of-arrays columns; event is a store.
@@ -188,14 +193,14 @@ enum Ctrl {
 /// are stored in struct-of-arrays columns (`addr`/`cycle`/`pc`); all
 /// other events live in a side vector of [`Event`]. A one-byte control
 /// stream preserves the exact emission order across both storages, so
-/// [`EventBatch::replay_into`] reproduces the original stream exactly.
+/// [`TraceSink::consume_batch`] reproduces the original stream exactly.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventBatch {
-    ctrl: Vec<Ctrl>,
-    heap_addr: Vec<Addr>,
-    heap_cycle: Vec<Cycles>,
-    heap_pc: Vec<Pc>,
-    misc: Vec<Event>,
+    pub(crate) ctrl: Vec<Ctrl>,
+    pub(crate) heap_addr: Vec<Addr>,
+    pub(crate) heap_cycle: Vec<Cycles>,
+    pub(crate) heap_pc: Vec<Pc>,
+    pub(crate) misc: Vec<Event>,
 }
 
 impl EventBatch {
@@ -264,51 +269,28 @@ impl EventBatch {
         }
     }
 
-    /// Feeds every event into `sink` in emission order.
-    pub fn replay_into<S: TraceSink + ?Sized>(&self, sink: &mut S) {
-        let mut heap = 0usize;
-        let mut misc = 0usize;
-        for &c in &self.ctrl {
-            match c {
-                Ctrl::HeapLoad => {
-                    sink.heap_load(
-                        self.heap_addr[heap],
-                        self.heap_cycle[heap],
-                        self.heap_pc[heap],
-                    );
-                    heap += 1;
-                }
-                Ctrl::HeapStore => {
-                    sink.heap_store(
-                        self.heap_addr[heap],
-                        self.heap_cycle[heap],
-                        self.heap_pc[heap],
-                    );
-                    heap += 1;
-                }
-                Ctrl::Misc => {
-                    self.misc[misc].deliver(sink);
-                    misc += 1;
-                }
-            }
-        }
-    }
-
-    /// Reconstructs the events in emission order.
-    pub fn events(&self) -> Vec<Event> {
-        self.iter().collect()
-    }
-
     /// Iterates the events in emission order without materializing a
     /// vector — heap accesses are reconstructed from the SoA columns
     /// on the fly.
-    pub fn iter(&self) -> EventBatchIter<'_> {
-        EventBatchIter {
-            batch: self,
-            ctrl: 0,
-            heap: 0,
-            misc: 0,
-        }
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Event> + '_ {
+        let (mut heap, mut misc) = (0, 0);
+        self.ctrl.iter().map(move |&c| {
+            if c == Ctrl::Misc {
+                misc += 1;
+                return self.misc[misc - 1];
+            }
+            let (a, t, pc) = (
+                self.heap_addr[heap],
+                self.heap_cycle[heap],
+                self.heap_pc[heap],
+            );
+            heap += 1;
+            if c == Ctrl::HeapLoad {
+                Event::HeapLoad(a, t, pc)
+            } else {
+                Event::HeapStore(a, t, pc)
+            }
+        })
     }
 
     /// Per-kind event counts of this batch.
@@ -328,84 +310,54 @@ impl EventBatch {
     }
 }
 
-/// Iterator over an [`EventBatch`], yielding [`Event`]s in emission
-/// order. Created by [`EventBatch::iter`].
-#[derive(Debug, Clone)]
-pub struct EventBatchIter<'a> {
-    batch: &'a EventBatch,
-    ctrl: usize,
-    heap: usize,
-    misc: usize,
-}
-
-impl Iterator for EventBatchIter<'_> {
-    type Item = Event;
-
-    #[inline]
-    fn next(&mut self) -> Option<Event> {
-        let c = *self.batch.ctrl.get(self.ctrl)?;
-        self.ctrl += 1;
-        Some(match c {
-            Ctrl::HeapLoad => {
-                let i = self.heap;
-                self.heap += 1;
-                Event::HeapLoad(
-                    self.batch.heap_addr[i],
-                    self.batch.heap_cycle[i],
-                    self.batch.heap_pc[i],
-                )
-            }
-            Ctrl::HeapStore => {
-                let i = self.heap;
-                self.heap += 1;
-                Event::HeapStore(
-                    self.batch.heap_addr[i],
-                    self.batch.heap_cycle[i],
-                    self.batch.heap_pc[i],
-                )
-            }
-            Ctrl::Misc => {
-                let i = self.misc;
-                self.misc += 1;
-                self.batch.misc[i]
-            }
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rest = self.batch.ctrl.len() - self.ctrl;
-        (rest, Some(rest))
-    }
-}
-
-impl ExactSizeIterator for EventBatchIter<'_> {}
-
 /// A [`TraceSink`] that groups the event stream into fixed-capacity
-/// [`EventBatch`]es and hands each full batch to `flush`. Call
-/// [`Batcher::finish`] to flush the final partial batch.
+/// [`EventBatch`]es and hands each full batch to its flush target.
+/// Call [`Batcher::finish`] to flush the final partial batch.
 ///
-/// `flush` receives the batch in place: it may take it (leaving a
-/// fresh one) or only read it. Whatever it leaves is cleared and
-/// refilled, so a reader keeps one buffer for the whole run.
-pub struct Batcher<F: FnMut(&mut EventBatch)> {
+/// The target is a closure ([`Batcher::with_flush`]), which reads the
+/// batch in place before it is cleared and refilled, so a streaming
+/// consumer keeps one buffer for the whole run; or the [`Recording`] a
+/// [`RecordingSink`] keeps every batch in.
+///
+/// [`RecordingSink`]: crate::record::RecordingSink
+pub struct Batcher<F> {
     capacity: usize,
     batch: EventBatch,
     flush: F,
-    batches: u64,
-    events: u64,
 }
 
-impl<F: FnMut(&mut EventBatch)> Batcher<F> {
-    /// Creates a batcher emitting batches of up to `capacity` events.
-    /// A zero capacity is promoted to 1.
-    pub fn new(capacity: usize, flush: F) -> Batcher<F> {
+pub(crate) mod sealed {
+    /// Where a [`super::Batcher`] sends each batch it cuts. Sealed:
+    /// closures and the recording sink's kept batches are the only
+    /// targets.
+    pub trait Flush {
+        fn flush(&mut self, batch: &super::EventBatch);
+    }
+}
+use sealed::Flush;
+
+impl<F: FnMut(&EventBatch)> Flush for F {
+    #[inline]
+    fn flush(&mut self, batch: &EventBatch) {
+        self(batch);
+    }
+}
+
+impl<F: FnMut(&EventBatch)> Batcher<F> {
+    /// Creates a batcher handing each batch of up to `capacity` events
+    /// to `flush`. A zero capacity is promoted to 1.
+    pub fn with_flush(capacity: usize, flush: F) -> Batcher<F> {
+        Batcher::cutting(capacity, flush)
+    }
+}
+
+impl<F: Flush> Batcher<F> {
+    pub(crate) fn cutting(capacity: usize, flush: F) -> Batcher<F> {
         let capacity = capacity.max(1);
         Batcher {
             capacity,
             batch: EventBatch::with_capacity(capacity),
             flush,
-            batches: 0,
-            events: 0,
         }
     }
 
@@ -417,23 +369,25 @@ impl<F: FnMut(&mut EventBatch)> Batcher<F> {
     }
 
     fn flush_batch(&mut self) {
-        self.batches += 1;
-        self.events += self.batch.len() as u64;
-        (self.flush)(&mut self.batch);
+        self.flush.flush(&self.batch);
         self.batch.clear();
     }
 
-    /// Flushes the trailing partial batch and returns
-    /// `(batches, events)` totals.
-    pub fn finish(mut self) -> (u64, u64) {
+    /// Flushes the trailing partial batch.
+    pub fn finish(self) {
+        self.into_target();
+    }
+
+    /// Flushes the trailing partial batch and yields the flush target.
+    pub(crate) fn into_target(mut self) -> F {
         if !self.batch.is_empty() {
             self.flush_batch();
         }
-        (self.batches, self.events)
+        self.flush
     }
 }
 
-impl<F: FnMut(&mut EventBatch)> TraceSink for Batcher<F> {
+impl<F: Flush> TraceSink for Batcher<F> {
     fn heap_load(&mut self, addr: Addr, now: Cycles, pc: Pc) {
         self.batch.push_heap_load(addr, now, pc);
         self.roll();
@@ -485,27 +439,6 @@ impl<F: FnMut(&mut EventBatch)> TraceSink for Batcher<F> {
         self.batch.push(Event::CallResultUse(site, now));
         self.roll();
     }
-}
-
-/// Interprets `program` once, capturing its full event stream as
-/// batches of `capacity` events. This is the record-once half of
-/// record-once/replay-many; a single consumer streams instead
-/// ([`TraceBus::run`]).
-///
-/// # Errors
-///
-/// Any [`VmError`] from the underlying execution.
-pub fn record_batches(
-    program: &Program,
-    capacity: usize,
-) -> Result<(RunResult, Vec<EventBatch>), VmError> {
-    let mut batches = Vec::new();
-    let mut batcher = Batcher::new(capacity, |b: &mut EventBatch| {
-        batches.push(std::mem::replace(b, EventBatch::with_capacity(capacity)));
-    });
-    let run = Interp::run(program, &mut batcher)?;
-    batcher.finish();
-    Ok((run, batches))
 }
 
 /// Per-sink observability counters of one bus run.
@@ -574,9 +507,10 @@ impl BusReport {
 /// The trace bus orchestrator: labelled sinks plus a delivery policy.
 ///
 /// ```
-/// use tvm::bus::{record_batches, TraceBus, DEFAULT_BATCH_CAPACITY};
+/// use tvm::bus::TraceBus;
+/// use tvm::record::RecordingSink;
 /// use tvm::trace::CountingSink;
-/// use tvm::{ElemKind, ProgramBuilder};
+/// use tvm::{ElemKind, Interp, ProgramBuilder};
 ///
 /// # fn main() -> Result<(), tvm::VmError> {
 /// let mut b = ProgramBuilder::new();
@@ -591,14 +525,16 @@ impl BusReport {
 /// let program = b.finish(main)?;
 ///
 /// // record once ...
-/// let (_run, batches) = record_batches(&program, DEFAULT_BATCH_CAPACITY)?;
+/// let mut recorder = RecordingSink::new();
+/// Interp::run(&program, &mut recorder)?;
+/// let recording = recorder.into_recording();
 /// // ... replay into any number of consumers
 /// let mut a = CountingSink::default();
 /// let mut b2 = CountingSink::default();
 /// let report = TraceBus::new()
 ///     .sink("a", &mut a)
 ///     .sink("b", &mut b2)
-///     .replay(&batches);
+///     .replay(&recording);
 /// assert_eq!(a, b2);
 /// assert_eq!(report.sinks.len(), 2);
 /// # Ok(())
@@ -632,12 +568,12 @@ impl<'a> TraceBus<'a> {
         self
     }
 
-    /// Replays `batches` into every sink on the calling thread. Each
-    /// batch is delivered to all sinks (in registration order) before
-    /// the next batch.
-    pub fn replay(mut self, batches: &[EventBatch]) -> BusReport {
+    /// Replays `recording` into every sink on the calling thread. Each
+    /// of its batches is delivered to all sinks (in registration order)
+    /// before the next batch.
+    pub fn replay(mut self, recording: &Recording) -> BusReport {
         let (mut report, tracks) = self.open();
-        for batch in batches {
+        for batch in recording.batches() {
             self.deliver(batch, &mut report, &tracks);
         }
         report
@@ -648,8 +584,9 @@ impl<'a> TraceBus<'a> {
     /// batch of [`DEFAULT_BATCH_CAPACITY`] events, and each full batch
     /// (then the final partial one) is delivered before execution goes
     /// on. The batches, and every count in the report, are exactly
-    /// those of [`record_batches`] followed by [`TraceBus::replay`], but
-    /// the run never holds more than one batch.
+    /// those of a [`crate::record::RecordingSink`] capture followed by
+    /// [`TraceBus::replay`], but the run never holds more than one
+    /// batch.
     ///
     /// # Errors
     ///
@@ -660,7 +597,7 @@ impl<'a> TraceBus<'a> {
         hook: &mut H,
     ) -> Result<(FinalState, BusReport), VmError> {
         let (mut report, tracks) = self.open();
-        let mut batcher = Batcher::new(DEFAULT_BATCH_CAPACITY, |b: &mut EventBatch| {
+        let mut batcher = Batcher::with_flush(DEFAULT_BATCH_CAPACITY, |b: &EventBatch| {
             self.deliver(b, &mut report, &tracks);
         });
         let state = Interp::run_to_state_hooked(
@@ -727,6 +664,7 @@ mod tests {
     use super::*;
     use crate::build::ProgramBuilder;
     use crate::hotloc::NoHook;
+    use crate::interp::RunResult;
     use crate::record::RecordingSink;
     use crate::trace::CountingSink;
     use crate::ElemKind;
@@ -756,21 +694,35 @@ mod tests {
         b.finish(main).unwrap()
     }
 
+    /// Captures one run of `p` as a [`Recording`].
+    fn record(p: &Program) -> (RunResult, Recording) {
+        let mut rec = RecordingSink::new();
+        let run = Interp::run(p, &mut rec).unwrap();
+        (run, rec.into_recording())
+    }
+
+    /// The batches a [`Batcher`] of `capacity` cuts from one run of `p`.
+    fn cut(p: &Program, capacity: usize) -> Vec<EventBatch> {
+        let mut batches = Vec::new();
+        let mut batcher = Batcher::with_flush(capacity, |b: &EventBatch| batches.push(b.clone()));
+        Interp::run(p, &mut batcher).unwrap();
+        batcher.finish();
+        batches
+    }
+
     #[test]
     fn batches_preserve_the_exact_stream() {
         let p = sample_program();
-        let mut rec = RecordingSink::new();
-        Interp::run(&p, &mut rec).unwrap();
-        let recording = rec.into_recording();
+        let (_run, recording) = record(&p);
 
-        let (_run, batches) = record_batches(&p, 7).unwrap();
-        let replayed: Vec<Event> = batches.iter().flat_map(|b| b.events()).collect();
-        assert_eq!(recording.events, replayed);
+        let batches = cut(&p, 7);
+        let replayed: Vec<Event> = batches.iter().flat_map(EventBatch::iter).collect();
+        assert_eq!(recording.iter().collect::<Vec<_>>(), replayed);
 
-        // and replay_into reproduces it too
+        // and consume_batch reproduces it too
         let mut out = RecordingSink::new();
         for b in &batches {
-            b.replay_into(&mut out);
+            out.consume_batch(b);
         }
         assert_eq!(recording, out.into_recording());
     }
@@ -778,7 +730,7 @@ mod tests {
     #[test]
     fn batch_capacity_is_respected() {
         let p = sample_program();
-        let (_run, batches) = record_batches(&p, 5).unwrap();
+        let batches = cut(&p, 5);
         assert!(batches.len() > 1);
         for b in &batches[..batches.len() - 1] {
             assert_eq!(b.len(), 5);
@@ -789,7 +741,7 @@ mod tests {
     #[test]
     fn kind_counts_match_event_totals() {
         let p = sample_program();
-        let (_run, batches) = record_batches(&p, 64).unwrap();
+        let batches = cut(&p, 64);
         let mut total = KindCounts::default();
         for b in &batches {
             total.merge(&b.kind_counts());
@@ -811,13 +763,13 @@ mod tests {
         let mut direct = CountingSink::default();
         Interp::run(&p, &mut direct).unwrap();
 
-        let (_run, batches) = record_batches(&p, 16).unwrap();
+        let (_run, recording) = record(&p);
         let mut count = CountingSink::default();
         let mut extra = CountingSink::default();
         let report = TraceBus::new()
             .sink("count", &mut count)
             .sink("extra", &mut extra)
-            .replay(&batches);
+            .replay(&recording);
         assert_eq!(count, direct);
         assert_eq!(extra, direct);
         assert_eq!(report.sinks.len(), 2);
@@ -830,9 +782,11 @@ mod tests {
     #[test]
     fn streamed_run_delivers_what_a_recording_replays() {
         let p = sample_program();
-        let (run, batches) = record_batches(&p, DEFAULT_BATCH_CAPACITY).unwrap();
+        let (run, recording) = record(&p);
         let mut replayed = RecordingSink::new();
-        let replay = TraceBus::new().sink("rec", &mut replayed).replay(&batches);
+        let replay = TraceBus::new()
+            .sink("rec", &mut replayed)
+            .replay(&recording);
         let trace = Arc::new(ObsTrace::new());
         let mut streamed = RecordingSink::new();
         let (state, stream) = TraceBus::new()
@@ -856,7 +810,7 @@ mod tests {
     #[test]
     fn observed_bus_records_sink_tracks() {
         let p = sample_program();
-        let (_run, batches) = record_batches(&p, 8).unwrap();
+        let (_run, recording) = record(&p);
         let trace = Arc::new(ObsTrace::new());
         let mut a = CountingSink::default();
         let mut b = CountingSink::default();
@@ -864,7 +818,7 @@ mod tests {
             .observe(Arc::clone(&trace))
             .sink("a", &mut a)
             .sink("b", &mut b)
-            .replay(&batches);
+            .replay(&recording);
         let tracks = trace.tracks();
         let names: Vec<&str> = tracks.iter().map(|t| t.name.as_str()).collect();
         assert_eq!(names, ["sink:a", "sink:b"]);
@@ -905,49 +859,39 @@ mod tests {
     #[test]
     fn batch_iter_matches_events() {
         let p = sample_program();
-        let (_run, batches) = record_batches(&p, 7).unwrap();
-        for b in &batches {
+        for b in &cut(&p, 7) {
+            let mut delivered = RecordingSink::new();
+            delivered.consume_batch(b);
             let via_iter: Vec<Event> = b.iter().collect();
-            assert_eq!(via_iter, b.events());
+            assert_eq!(
+                via_iter,
+                delivered.into_recording().iter().collect::<Vec<_>>()
+            );
             assert_eq!(b.iter().len(), b.len());
         }
     }
 
     #[test]
-    fn consume_batch_default_matches_replay_into() {
-        let p = sample_program();
-        let (_run, batches) = record_batches(&p, 9).unwrap();
-        let mut via_replay = CountingSink::default();
-        let mut via_consume = CountingSink::default();
-        for b in &batches {
-            b.replay_into(&mut via_replay);
-            via_consume.consume_batch(b);
-        }
-        assert_eq!(via_replay, via_consume);
-    }
-
-    #[test]
     fn clear_keeps_allocations_and_empties() {
         let p = sample_program();
-        let (_run, batches) = record_batches(&p, 16).unwrap();
-        let mut b = batches[0].clone();
+        let mut b = cut(&p, 16).swap_remove(0);
         assert!(!b.is_empty());
         b.clear();
         assert!(b.is_empty());
         assert_eq!(b.len(), 0);
-        assert_eq!(b.events(), Vec::new());
+        assert_eq!(b.iter().next(), None);
     }
 
     #[test]
     fn zero_capacity_batcher_is_promoted_not_panicking() {
         let p = sample_program();
-        let (_run, batches) = record_batches(&p, 0).unwrap();
+        let batches = cut(&p, 0);
         assert!(!batches.is_empty());
+        let mut count = CountingSink::default();
         for b in &batches {
             assert_eq!(b.len(), 1, "zero capacity is promoted to 1");
+            count.consume_batch(b);
         }
-        let mut count = CountingSink::default();
-        TraceBus::new().sink("count", &mut count).replay(&batches);
         let mut direct = CountingSink::default();
         Interp::run(&p, &mut direct).unwrap();
         assert_eq!(count, direct);

@@ -19,8 +19,10 @@
 //!   loads/stores, annotated local-variable accesses, and speculative
 //!   thread loop (STL) boundary markers;
 //! * a builder API ([`build::ProgramBuilder`]) used by the benchmark suite
-//!   as its "compiler frontend", and a label-preserving code rewriter
-//!   ([`rewrite`]) used by the annotation pass.
+//!   as its "compiler frontend";
+//! * one event-stream representation: [`bus::EventBatch`]es in memory
+//!   (a whole run is a [`record::Recording`]) and TVMR bytes on disk,
+//!   delivered to sinks through [`trace::TraceSink::consume_batch`].
 //!
 //! The annotation instructions (`sloop`, `eloop`, `eoi`, `lwl`, `swl` and
 //! the read-statistics callback of Table 4 in the paper) are first-class
@@ -67,7 +69,6 @@ pub mod isa;
 pub mod mem;
 pub mod program;
 pub mod record;
-pub mod rewrite;
 pub mod trace;
 pub mod value;
 pub mod verify;
@@ -75,7 +76,7 @@ pub mod verify;
 pub use alloc::{AllocSite, AllocSites, SiteId, SiteKind};
 pub use build::{FnBuilder, ProgramBuilder};
 pub use bus::{
-    record_batches, Batcher, BusReport, EventBatch, EventKind, KindCounts, SinkStats, TraceBus,
+    Batcher, BusReport, EventBatch, EventKind, KindCounts, SinkStats, TraceBus,
     DEFAULT_BATCH_CAPACITY,
 };
 pub use cost::CostModel;

@@ -1,9 +1,12 @@
 //! Event recording and the TVMR wire format.
 //!
-//! [`RecordingSink`] captures the full trace-event stream of a run as
-//! a [`Recording`]; [`Recording::replay`] feeds it back into any other
-//! sink, and [`Recording::to_bytes`]/[`Recording::save`] serialize it
-//! into the compact TVMR format.
+//! An event stream has two forms: [`EventBatch`]es in memory and TVMR
+//! bytes on disk. A [`Recording`] is the in-memory form of a whole
+//! run: its batches, always cut at [`DEFAULT_BATCH_CAPACITY`] events.
+//! [`RecordingSink`] captures one; [`Recording::replay`] feeds it back
+//! into any other sink through [`TraceSink::consume_batch`], and
+//! [`Recording::to_bytes`]/[`Recording::save`] serialize it into the
+//! compact TVMR format.
 //!
 //! Every TVMR read path decodes through one batch decoder. It fills an
 //! [`EventBatch`] in place: heap loads and stores, the bulk of every
@@ -12,12 +15,14 @@
 //! is the zero-copy entry point: pair it with [`MappedRecording`] to
 //! stream an mmapped trace into analysis sinks (the profiling server's
 //! replay workers run on it). [`RecordingView::to_recording`],
-//! [`Recording::from_bytes`] and [`Recording::load`] collect the same
+//! [`Recording::from_bytes`] and [`Recording::load`] keep the same
 //! batches, so every corruption check fires at the same record on
-//! every path. [`Event`] appears only at the edges: the owned
-//! [`Recording`] and the batch's side vector of non-heap events.
+//! every path, and a decoded recording equals the one that was saved.
+//! [`Event`] appears only at the edges: the batch's side vector of
+//! non-heap events, [`Recording::iter`] for whole-stream scanners, and
+//! hand-built streams collected into a [`Recording`].
 
-use crate::bus::{EventBatch, KindCounts, DEFAULT_BATCH_CAPACITY};
+use crate::bus::{sealed::Flush, Batcher, EventBatch, DEFAULT_BATCH_CAPACITY};
 use crate::isa::{FuncId, LoopId, Pc};
 use crate::trace::{Addr, Cycles, TraceSink};
 use std::fmt;
@@ -71,59 +76,42 @@ impl Event {
     }
 }
 
-/// A captured event stream.
+/// A captured event stream: its [`EventBatch`]es in emission order,
+/// every one but the last holding exactly [`DEFAULT_BATCH_CAPACITY`]
+/// events. The cut is fixed, so two recordings are equal exactly when
+/// their events are.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Recording {
-    /// The events, in emission order.
-    pub events: Vec<Event>,
+    batches: Vec<EventBatch>,
 }
 
 impl Recording {
-    /// Feeds every event into `sink`, in order.
+    /// Feeds every batch into `sink` through
+    /// [`TraceSink::consume_batch`], in order.
     pub fn replay<S: TraceSink>(&self, sink: &mut S) {
-        for &e in &self.events {
-            e.deliver(sink);
+        for b in &self.batches {
+            sink.consume_batch(b);
         }
+    }
+
+    /// The batches, in emission order.
+    pub fn batches(&self) -> std::slice::Iter<'_, EventBatch> {
+        self.batches.iter()
+    }
+
+    /// The events, in emission order.
+    pub fn iter(&self) -> impl Iterator<Item = Event> + '_ {
+        self.batches.iter().flat_map(EventBatch::iter)
     }
 
     /// Number of captured events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.batches.iter().map(EventBatch::len).sum()
     }
 
     /// True when nothing was captured.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Chunks the recording into [`EventBatch`]es of up to `capacity`
-    /// events, preserving emission order.
-    pub fn to_batches(&self, capacity: usize) -> Vec<EventBatch> {
-        let capacity = capacity.max(1);
-        let mut out = Vec::with_capacity(self.events.len().div_ceil(capacity));
-        let mut batch = EventBatch::with_capacity(capacity);
-        for &e in &self.events {
-            batch.push(e);
-            if batch.len() >= capacity {
-                out.push(std::mem::replace(
-                    &mut batch,
-                    EventBatch::with_capacity(capacity),
-                ));
-            }
-        }
-        if !batch.is_empty() {
-            out.push(batch);
-        }
-        out
-    }
-
-    /// Event counts by kind.
-    pub fn kind_counts(&self) -> KindCounts {
-        let mut k = KindCounts::default();
-        for e in &self.events {
-            k.add(e.kind(), 1);
-        }
-        k
+        self.batches.is_empty()
     }
 
     /// Serializes the recording into the compact binary trace format.
@@ -134,17 +122,18 @@ impl Recording {
     /// event (timestamps are near-monotonic, so deltas are tiny), and
     /// the kind's remaining fields as varints.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.events.len() * 4);
+        let len = self.len();
+        let mut out = Vec::with_capacity(16 + len * 4);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        write_varint(&mut out, self.events.len() as u64);
+        write_varint(&mut out, len as u64);
         let mut prev_cycle: Cycles = 0;
-        for e in &self.events {
+        for e in self.iter() {
             out.push(e.kind().index() as u8);
             let now = e.cycle();
             write_zigzag(&mut out, now as i64 - prev_cycle as i64);
             prev_cycle = now;
-            match *e {
+            match e {
                 Event::HeapLoad(a, _, pc) | Event::HeapStore(a, _, pc) => {
                     write_varint(&mut out, a as u64);
                     write_pc(&mut out, pc);
@@ -309,15 +298,16 @@ impl<'a> RecordingView<'a> {
         Ok(self.count)
     }
 
-    /// Materializes the view as an owned [`Recording`].
+    /// Materializes the view as an owned [`Recording`], keeping the
+    /// decoded batches.
     ///
     /// # Errors
     ///
     /// Any decode error.
     pub fn to_recording(&self) -> Result<Recording, RecordingError> {
-        let mut events = Vec::with_capacity(self.count.min(1 << 20) as usize);
-        self.stream_batches(DEFAULT_BATCH_CAPACITY, |b| events.extend(b.iter()))?;
-        Ok(Recording { events })
+        let mut rec = Recording::default();
+        self.stream_batches(DEFAULT_BATCH_CAPACITY, |b| rec.flush(b))?;
+        Ok(rec)
     }
 }
 
@@ -726,66 +716,43 @@ fn varint_tail(bytes: &[u8], mut pos: usize, mut v: u64) -> Result<(u64, usize),
     }
 }
 
-/// A sink that records every event for later [`Recording::replay`].
-#[derive(Debug, Clone, Default)]
-pub struct RecordingSink {
-    /// The capture.
-    pub recording: Recording,
+/// A sink that records every event for later [`Recording::replay`]:
+/// a [`Batcher`] that keeps every batch it cuts.
+pub type RecordingSink = Batcher<Recording>;
+
+impl Flush for Recording {
+    fn flush(&mut self, batch: &EventBatch) {
+        self.batches.push(batch.clone());
+    }
 }
 
-impl RecordingSink {
+impl Batcher<Recording> {
     /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new() -> RecordingSink {
+        Batcher::cutting(DEFAULT_BATCH_CAPACITY, Recording::default())
     }
 
     /// Consumes the recorder and yields the capture.
     pub fn into_recording(self) -> Recording {
-        self.recording
+        self.into_target()
     }
 }
 
-impl TraceSink for RecordingSink {
-    fn heap_load(&mut self, addr: Addr, now: Cycles, pc: Pc) {
-        self.recording.events.push(Event::HeapLoad(addr, now, pc));
+impl Default for RecordingSink {
+    fn default() -> RecordingSink {
+        RecordingSink::new()
     }
-    fn heap_store(&mut self, addr: Addr, now: Cycles, pc: Pc) {
-        self.recording.events.push(Event::HeapStore(addr, now, pc));
-    }
-    fn local_load(&mut self, var: u16, activation: u32, now: Cycles, pc: Pc) {
-        self.recording
-            .events
-            .push(Event::LocalLoad(var, activation, now, pc));
-    }
-    fn local_store(&mut self, var: u16, activation: u32, now: Cycles, pc: Pc) {
-        self.recording
-            .events
-            .push(Event::LocalStore(var, activation, now, pc));
-    }
-    fn loop_enter(&mut self, loop_id: LoopId, n_locals: u16, activation: u32, now: Cycles) {
-        self.recording
-            .events
-            .push(Event::LoopEnter(loop_id, n_locals, activation, now));
-    }
-    fn loop_iter(&mut self, loop_id: LoopId, now: Cycles) {
-        self.recording.events.push(Event::LoopIter(loop_id, now));
-    }
-    fn loop_exit(&mut self, loop_id: LoopId, now: Cycles) {
-        self.recording.events.push(Event::LoopExit(loop_id, now));
-    }
-    fn stats_read(&mut self, loop_id: LoopId, now: Cycles) {
-        self.recording.events.push(Event::StatsRead(loop_id, now));
-    }
-    fn call_enter(&mut self, site: Pc, activation: u32, now: Cycles) {
-        self.recording
-            .events
-            .push(Event::CallEnter(site, activation, now));
-    }
-    fn call_exit(&mut self, site: Pc, now: Cycles) {
-        self.recording.events.push(Event::CallExit(site, now));
-    }
-    fn call_result_use(&mut self, site: Pc, now: Cycles) {
-        self.recording.events.push(Event::CallResultUse(site, now));
+}
+
+/// Collects hand-built events into a [`Recording`], cut like a
+/// [`RecordingSink`] capture.
+impl FromIterator<Event> for Recording {
+    fn from_iter<I: IntoIterator<Item = Event>>(events: I) -> Recording {
+        let mut sink = RecordingSink::new();
+        for e in events {
+            e.deliver(&mut sink);
+        }
+        sink.into_recording()
     }
 }
 
@@ -798,11 +765,16 @@ mod tests {
     use crate::ElemKind;
 
     fn sample_program() -> crate::Program {
+        program_of(8)
+    }
+
+    /// Fills an `n`-element array in a loop.
+    fn program_of(n: i64) -> crate::Program {
         let mut b = ProgramBuilder::new();
         let main = b.function("main", 0, false, |f| {
             let (a, i) = (f.local(), f.local());
-            f.ci(8).newarray(ElemKind::Int).st(a);
-            f.for_in(i, 0.into(), 8.into(), |f| {
+            f.ci(n).newarray(ElemKind::Int).st(a);
+            f.for_in(i, 0.into(), n.into(), |f| {
                 f.arr_set(
                     a,
                     |f| {
@@ -820,11 +792,12 @@ mod tests {
 
     #[test]
     fn replay_reproduces_the_exact_stream() {
-        let p = sample_program();
+        // long enough to span several batches
+        let p = program_of(3000);
         let mut rec = RecordingSink::new();
         Interp::run(&p, &mut rec).unwrap();
         let recording = rec.into_recording();
-        assert!(!recording.is_empty());
+        assert!(recording.batches().len() > 1);
 
         // live counts == replayed counts
         let mut live = CountingSink::default();
@@ -833,29 +806,50 @@ mod tests {
         recording.replay(&mut replayed);
         assert_eq!(live, replayed);
 
-        // every variant survives all three replay entry points exactly
+        // the recorded, decoded and mapped forms are one value, cut at
+        // the same batch boundaries
+        let dir = std::env::temp_dir().join(format!("tvm-replay-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("replay.trace");
+        recording.save(&path).unwrap();
+        let decoded = Recording::from_bytes(&recording.to_bytes()).unwrap();
+        let mapped = MappedRecording::open(&path)
+            .and_then(|m| m.view()?.to_recording())
+            .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let cuts = |r: &Recording| r.batches().map(EventBatch::len).collect::<Vec<_>>();
+        let lens = cuts(&recording);
+        assert!(lens[..lens.len() - 1]
+            .iter()
+            .all(|&n| n == DEFAULT_BATCH_CAPACITY));
+        for other in [&decoded, &mapped] {
+            assert_eq!(other, &recording);
+            assert_eq!(cuts(other), cuts(&recording));
+        }
+
+        // every variant survives the owned and the streamed replay
+        // exactly
         let pc = Pc {
             func: FuncId(1),
             idx: 7,
         };
         let (l, t) = (LoopId(3), 40);
-        let every_kind = Recording {
-            events: vec![
-                Event::HeapLoad(64, t, pc),
-                Event::HeapStore(72, t + 1, pc),
-                Event::LocalLoad(2, 5, t + 2, pc),
-                Event::LocalStore(2, 5, t + 3, pc),
-                Event::LoopEnter(l, 4, 5, t + 4),
-                Event::LoopIter(l, t + 5),
-                Event::LoopExit(l, t + 6),
-                Event::StatsRead(l, t + 7),
-                Event::CallEnter(pc, 6, t + 8),
-                Event::CallExit(pc, t + 9),
-                Event::CallResultUse(pc, t + 10),
-            ],
-        };
-        let kinds: std::collections::BTreeSet<_> =
-            every_kind.events.iter().map(Event::kind).collect();
+        let every_kind: Recording = [
+            Event::HeapLoad(64, t, pc),
+            Event::HeapStore(72, t + 1, pc),
+            Event::LocalLoad(2, 5, t + 2, pc),
+            Event::LocalStore(2, 5, t + 3, pc),
+            Event::LoopEnter(l, 4, 5, t + 4),
+            Event::LoopIter(l, t + 5),
+            Event::LoopExit(l, t + 6),
+            Event::StatsRead(l, t + 7),
+            Event::CallEnter(pc, 6, t + 8),
+            Event::CallExit(pc, t + 9),
+            Event::CallResultUse(pc, t + 10),
+        ]
+        .into_iter()
+        .collect();
+        let kinds: std::collections::BTreeSet<_> = every_kind.iter().map(|e| e.kind()).collect();
         assert_eq!(kinds.len(), crate::bus::N_EVENT_KINDS);
 
         let mut owned = RecordingSink::new();
@@ -866,15 +860,9 @@ mod tests {
         let mut viewed = RecordingSink::new();
         RecordingView::parse(&bytes)
             .unwrap()
-            .stream_batches(4, |b| b.replay_into(&mut viewed))
+            .stream_batches(4, |b| viewed.consume_batch(b))
             .unwrap();
         assert_eq!(viewed.into_recording(), every_kind);
-
-        let mut batched = RecordingSink::new();
-        for b in every_kind.to_batches(4) {
-            b.replay_into(&mut batched);
-        }
-        assert_eq!(batched.into_recording(), every_kind);
     }
 
     #[test]
@@ -928,16 +916,23 @@ mod tests {
     }
 
     #[test]
-    fn to_batches_partitions_without_reordering() {
-        let p = sample_program();
-        let mut rec = RecordingSink::new();
-        Interp::run(&p, &mut rec).unwrap();
-        let recording = rec.into_recording();
-        let batches = recording.to_batches(3);
-        let flat: Vec<Event> = batches.iter().flat_map(|b| b.events()).collect();
-        assert_eq!(flat, recording.events);
-        assert!(batches[..batches.len() - 1].iter().all(|b| b.len() == 3));
-        assert_eq!(recording.kind_counts().total(), recording.len() as u64);
+    fn collected_events_are_cut_at_the_default_capacity() {
+        let pc = Pc {
+            func: FuncId(0),
+            idx: 3,
+        };
+        let events: Vec<Event> = (0..2 * DEFAULT_BATCH_CAPACITY as u32 + 5)
+            .map(|i| match i % 3 {
+                0 => Event::LoopIter(LoopId(1), i as Cycles),
+                _ => Event::HeapLoad(i * 8, i as Cycles, pc),
+            })
+            .collect();
+        let recording: Recording = events.iter().copied().collect();
+        assert_eq!(recording.len(), events.len());
+        assert_eq!(recording.iter().collect::<Vec<_>>(), events);
+        let cuts: Vec<usize> = recording.batches().map(EventBatch::len).collect();
+        assert_eq!(cuts, [DEFAULT_BATCH_CAPACITY, DEFAULT_BATCH_CAPACITY, 5]);
+        assert!(Recording::from_iter([]).is_empty());
     }
 
     #[test]
@@ -1028,7 +1023,7 @@ mod tests {
         // replay through the view == replay through the owned recording
         let mut via_view = RecordingSink::new();
         let n = view
-            .stream_batches(DEFAULT_BATCH_CAPACITY, |b| b.replay_into(&mut via_view))
+            .stream_batches(DEFAULT_BATCH_CAPACITY, |b| via_view.consume_batch(b))
             .unwrap();
         assert_eq!(n, recording.len() as u64);
         assert_eq!(via_view.into_recording(), recording);
@@ -1040,11 +1035,11 @@ mod tests {
         let n = view
             .stream_batches(5, |b| {
                 sizes.push(b.len());
-                flat.extend(b.events());
+                flat.extend(b.iter());
             })
             .unwrap();
         assert_eq!(n, recording.len() as u64);
-        assert_eq!(flat, recording.events);
+        assert_eq!(flat, recording.iter().collect::<Vec<_>>());
         assert!(sizes[..sizes.len() - 1].iter().all(|&s| s == 5));
 
         // a capacity past the event count is one batch, sized by the

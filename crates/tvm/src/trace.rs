@@ -8,6 +8,7 @@
 //! the software-only profiler baseline, the exact-dependence oracle and
 //! the TLS trace collector feeding the Hydra simulator.
 
+use crate::bus::{Ctrl, EventBatch};
 use crate::isa::{LoopId, Pc};
 
 /// Simulated clock cycles.
@@ -116,15 +117,40 @@ pub trait TraceSink {
         let _ = (site, now);
     }
 
-    /// Delivers one whole [`crate::bus::EventBatch`] in emission
-    /// order. The bus calls this once per batch — one virtual dispatch
-    /// per batch instead of one per event — and the default body,
-    /// monomorphized per sink, preserves the per-event semantics
-    /// exactly via [`crate::bus::EventBatch::replay_into`]. An
-    /// override must deliver the same events in the same order.
+    /// Delivers one whole [`EventBatch`] in emission order: the one
+    /// delivery point of the bus, a [`crate::record::Recording`] replay
+    /// and a decoded trace file — one virtual dispatch per batch
+    /// instead of one per event. The default body, monomorphized per
+    /// sink, calls the per-event callbacks above in order; an override
+    /// must deliver the same events in the same order.
     #[inline]
-    fn consume_batch(&mut self, batch: &crate::bus::EventBatch) {
-        batch.replay_into(self);
+    fn consume_batch(&mut self, batch: &EventBatch) {
+        let mut heap = 0usize;
+        let mut misc = 0usize;
+        for &c in &batch.ctrl {
+            match c {
+                Ctrl::HeapLoad => {
+                    self.heap_load(
+                        batch.heap_addr[heap],
+                        batch.heap_cycle[heap],
+                        batch.heap_pc[heap],
+                    );
+                    heap += 1;
+                }
+                Ctrl::HeapStore => {
+                    self.heap_store(
+                        batch.heap_addr[heap],
+                        batch.heap_cycle[heap],
+                        batch.heap_pc[heap],
+                    );
+                    heap += 1;
+                }
+                Ctrl::Misc => {
+                    batch.misc[misc].deliver(self);
+                    misc += 1;
+                }
+            }
+        }
     }
 }
 

@@ -17,7 +17,10 @@ fn fixture_corruption_sweep_never_panics() {
     // the pristine fixture must of course still parse, to the events
     // the reference decoder reads
     let pristine = Recording::from_bytes(&bytes).expect("pristine fixture parses");
-    assert_eq!(reference_decode(&bytes).ok(), Some(pristine.events));
+    assert_eq!(
+        reference_decode(&bytes).ok(),
+        Some(pristine.iter().collect())
+    );
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let sweep = corruption_sweep(&bytes, 0xDEAD_BEEF, 2_000);

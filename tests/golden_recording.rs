@@ -33,8 +33,8 @@ fn golden_fixture_matches_a_fresh_recording() {
     let golden = Recording::load(FIXTURE_PATH).expect("fixture loads");
     let fresh = record_fixture_program();
     assert_eq!(
-        golden.events.len(),
-        fresh.events.len(),
+        golden.len(),
+        fresh.len(),
         "event count drifted from the committed fixture"
     );
     assert_eq!(
@@ -78,7 +78,7 @@ fn regenerate_fixture() {
         println!(
             "{:<16} {:>8} events {:>9} bytes",
             b.name,
-            rec.events.len(),
+            rec.len(),
             rec.to_bytes().len()
         );
     }
@@ -86,7 +86,7 @@ fn regenerate_fixture() {
     fresh.save(FIXTURE_PATH).expect("write fixture");
     println!(
         "wrote {FIXTURE_PATH}: {} events, {} bytes",
-        fresh.events.len(),
+        fresh.len(),
         fresh.to_bytes().len()
     );
 }

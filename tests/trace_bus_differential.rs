@@ -12,12 +12,19 @@
 use benchsuite::DataSize;
 use jrpm::annotate::{annotate, AnnotateOptions};
 use test_tracer::{TestTracer, TracerConfig};
-use tvm::bus::{record_batches, BusReport, TraceBus, DEFAULT_BATCH_CAPACITY};
+use tvm::bus::{BusReport, TraceBus};
+use tvm::record::{Recording, RecordingSink};
 use tvm::trace::CountingSink;
-use tvm::{Interp, NoHook, NullSink};
+use tvm::{Interp, NoHook, NullSink, Program, RunResult};
 
 fn tracer(cands: &cfgir::ProgramCandidates) -> TestTracer {
     TestTracer::with_masks(TracerConfig::default(), cands.tracked_masks())
+}
+
+fn record(program: &Program) -> (RunResult, Recording) {
+    let mut sink = RecordingSink::new();
+    let run = Interp::run(program, &mut sink).expect("record");
+    (run, sink.into_recording())
 }
 
 #[test]
@@ -31,13 +38,13 @@ fn bus_replay_matches_direct_profiling_on_the_whole_suite() {
         let run = Interp::run(&ann, &mut direct).expect("direct run");
         let direct = direct.into_profile();
 
-        let (rec_run, batches) = record_batches(&ann, DEFAULT_BATCH_CAPACITY).expect("record");
+        let (rec_run, recording) = record(&ann);
         assert_eq!(
             run.cycles, rec_run.cycles,
             "{}: recording changed the timing",
             b.name
         );
-        let events: u64 = batches.iter().map(|batch| batch.len() as u64).sum();
+        let events = recording.len() as u64;
 
         // batched replay fanned out to the profiler plus a second sink
         let mut serial = tracer(&cands);
@@ -45,7 +52,7 @@ fn bus_replay_matches_direct_profiling_on_the_whole_suite() {
         let report = TraceBus::new()
             .sink("profile", &mut serial)
             .sink("count", &mut counter)
-            .replay(&batches);
+            .replay(&recording);
         assert_eq!(
             serial.into_profile(),
             direct,
@@ -89,13 +96,13 @@ fn streamed_run_matches_record_then_replay_on_the_whole_suite() {
         let cands = cfgir::extract_candidates(&program);
         let ann = annotate(&program, &cands, &AnnotateOptions::profiling()).expect("annotate");
 
-        let (rec_run, batches) = record_batches(&ann, DEFAULT_BATCH_CAPACITY).expect("record");
+        let (rec_run, recording) = record(&ann);
         let mut replayed = tracer(&cands);
         let mut replayed_count = CountingSink::default();
         let replay = TraceBus::new()
             .sink("profile", &mut replayed)
             .sink("count", &mut replayed_count)
-            .replay(&batches);
+            .replay(&recording);
 
         let mut streamed = tracer(&cands);
         let mut streamed_count = CountingSink::default();

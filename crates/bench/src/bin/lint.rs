@@ -21,31 +21,16 @@
 //! Exit status is nonzero if any program fails verification.
 
 use benchsuite::DataSize;
-use cfgir::{classify_loop_pairs, classify_loop_pairs_evo, extract_slices, scev, PairVerdict};
+use cfgir::{extract_slices, LoopClaims, PairVerdict};
 use jrpm::tier::{run_tiered, TierConfig};
 use jrpm::{annotate, AnnotateOptions, PipelineConfig};
 use jrpm_bench::diag::{explain, EXPLANATIONS};
-
-/// Escapes a string for embedding in a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use obs::json::quote;
 
 fn check(r: Result<(), tvm::VmError>) -> (String, bool) {
     match r {
         Ok(()) => ("\"ok\"".into(), true),
-        Err(e) => (format!("\"{}\"", esc(&e.to_string())), false),
+        Err(e) => (quote(&e.to_string()), false),
     }
 }
 
@@ -105,7 +90,7 @@ fn main() {
             program
                 .functions
                 .get(f.0 as usize)
-                .map_or_else(|| format!("f{}", f.0), |func| esc(&func.name))
+                .map_or_else(|| quote(&format!("f{}", f.0)), |func| quote(&func.name))
         };
 
         let (verify, v_ok) = check(tvm::verify::verify(&program));
@@ -125,7 +110,7 @@ fn main() {
         // the kind checker must also accept the rewritten program
         let (post, p_ok) = match annotate(&program, &cands, &AnnotateOptions::profiling()) {
             Ok(ann) => check(tvm::verify::verify_kinds(&ann)),
-            Err(e) => (format!("\"{}\"", esc(&e.to_string())), false),
+            Err(e) => (quote(&e.to_string()), false),
         };
         all_ok &= v_ok && k_ok && p_ok;
 
@@ -138,35 +123,30 @@ fn main() {
             let fa = &cands.functions[c.func.0 as usize];
             let f = &program.functions[c.func.0 as usize];
             let lp = &fa.forest.loops[c.loop_idx];
-            let view = pt.view(c.func);
-            let sharp = classify_loop_pairs(&program, f, &fa.cfg, &fa.dom, lp, Some(&view));
-            let via_pt = sharp.iter().filter(|p| p.via_pointsto).count();
-            let disjoint = sharp
-                .iter()
-                .filter(|p| p.verdict == PairVerdict::Disjoint)
-                .count();
+            let LoopClaims {
+                evolutions, pairs, ..
+            } = cands.claims(&program, c);
+            let via_pt = pairs.iter().filter(|p| p.via_pointsto).count();
+            let disjoint = pairs.iter().filter(|p| p.prescreen_disjoint()).count();
             let mut diags: Vec<String> = Vec::new();
             if via_pt > 0 {
                 diags.push(format!(
                     "{{\"code\":\"PT001\",\"count\":{via_pt},\"disjoint\":{disjoint},\
                      \"pairs\":{}}}",
-                    sharp.len()
+                    pairs.len()
                 ));
             }
             // SV001/SL001: what scalar evolution adds on top — distance
             // vectors for affine pairs and certified slices for
             // closed-form loop-carried scalars
-            let evo = scev::analyze_loop(&program, f, &fa.cfg, lp);
-            let evo_pairs =
-                classify_loop_pairs_evo(&program, f, &fa.cfg, &fa.dom, lp, Some(&view), &evo);
-            let distances: Vec<u32> = evo_pairs
+            let distances: Vec<u32> = pairs
                 .iter()
                 .filter_map(|p| match p.verdict {
                     PairVerdict::DistanceAtLeast(d) => Some(d),
                     _ => None,
                 })
                 .collect();
-            let scev_disjoint = evo_pairs
+            let scev_disjoint = pairs
                 .iter()
                 .filter(|p| p.via_scev && p.verdict == PairVerdict::Disjoint)
                 .count();
@@ -176,15 +156,15 @@ fn main() {
                     "{{\"code\":\"SV001\",\"distances\":[{}],\"scev_disjoint\":{scev_disjoint},\
                      \"closed_forms\":{}}}",
                     ds.join(","),
-                    evo.closed_form_count()
+                    evolutions.closed_form_count()
                 ));
             }
-            let slices = extract_slices(&program, f, &fa.cfg, &fa.forest, c.loop_idx, &evo);
+            let slices = extract_slices(&program, f, &fa.cfg, &fa.forest, c.loop_idx, &evolutions);
             if !slices.slices.is_empty() || slices.rejected > 0 {
                 let scalars: Vec<String> = slices
                     .slices
                     .iter()
-                    .map(|s| format!("\"{}\"", esc(&s.scalar.to_string())))
+                    .map(|s| quote(&s.scalar.to_string()))
                     .collect();
                 let cost: u32 = slices.slices.iter().map(|s| s.cert.cost).sum();
                 diags.push(format!(
@@ -205,11 +185,11 @@ fn main() {
                 .filter(|r| r.func == c.func && in_header(r.orig_header_pc))
             {
                 diags.push(format!(
-                    "{{\"code\":\"TR001\",\"transform\":\"{}\",\"target\":\"{}\",\
-                     \"removed\":\"{}\"}}",
+                    "{{\"code\":\"TR001\",\"transform\":\"{}\",\"target\":{},\
+                     \"removed\":{}}}",
                     cfgir::REDUCTION,
-                    esc(&r.proof.target()),
-                    esc(&r.removed)
+                    quote(&r.proof.target()),
+                    quote(&r.removed)
                 ));
             }
             for r in rescue
@@ -218,26 +198,22 @@ fn main() {
                 .filter(|r| r.func == c.func && in_header(r.orig_header_pc))
             {
                 let witness = r.witness.as_ref().map_or(String::new(), |w| {
-                    format!(",\"witness\":\"{}\"", esc(&w.to_string()))
+                    format!(",\"witness\":{}", quote(&w.to_string()))
                 });
                 diags.push(format!(
-                    "{{\"code\":\"TR002\",\"transform\":\"{}\",\"reason\":\"{}\"{witness}}}",
+                    "{{\"code\":\"TR002\",\"transform\":\"{}\",\"reason\":{}{witness}}}",
                     r.transform,
-                    esc(&r.reason)
+                    quote(&r.reason)
                 ));
             }
             let mut tier_field = String::new();
             if let Some(t) = &tiers {
                 for d in t.diagnostics.iter().filter(|d| d.loop_id == c.id) {
-                    let witness: Vec<String> = d
-                        .witness
-                        .iter()
-                        .map(|w| format!("\"{}\"", esc(w)))
-                        .collect();
+                    let witness: Vec<String> = d.witness.iter().map(|w| quote(w)).collect();
                     diags.push(format!(
-                        "{{\"code\":\"{}\",\"message\":\"{}\",\"witness\":[{}]}}",
+                        "{{\"code\":\"{}\",\"message\":{},\"witness\":[{}]}}",
                         d.code,
-                        esc(&d.message),
+                        quote(&d.message),
                         witness.join(",")
                     ));
                 }
@@ -246,7 +222,7 @@ fn main() {
                 }
             }
             loops.push(format!(
-                "{{\"id\":{},\"func\":\"{}\",\"depth\":{},\"verdict\":\"{}\"{}{},\"diags\":[{}]}}",
+                "{{\"id\":{},\"func\":{},\"depth\":{},\"verdict\":\"{}\"{}{},\"diags\":[{}]}}",
                 c.id.0,
                 fname(c.func),
                 c.depth,
@@ -254,7 +230,7 @@ fn main() {
                 if reason.is_empty() {
                     String::new()
                 } else {
-                    format!(",\"reason\":\"{}\"", esc(&reason))
+                    format!(",\"reason\":{}", quote(&reason))
                 },
                 tier_field,
                 diags.join(",")
@@ -269,7 +245,7 @@ fn main() {
             .filter(|s| pt.escapes_via_static(s.id))
             .map(|s| {
                 format!(
-                    "{{\"code\":\"PT002\",\"site\":\"{}\",\"func\":\"{}\",\"pc\":{}}}",
+                    "{{\"code\":\"PT002\",\"site\":\"{}\",\"func\":{},\"pc\":{}}}",
                     s.id,
                     fname(s.pc.func),
                     s.pc.idx
@@ -278,10 +254,10 @@ fn main() {
             .collect();
         for r in &cands.rejected {
             loops.push(format!(
-                "{{\"func\":\"{}\",\"loop\":{},\"verdict\":\"rejected\",\"reason\":\"{}\"}}",
+                "{{\"func\":{},\"loop\":{},\"verdict\":\"rejected\",\"reason\":{}}}",
                 fname(r.func),
                 r.loop_idx,
-                esc(&r.reason)
+                quote(&r.reason)
             ));
         }
         let demoted = cands.demoted_count();
@@ -292,12 +268,12 @@ fn main() {
             (t.epochs, t.all_terminal(), t.diagnostics.len())
         });
         rows.push(format!(
-            "{{\"name\":\"{}\",\"verify\":{},\"kinds\":{},\"post_annotation_kinds\":{},\
+            "{{\"name\":{},\"verify\":{},\"kinds\":{},\"post_annotation_kinds\":{},\
              \"loops\":{},\"candidates\":{},\"rejected\":{},\"demoted\":{},\
              \"rescued\":{},\"rescue_rejected\":{},\
              \"tier_epochs\":{},\"tier_terminal\":{},\"tier_diags\":{},\
              \"loop_detail\":[{}],\"escape_diags\":[{}]}}",
-            esc(b.name),
+            quote(b.name),
             verify,
             kinds,
             post,

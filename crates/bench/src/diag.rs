@@ -18,7 +18,7 @@ pub const EXPLANATIONS: &[(&str, &str)] = &[
          proven to touch disjoint abstract objects by the Andersen points-to \
          analysis. These pairs no longer mask speculative-thread candidates, so a \
          loop carrying PT001 is analysed more precisely, never less. The count is \
-         the `via_pointsto` figure from `cfgir::classify_loop_pairs`.",
+         the `via_pointsto` figure from `cfgir::ProgramCandidates::claims`.",
     ),
     (
         "PT002",

@@ -4,7 +4,7 @@
 use crate::gate::Row;
 use crate::runner::BenchResult;
 use benchsuite::DataSize;
-use cfgir::{classify_loop_pairs, classify_loop_pairs_evo, extract_slices, scev, PairVerdict};
+use cfgir::{extract_slices, AccessPair, LoopClaims, PairVerdict};
 use hydra_sim::TlsConfig;
 use jrpm::agreement::{agreement_report, AgreementReport};
 use jrpm::pipeline::{run_pipeline, PipelineConfig};
@@ -551,22 +551,12 @@ pub fn prescreen_rows(size: DataSize) -> Vec<PrescreenRow> {
             abstract_objects: cands.pointsto.stats().abstract_objects,
         };
         for c in &cands.candidates {
-            let fa = &cands.functions[c.func.0 as usize];
-            let f = &program.functions[c.func.0 as usize];
-            let lp = &fa.forest.loops[c.loop_idx];
-            let view = cands.pointsto.view(c.func);
-            let sharp = classify_loop_pairs(&program, f, &fa.cfg, &fa.dom, lp, Some(&view));
-            let base = classify_loop_pairs(&program, f, &fa.cfg, &fa.dom, lp, None);
-            row.pairs += sharp.len();
-            row.baseline_disjoint += base
-                .iter()
-                .filter(|p| p.verdict == PairVerdict::Disjoint)
-                .count();
-            row.disjoint += sharp
-                .iter()
-                .filter(|p| p.verdict == PairVerdict::Disjoint)
-                .count();
-            row.via_pointsto += sharp.iter().filter(|p| p.via_pointsto).count();
+            let pairs = cands.claims(&program, c).pairs;
+            let count = |tier: fn(&AccessPair) -> bool| pairs.iter().filter(|p| tier(p)).count();
+            row.pairs += pairs.len();
+            row.baseline_disjoint += count(AccessPair::structurally_disjoint);
+            row.disjoint += count(AccessPair::prescreen_disjoint);
+            row.via_pointsto += count(|p| p.via_pointsto);
         }
         rows.push(row);
     }
@@ -651,10 +641,9 @@ snapshot_row! {
 }
 
 /// Computes the scalar-evolution snapshot for every benchmark: the
-/// static columns re-run the pair classification (on the original
-/// program, same universe as [`prescreen_rows`]) with evolutions
-/// available; the dynamic columns come from the value-agreement replay
-/// of [`agreement_report`].
+/// static columns read each candidate's claims (on the original
+/// program, same universe as [`prescreen_rows`]); the dynamic columns
+/// come from the value-agreement replay of [`agreement_report`].
 ///
 /// # Panics
 ///
@@ -684,27 +673,16 @@ pub fn scev_rows(size: DataSize) -> Vec<ScevRow> {
         for c in &cands.candidates {
             let fa = &cands.functions[c.func.0 as usize];
             let f = &program.functions[c.func.0 as usize];
-            let lp = &fa.forest.loops[c.loop_idx];
-            let view = cands.pointsto.view(c.func);
-            let evo = scev::analyze_loop(&program, f, &fa.cfg, lp);
-            let sharp =
-                classify_loop_pairs_evo(&program, f, &fa.cfg, &fa.dom, lp, Some(&view), &evo);
-            let base = classify_loop_pairs(&program, f, &fa.cfg, &fa.dom, lp, Some(&view));
-            row.pairs += sharp.len();
-            row.prescreen_disjoint += base
-                .iter()
-                .filter(|p| p.verdict == PairVerdict::Disjoint)
-                .count();
-            row.disjoint += sharp
-                .iter()
-                .filter(|p| p.verdict == PairVerdict::Disjoint)
-                .count();
-            row.distance_pairs += sharp
-                .iter()
-                .filter(|p| matches!(p.verdict, PairVerdict::DistanceAtLeast(_)))
-                .count();
-            row.closed_forms += evo.closed_form_count();
-            let slices = extract_slices(&program, f, &fa.cfg, &fa.forest, c.loop_idx, &evo);
+            let LoopClaims {
+                evolutions, pairs, ..
+            } = cands.claims(&program, c);
+            let count = |tier: fn(&AccessPair) -> bool| pairs.iter().filter(|p| tier(p)).count();
+            row.pairs += pairs.len();
+            row.prescreen_disjoint += count(AccessPair::prescreen_disjoint);
+            row.disjoint += count(|p| p.verdict == PairVerdict::Disjoint);
+            row.distance_pairs += count(|p| matches!(p.verdict, PairVerdict::DistanceAtLeast(_)));
+            row.closed_forms += evolutions.closed_form_count();
+            let slices = extract_slices(&program, f, &fa.cfg, &fa.forest, c.loop_idx, &evolutions);
             row.slices += slices.slices.len();
             row.slices_rejected += slices.rejected;
         }

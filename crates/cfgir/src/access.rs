@@ -180,39 +180,12 @@ pub struct AccessSite {
 /// further calls) store to: `[statics, fields, arrays]`, indexed by
 /// function id.
 pub fn transitive_store_effects(program: &Program) -> Vec<[bool; 3]> {
-    let n = program.functions.len();
-    let mut effects = vec![[false; 3]; n];
-    let mut calls: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (fi, f) in program.functions.iter().enumerate() {
-        for instr in &f.code {
-            match instr {
-                Instr::PutStatic(_) => effects[fi][0] = true,
-                Instr::PutField(_) => effects[fi][1] = true,
-                Instr::AStore => effects[fi][2] = true,
-                Instr::Call(callee) => calls[fi].push(callee.0 as usize),
-                _ => {}
-            }
-        }
-    }
-    // propagate to fixpoint (call graphs here are tiny; recursion is
-    // handled by iterating until nothing changes)
-    loop {
-        let mut changed = false;
-        for (fi, callees) in calls.iter().enumerate() {
-            for &callee in callees {
-                let callee_effects = effects[callee];
-                for (k, &on) in callee_effects.iter().enumerate() {
-                    if on && !effects[fi][k] {
-                        effects[fi][k] = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            return effects;
-        }
-    }
+    transitive_effects(program, |instr| match instr {
+        Instr::PutStatic(_) => Some(0),
+        Instr::PutField(_) => Some(1),
+        Instr::AStore => Some(2),
+        _ => None,
+    })
 }
 
 /// Per-function transitive **load** effects, by category
@@ -223,20 +196,32 @@ pub fn transitive_store_effects(program: &Program) -> Vec<[bool; 3]> {
 /// observe a stale cell; such calls must block the transform even
 /// though they are invisible to the store-effect summaries.
 pub fn transitive_load_effects(program: &Program) -> Vec<[bool; 3]> {
+    transitive_effects(program, |instr| match instr {
+        Instr::GetStatic(_) => Some(0),
+        Instr::GetField(_) => Some(1),
+        Instr::ALoad => Some(2),
+        _ => None,
+    })
+}
+
+/// The call-graph fixpoint behind both effect summaries: each function
+/// gets the categories `category` assigns to its own instructions,
+/// then inherits every category of its callees.
+fn transitive_effects(program: &Program, category: fn(&Instr) -> Option<usize>) -> Vec<[bool; 3]> {
     let n = program.functions.len();
     let mut effects = vec![[false; 3]; n];
     let mut calls: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (fi, f) in program.functions.iter().enumerate() {
         for instr in &f.code {
-            match instr {
-                Instr::GetStatic(_) => effects[fi][0] = true,
-                Instr::GetField(_) => effects[fi][1] = true,
-                Instr::ALoad => effects[fi][2] = true,
-                Instr::Call(callee) => calls[fi].push(callee.0 as usize),
-                _ => {}
+            if let Instr::Call(callee) = instr {
+                calls[fi].push(callee.0 as usize);
+            } else if let Some(k) = category(instr) {
+                effects[fi][k] = true;
             }
         }
     }
+    // propagate to fixpoint (call graphs here are tiny; recursion is
+    // handled by iterating until nothing changes)
     loop {
         let mut changed = false;
         for (fi, callees) in calls.iter().enumerate() {

@@ -4,9 +4,11 @@
 //! solved: per function the CFG, dominators, natural loops, reaching
 //! definitions and liveness gen/kill sets ([`FunctionAnalysis`]), and
 //! once per program the points-to solve
-//! ([`ProgramCandidates::pointsto`]). Every later static consumer reads
-//! them from the extraction instead of solving again: the distance
-//! floors ([`distance_floors`]), loop rescue
+//! ([`ProgramCandidates::pointsto`]) and the transitive store-effect
+//! summary ([`ProgramCandidates::store_effects`]). Every later static
+//! consumer reads them from the extraction instead of solving again:
+//! the per-loop classification ([`ProgramCandidates::claims`]) and the
+//! distance floors built on it ([`distance_floors`]), loop rescue
 //! ([`crate::rescue_extracted`], which also hands back the extraction
 //! of any program it rewrites) and the annotator in `jrpm`.
 //!
@@ -16,19 +18,22 @@
 //! instead of solving them again. The online tier in `jrpm` keeps
 //! these verdicts and reveals each one when its loop turns hot;
 //! screening a loop again on promotion would solve the same
-//! dependences twice. The rescue legality checker
-//! ([`crate::rescue::verify`]) is the exception: it re-derives every
-//! fact itself, because its independence from the matcher is the
-//! point of it.
+//! dependences twice. The two independent checkers are the exception:
+//! the rescue legality checker ([`crate::rescue::verify`]) and the
+//! slice verifier ([`crate::slice::verify`]) re-derive every fact
+//! themselves, because their independence is the point of them.
 
+use crate::access::{
+    collect_accesses, inductor_steps, invariant_locals, transitive_store_effects, AccessSite,
+};
 use crate::cfg::Cfg;
 use crate::dataflow::{LocalGenKill, ReachingDefs};
 use crate::dom::Dominators;
 use crate::loops::LoopForest;
-use crate::memdep::{analyze_loop, classify_loop_pairs_evo, GuaranteedDep};
+use crate::memdep::{analyze_loop, classify_pairs, AccessPair, GuaranteedDep};
 use crate::pointsto::PointsTo;
 use crate::scalar::{classify_with, LocalClasses};
-use crate::scev;
+use crate::scev::{self, LoopEvolutions};
 use std::collections::{BTreeMap, BTreeSet};
 use tvm::isa::LoopId;
 use tvm::program::{FuncId, Local, Program};
@@ -154,6 +159,28 @@ pub struct ProgramCandidates {
     /// memory-dependence pre-screen; later consumers take their alias
     /// views from it instead of solving again.
     pub pointsto: PointsTo,
+    /// Per function, the memory categories `[statics, fields, arrays]`
+    /// it may transitively store to
+    /// ([`crate::access::transitive_store_effects`]): which calls the
+    /// pre-screen, the access sites and scalar evolution treat as
+    /// stores.
+    pub store_effects: Vec<[bool; 3]>,
+}
+
+/// Everything the static analysis claims about one candidate loop,
+/// built from the facts extraction already holds
+/// ([`ProgramCandidates::claims`]).
+#[derive(Debug, Clone)]
+pub struct LoopClaims {
+    /// The per-iteration evolution of every scalar the body touches.
+    pub evolutions: LoopEvolutions,
+    /// The body's memory accesses with symbolic operands.
+    pub sites: Vec<AccessSite>,
+    /// Every (load, store) pair of `sites`, classified once at full
+    /// sharpness (points-to plus scalar evolution); the weaker tiers
+    /// are the flags [`AccessPair::prescreen_disjoint`] and
+    /// [`AccessPair::structurally_disjoint`].
+    pub pairs: Vec<AccessPair>,
 }
 
 impl ProgramCandidates {
@@ -223,6 +250,30 @@ impl ProgramCandidates {
         self.candidates.iter().filter(|c| c.is_demoted()).count()
     }
 
+    /// Classifies candidate `c`'s loop: its scalar evolutions, access
+    /// sites and access-pair verdicts. `program` must be the program
+    /// this extraction was made from. Nothing is solved again: the
+    /// pairs a guaranteed dependence links are read from
+    /// `c.static_verdict`, the alias view from [`Self::pointsto`] and
+    /// the call summaries from [`Self::store_effects`].
+    pub fn claims(&self, program: &Program, c: &Candidate) -> LoopClaims {
+        let fa = &self.functions[c.func.0 as usize];
+        let f = &program.functions[c.func.0 as usize];
+        let lp = &fa.forest.loops[c.loop_idx];
+        let effects = &self.store_effects;
+        let evolutions = scev::analyze_loop(program, f, &fa.cfg, lp, effects);
+        let inductors = inductor_steps(f, &fa.cfg, &fa.dom, lp);
+        let invariant = invariant_locals(f, &fa.cfg, lp);
+        let sites = collect_accesses(program, f, &fa.cfg, lp, &inductors, &invariant, effects);
+        let view = self.pointsto.view(c.func);
+        let pairs = classify_pairs(&sites, c.static_verdict.deps(), &view, &evolutions);
+        LoopClaims {
+            evolutions,
+            sites,
+            pairs,
+        }
+    }
+
     /// The tracked locals of candidate `id` (the variables its
     /// annotations cover), in method slot order.
     pub fn tracked_vars(&self, id: LoopId) -> Vec<(u16, Local)> {
@@ -238,55 +289,38 @@ impl ProgramCandidates {
     }
 }
 
-/// The dependence-distance floor scalar evolution proves for one
-/// candidate loop, if any.
+/// The dependence-distance floor scalar evolution proves for every
+/// non-demoted candidate of the program, read off its
+/// [`ProgramCandidates::claims`].
 ///
-/// Runs the scev analysis over the loop and classifies its access
-/// pairs with distance sharpening
-/// ([`classify_loop_pairs_evo`]). Every pair whose *signed* distance
-/// is positive is a cross-iteration RAW chain: iteration `a` reads
-/// what iteration `a - q` wrote, so at most `q` iterations can overlap
-/// speculatively. The tightest such chain — the minimum positive `q`
-/// over all pairs — bounds the loop's achievable overlap, and
-/// selection floors its estimated TLS cycles at `serial / q`.
-/// Negative distances (anti-dependences) impose no floor: TLS
-/// versioning absorbs a store that lands *after* the load it would
-/// disturb. Returns `None` when no positive-distance pair exists.
-pub fn distance_floor(
-    program: &Program,
-    fa: &FunctionAnalysis,
-    loop_idx: usize,
-    view: Option<&crate::pointsto::FnView<'_>>,
-) -> Option<u32> {
-    let f = &program.functions[fa.func.0 as usize];
-    let lp = &fa.forest.loops[loop_idx];
-    let evo = scev::analyze_loop(program, f, &fa.cfg, lp);
-    classify_loop_pairs_evo(program, f, &fa.cfg, &fa.dom, lp, view, &evo)
-        .iter()
-        .filter_map(|p| p.scev_distance)
-        .filter(|&q| q > 0)
-        .min()
-        .map(|q| u32::try_from(q).unwrap_or(u32::MAX))
-}
-
-/// [`distance_floor`] over every non-demoted candidate of the program.
+/// Every pair whose *signed* distance is positive is a cross-iteration
+/// RAW chain: iteration `a` reads what iteration `a - q` wrote, so at
+/// most `q` iterations can overlap speculatively. The tightest such
+/// chain — the minimum positive `q` over all pairs — bounds the loop's
+/// achievable overlap, and selection floors its estimated TLS cycles
+/// at `serial / q`. Negative distances (anti-dependences) impose no
+/// floor: TLS versioning absorbs a store that lands *after* the load
+/// it would disturb. A loop with no positive-distance pair has no
+/// entry.
 ///
 /// This is what selection reads (`select_with_distances`), in the
 /// offline batch and in the online tier alike, so both paths select
 /// over identical floors.
 pub fn distance_floors(program: &Program, pc: &ProgramCandidates) -> BTreeMap<LoopId, u32> {
-    let mut floors = BTreeMap::new();
-    for c in &pc.candidates {
-        if c.is_demoted() {
-            continue;
-        }
-        let fa = &pc.functions[c.func.0 as usize];
-        let view = pc.pointsto.view(c.func);
-        if let Some(d) = distance_floor(program, fa, c.loop_idx, Some(&view)) {
-            floors.insert(c.id, d);
-        }
-    }
-    floors
+    pc.candidates
+        .iter()
+        .filter(|c| !c.is_demoted())
+        .filter_map(|c| {
+            let q = pc
+                .claims(program, c)
+                .pairs
+                .iter()
+                .filter_map(|p| p.scev_distance)
+                .filter(|&q| q > 0)
+                .min()?;
+            Some((c.id, u32::try_from(q).unwrap_or(u32::MAX)))
+        })
+        .collect()
 }
 
 /// Extracts candidate STLs from every function of `program`.
@@ -300,6 +334,7 @@ pub fn extract_candidates(program: &Program) -> ProgramCandidates {
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut rejected = Vec::new();
     let pt = PointsTo::analyze(program);
+    let store_effects = transitive_store_effects(program);
 
     for (fi, f) in program.functions.iter().enumerate() {
         let func = FuncId(fi as u16);
@@ -346,7 +381,7 @@ pub fn extract_candidates(program: &Program) -> ProgramCandidates {
             // static memory-dependence pre-screen: a proven
             // cross-iteration RAW means tracing cannot find
             // parallelism, so demote (but keep the id dense)
-            let deps = analyze_loop(program, f, &cfg, &dom, l, Some(&view));
+            let deps = analyze_loop(program, f, &cfg, &dom, l, Some(&view), &store_effects);
             let static_verdict = if deps.is_empty() {
                 StaticVerdict::Clean
             } else {
@@ -382,6 +417,7 @@ pub fn extract_candidates(program: &Program) -> ProgramCandidates {
         candidates,
         rejected,
         pointsto: pt,
+        store_effects,
     }
 }
 

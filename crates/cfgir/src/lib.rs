@@ -61,7 +61,7 @@ pub use access::{
     AccessSite, BlockKind, DepWitness, Sym,
 };
 pub use candidates::{
-    distance_floor, distance_floors, extract_candidates, Candidate, FunctionAnalysis,
+    distance_floors, extract_candidates, Candidate, FunctionAnalysis, LoopClaims,
     ProgramCandidates, StaticVerdict,
 };
 pub use cfg::{Block, BlockId, Cfg};
@@ -70,10 +70,7 @@ pub use dataflow::{
 };
 pub use dom::Dominators;
 pub use loops::{LoopForest, NaturalLoop};
-pub use memdep::{
-    affine_sites, analyze_loop, classify_loop_pairs, classify_loop_pairs_evo, masking_witness,
-    AccessPair, DepKind, GuaranteedDep, PairVerdict,
-};
+pub use memdep::{analyze_loop, masking_witness, AccessPair, DepKind, GuaranteedDep, PairVerdict};
 pub use pointsto::{FnView, PointsTo, SolverStats};
 pub use rescue::{
     rescue_extracted, rescue_program, Channel, LegalityProof, RescueOutcome, RescueRejection,

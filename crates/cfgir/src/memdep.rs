@@ -20,13 +20,14 @@
 //! rule sharpens monotonically — every newly-disjoint store pair only
 //! *removes* mask edges, so strictly more loads stay provable and
 //! strictly more access pairs are classified independent, never fewer.
-//! [`classify_loop_pairs`] exposes the pair-level verdicts that the
-//! agreement report checks against dynamic traces.
+//! [`crate::ProgramCandidates::claims`] classifies each candidate's
+//! access pairs once, at full sharpness; the weaker tiers the reports
+//! count are read off each [`AccessPair`]'s provenance flags, and the
+//! agreement report checks the verdicts against dynamic traces.
 
 use crate::access::{
     collect_accesses, every_iteration, inductor_steps, invariant_locals, load_precedes_store,
-    same_iteration_blocker, strongly_disjoint, transitive_store_effects, Access, AccessSite,
-    DepWitness, Sym,
+    same_iteration_blocker, strongly_disjoint, Access, AccessSite, DepWitness, Sym,
 };
 use crate::cfg::Cfg;
 use crate::dom::Dominators;
@@ -155,7 +156,10 @@ pub fn masking_witness(
 /// Passing points-to facts (`pt`) makes masking strictly less
 /// conservative — stores through provably-disjoint bases and calls to
 /// callees that cannot reach the load's memory stop masking — so the
-/// screen can only gain proofs, never lose them.
+/// screen can only gain proofs, never lose them. `effects` is the
+/// program's transitive store-effect summary
+/// ([`crate::access::transitive_store_effects`]), which decides the
+/// calls that may store.
 pub fn analyze_loop(
     program: &Program,
     f: &Function,
@@ -163,11 +167,11 @@ pub fn analyze_loop(
     dom: &Dominators,
     lp: &NaturalLoop,
     pt: Option<&FnView<'_>>,
+    effects: &[[bool; 3]],
 ) -> Vec<GuaranteedDep> {
     let inductors = inductor_steps(f, cfg, dom, lp);
     let invariant = invariant_locals(f, cfg, lp);
-    let effects = transitive_store_effects(program);
-    let sites = collect_accesses(program, f, cfg, lp, &inductors, &invariant, &effects);
+    let sites = collect_accesses(program, f, cfg, lp, &inductors, &invariant, effects);
     let step_of = |l: Local| {
         inductors
             .iter()
@@ -311,42 +315,18 @@ pub struct AccessPair {
     pub scev_distance: Option<i64>,
 }
 
-/// Classifies every (load, store) access pair of one loop body.
-///
-/// Running with `pt = None` reproduces the PR 1 structural alias rules
-/// exactly; running with points-to facts can only turn `MayAlias` into
-/// `Disjoint` (strict monotone sharpening). The delta between the two
-/// is what the committed pre-screen snapshot records.
-pub fn classify_loop_pairs(
-    program: &Program,
-    f: &Function,
-    cfg: &Cfg,
-    dom: &Dominators,
-    lp: &NaturalLoop,
-    pt: Option<&FnView<'_>>,
-) -> Vec<AccessPair> {
-    classify_with(program, f, cfg, dom, lp, pt, None)
-}
+impl AccessPair {
+    /// Disjoint before scalar evolution: the points-to pre-screen's
+    /// verdict on this pair.
+    pub fn prescreen_disjoint(&self) -> bool {
+        self.verdict == PairVerdict::Disjoint && !self.via_scev
+    }
 
-/// [`classify_loop_pairs`] with scalar-evolution sharpening: affine
-/// array pairs over the same base and inductor additionally gain a
-/// dependence *distance vector*. A pair whose index offsets differ by
-/// a non-multiple of the per-iteration address step can never collide
-/// (`Disjoint`); one whose offsets differ by exactly `d` steps
-/// collides only across iterations exactly `d` apart
-/// ([`PairVerdict::DistanceAtLeast`]). Verdicts are a strict monotone
-/// sharpening of [`classify_loop_pairs`]: `Disjoint` and
-/// `GuaranteedRaw` never change, only `MayAlias` is refined.
-pub fn classify_loop_pairs_evo(
-    program: &Program,
-    f: &Function,
-    cfg: &Cfg,
-    dom: &Dominators,
-    lp: &NaturalLoop,
-    pt: Option<&FnView<'_>>,
-    evo: &LoopEvolutions,
-) -> Vec<AccessPair> {
-    classify_with(program, f, cfg, dom, lp, pt, Some(evo))
+    /// Disjoint by the structural alias rules alone, with neither
+    /// points-to nor scalar evolution.
+    pub fn structurally_disjoint(&self) -> bool {
+        self.prescreen_disjoint() && !self.via_pointsto
+    }
 }
 
 /// The dependence distance scalar evolution proves for two affine
@@ -416,52 +396,21 @@ fn evo_distance(
     Some((verdict, Some(i64::try_from(q).unwrap_or(i64::MAX))))
 }
 
-/// The affine array access sites of one loop body: instruction index,
-/// driving inductor, and element scale. This is the site inventory
-/// the value-agreement checker uses to validate an inductor slice
-/// dynamically — every listed site must advance `scale * stride`
-/// elements per iteration if the slice's evolution claim is true.
-pub fn affine_sites(
-    program: &Program,
-    f: &Function,
-    cfg: &Cfg,
-    dom: &Dominators,
-    lp: &NaturalLoop,
-) -> Vec<(u32, Local, i64)> {
-    let inductors = inductor_steps(f, cfg, dom, lp);
-    let invariant = invariant_locals(f, cfg, lp);
-    let effects = transitive_store_effects(program);
-    collect_accesses(program, f, cfg, lp, &inductors, &invariant, &effects)
-        .into_iter()
-        .filter_map(|s| match s.access {
-            Access::ArrayLoad {
-                index: Sym::Affine { ind, scale, .. },
-                ..
-            }
-            | Access::ArrayStore {
-                index: Sym::Affine { ind, scale, .. },
-                ..
-            } => Some((s.instr, ind, scale)),
-            _ => None,
-        })
-        .collect()
-}
-
-fn classify_with(
-    program: &Program,
-    f: &Function,
-    cfg: &Cfg,
-    dom: &Dominators,
-    lp: &NaturalLoop,
-    pt: Option<&FnView<'_>>,
-    evo: Option<&LoopEvolutions>,
+/// Classifies every (load, store) access pair of one loop body, at
+/// full sharpness: `deps` are the loop's proven dependences
+/// ([`analyze_loop`] with the same points-to view), whose pairs are
+/// `GuaranteedRaw`; the structural rules sharpened by points-to (`pt`)
+/// decide `Disjoint`; scalar evolution (`evo`) refines what is left
+/// into distance vectors. Each step only refines `MayAlias`, so the
+/// verdicts a weaker tier would give are read off the provenance
+/// flags ([`AccessPair::prescreen_disjoint`],
+/// [`AccessPair::structurally_disjoint`]).
+pub(crate) fn classify_pairs(
+    sites: &[AccessSite],
+    deps: &[GuaranteedDep],
+    pt: &FnView<'_>,
+    evo: &LoopEvolutions,
 ) -> Vec<AccessPair> {
-    let inductors = inductor_steps(f, cfg, dom, lp);
-    let invariant = invariant_locals(f, cfg, lp);
-    let effects = transitive_store_effects(program);
-    let sites = collect_accesses(program, f, cfg, lp, &inductors, &invariant, &effects);
-    let deps = analyze_loop(program, f, cfg, dom, lp, pt);
-
     let mut pairs = Vec::new();
     for load in sites.iter().filter(|s| s.access.is_load()) {
         for store in sites.iter().filter(|s| s.access.is_store()) {
@@ -472,11 +421,9 @@ fn classify_with(
             let mut scev_distance = None;
             let verdict = if guaranteed {
                 PairVerdict::GuaranteedRaw
-            } else if strongly_disjoint(&load.access, &store.access, pt) {
+            } else if strongly_disjoint(&load.access, &store.access, Some(pt)) {
                 PairVerdict::Disjoint
-            } else if let Some((sharp, q)) =
-                evo.and_then(|e| evo_distance(&load.access, &store.access, e))
-            {
+            } else if let Some((sharp, q)) = evo_distance(&load.access, &store.access, evo) {
                 via_scev = true;
                 scev_distance = q;
                 sharp
@@ -503,39 +450,108 @@ fn classify_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::transitive_store_effects;
+    use crate::candidates::{extract_candidates, LoopClaims};
     use crate::loops::LoopForest;
     use crate::pointsto::PointsTo;
     use tvm::ElemKind;
     use tvm::ProgramBuilder;
 
-    fn analyze(p: &Program) -> Vec<GuaranteedDep> {
-        let f = &p.functions[0];
-        let cfg = Cfg::build(f);
-        let dom = Dominators::compute(&cfg);
-        let forest = LoopForest::build(&cfg, &dom);
-        assert_eq!(forest.len(), 1, "test programs must have one loop");
-        analyze_loop(p, f, &cfg, &dom, &forest.loops[0], None)
-    }
-
-    fn analyze_with_pt(p: &Program) -> Vec<GuaranteedDep> {
-        let pt = PointsTo::analyze(p);
+    /// The entry function of `p` with its CFG, dominators and sole
+    /// loop.
+    fn sole_loop(p: &Program) -> (&Function, Cfg, Dominators, NaturalLoop) {
         let f = &p.functions[p.entry.0 as usize];
         let cfg = Cfg::build(f);
         let dom = Dominators::compute(&cfg);
         let forest = LoopForest::build(&cfg, &dom);
         assert_eq!(forest.len(), 1, "test programs must have one loop");
-        analyze_loop(p, f, &cfg, &dom, &forest.loops[0], Some(&pt.view(p.entry)))
+        let lp = forest.loops[0].clone();
+        (f, cfg, dom, lp)
     }
 
-    fn classify(p: &Program, with_pt: bool) -> Vec<AccessPair> {
+    /// The dependences the pre-screen proves on `p`'s sole loop, with
+    /// or without points-to facts.
+    fn deps(p: &Program, with_pt: bool) -> Vec<GuaranteedDep> {
+        let (f, cfg, dom, lp) = sole_loop(p);
         let pt = PointsTo::analyze(p);
-        let f = &p.functions[p.entry.0 as usize];
-        let cfg = Cfg::build(f);
-        let dom = Dominators::compute(&cfg);
-        let forest = LoopForest::build(&cfg, &dom);
-        assert_eq!(forest.len(), 1);
         let view = pt.view(p.entry);
-        classify_loop_pairs(p, f, &cfg, &dom, &forest.loops[0], with_pt.then_some(&view))
+        let effects = transitive_store_effects(p);
+        analyze_loop(p, f, &cfg, &dom, &lp, with_pt.then_some(&view), &effects)
+    }
+
+    /// Reference classifier for the two tiers below scalar evolution,
+    /// solved from scratch: the structural rules alone
+    /// (`with_pt == false`) or sharpened by points-to. Its
+    /// `GuaranteedRaw` pairs come from a fresh [`analyze_loop`] at the
+    /// same tier.
+    fn reference_tier(p: &Program, with_pt: bool) -> Vec<AccessPair> {
+        let (f, cfg, dom, lp) = sole_loop(p);
+        let effects = transitive_store_effects(p);
+        let inductors = inductor_steps(f, &cfg, &dom, &lp);
+        let invariant = invariant_locals(f, &cfg, &lp);
+        let sites = collect_accesses(p, f, &cfg, &lp, &inductors, &invariant, &effects);
+        let deps = deps(p, with_pt);
+        let solved = PointsTo::analyze(p);
+        let view = solved.view(p.entry);
+        let pt = with_pt.then_some(&view);
+        let mut pairs = Vec::new();
+        for load in sites.iter().filter(|s| s.access.is_load()) {
+            for store in sites.iter().filter(|s| s.access.is_store()) {
+                let (l, s) = (&load.access, &store.access);
+                let verdict = if deps
+                    .iter()
+                    .any(|d| d.load_at == load.instr && d.store_at == store.instr)
+                {
+                    PairVerdict::GuaranteedRaw
+                } else if strongly_disjoint(l, s, pt) {
+                    PairVerdict::Disjoint
+                } else {
+                    PairVerdict::MayAlias
+                };
+                pairs.push(AccessPair {
+                    load_at: load.instr,
+                    store_at: store.instr,
+                    opaque_store: matches!(s, Access::Opaque { .. }),
+                    verdict,
+                    via_pointsto: verdict == PairVerdict::Disjoint
+                        && !strongly_disjoint(l, s, None),
+                    via_scev: false,
+                    scev_distance: None,
+                });
+            }
+        }
+        pairs
+    }
+
+    /// The one classification extraction's facts give the sole
+    /// candidate loop of `p`.
+    fn claims(p: &Program) -> LoopClaims {
+        let pc = extract_candidates(p);
+        assert_eq!(pc.candidates.len(), 1, "one candidate loop");
+        pc.claims(p, &pc.candidates[0])
+    }
+
+    fn count_disjoint(pairs: &[AccessPair]) -> usize {
+        pairs
+            .iter()
+            .filter(|p| p.verdict == PairVerdict::Disjoint)
+            .count()
+    }
+
+    /// The weaker tiers read off the provenance flags count exactly
+    /// the pairs the reference tiers prove disjoint.
+    fn assert_tiers_agree(p: &Program, claims: &LoopClaims) {
+        let count = |tier: fn(&AccessPair) -> bool| claims.pairs.iter().filter(|p| tier(p)).count();
+        assert_eq!(
+            count(AccessPair::structurally_disjoint),
+            count_disjoint(&reference_tier(p, false)),
+            "structural tier"
+        );
+        assert_eq!(
+            count(AccessPair::prescreen_disjoint),
+            count_disjoint(&reference_tier(p, true)),
+            "points-to tier"
+        );
     }
 
     #[test]
@@ -551,7 +567,7 @@ mod tests {
             f.ret_void();
         });
         let p = b.finish(main).unwrap();
-        let deps = analyze(&p);
+        let deps = deps(&p, false);
         assert_eq!(deps.len(), 1);
         assert!(matches!(deps[0].kind, DepKind::Static(_)));
         assert_eq!(deps[0].distance, 1);
@@ -574,7 +590,7 @@ mod tests {
             f.ret_void();
         });
         let p = b.finish(main).unwrap();
-        let deps = analyze(&p);
+        let deps = deps(&p, false);
         assert_eq!(deps.len(), 1, "got {deps:?}");
         assert!(matches!(deps[0].kind, DepKind::Array { .. }));
         assert_eq!(deps[0].distance, 1);
@@ -594,7 +610,7 @@ mod tests {
             f.ret_void();
         });
         let p = b.finish(main).unwrap();
-        assert!(analyze(&p).is_empty());
+        assert!(deps(&p, false).is_empty());
     }
 
     #[test]
@@ -614,7 +630,7 @@ mod tests {
             f.ret_void();
         });
         let p = b.finish(main).unwrap();
-        assert!(analyze(&p).is_empty());
+        assert!(deps(&p, false).is_empty());
     }
 
     #[test]
@@ -638,7 +654,7 @@ mod tests {
             f.ret_void();
         });
         let p = b.finish(main).unwrap();
-        assert!(analyze(&p).is_empty());
+        assert!(deps(&p, false).is_empty());
     }
 
     #[test]
@@ -657,7 +673,7 @@ mod tests {
             f.ret_void();
         });
         let p = b.finish(main).unwrap();
-        assert!(analyze(&p).is_empty(), "got {:?}", analyze(&p));
+        assert!(deps(&p, false).is_empty(), "got {:?}", deps(&p, false));
     }
 
     #[test]
@@ -679,7 +695,7 @@ mod tests {
             f.ret_void();
         });
         let p = b.finish(main).unwrap();
-        assert!(analyze(&p).is_empty(), "got {:?}", analyze(&p));
+        assert!(deps(&p, false).is_empty(), "got {:?}", deps(&p, false));
     }
 
     #[test]
@@ -704,12 +720,7 @@ mod tests {
             f.ret_void();
         });
         let p = b.finish(main).unwrap();
-        let f = &p.functions[main.0 as usize];
-        let cfg = Cfg::build(f);
-        let dom = Dominators::compute(&cfg);
-        let forest = LoopForest::build(&cfg, &dom);
-        assert_eq!(forest.len(), 1);
-        let deps = analyze_loop(&p, f, &cfg, &dom, &forest.loops[0], None);
+        let deps = deps(&p, false);
         assert!(deps.is_empty(), "got {deps:?}");
     }
 
@@ -732,12 +743,7 @@ mod tests {
             f.ret_void();
         });
         let p = b.finish(main).unwrap();
-        let f = &p.functions[main.0 as usize];
-        let cfg = Cfg::build(f);
-        let dom = Dominators::compute(&cfg);
-        let forest = LoopForest::build(&cfg, &dom);
-        assert_eq!(forest.len(), 1);
-        let deps = analyze_loop(&p, f, &cfg, &dom, &forest.loops[0], None);
+        let deps = deps(&p, false);
         assert_eq!(deps.len(), 1, "got {deps:?}");
         assert!(matches!(deps[0].kind, DepKind::Static(_)));
     }
@@ -760,7 +766,7 @@ mod tests {
             f.ret_void();
         });
         let p = b.finish(main).unwrap();
-        let deps = analyze(&p);
+        let deps = deps(&p, false);
         assert_eq!(deps.len(), 1, "got {deps:?}");
         assert!(matches!(deps[0].kind, DepKind::Array { .. }));
     }
@@ -779,7 +785,7 @@ mod tests {
             f.ret_void();
         });
         let p = b.finish(main).unwrap();
-        let deps = analyze(&p);
+        let deps = deps(&p, false);
         assert_eq!(deps.len(), 1, "got {deps:?}");
         assert!(matches!(deps[0].kind, DepKind::Field { .. }));
     }
@@ -815,10 +821,10 @@ mod tests {
     fn pointsto_unmasks_the_distinct_array_store() {
         let p = two_array_program();
         assert!(
-            analyze(&p).is_empty(),
+            deps(&p, false).is_empty(),
             "without points-to the foreign store masks the recurrence"
         );
-        let deps = analyze_with_pt(&p);
+        let deps = deps(&p, true);
         assert_eq!(deps.len(), 1, "got {deps:?}");
         assert!(matches!(deps[0].kind, DepKind::Array { .. }));
     }
@@ -826,15 +832,10 @@ mod tests {
     #[test]
     fn pointsto_strictly_sharpens_pair_classification() {
         let p = two_array_program();
-        let base = classify(&p, false);
-        let sharp = classify(&p, true);
+        let base = reference_tier(&p, false);
+        let sharp = reference_tier(&p, true);
         assert_eq!(base.len(), sharp.len(), "same pair universe");
-        let count =
-            |pairs: &[AccessPair], v: PairVerdict| pairs.iter().filter(|p| p.verdict == v).count();
-        let (db, ds) = (
-            count(&base, PairVerdict::Disjoint),
-            count(&sharp, PairVerdict::Disjoint),
-        );
+        let (db, ds) = (count_disjoint(&base), count_disjoint(&sharp));
         assert!(ds > db, "sharpened {ds} must exceed baseline {db}");
         assert!(sharp.iter().any(|p| p.via_pointsto));
         // monotone: nothing disjoint in the baseline may regress
@@ -843,6 +844,9 @@ mod tests {
                 assert_eq!(s.verdict, PairVerdict::Disjoint);
             }
         }
+        let claims = claims(&p);
+        assert_eq!(claims.pairs.len(), sharp.len(), "same pair universe");
+        assert_tiers_agree(&p, &claims);
     }
 
     #[test]
@@ -872,37 +876,10 @@ mod tests {
             f.ret_void();
         });
         let p = b.finish(main).unwrap();
-        let f = &p.functions[p.entry.0 as usize];
-        let cfg = Cfg::build(f);
-        let dom = Dominators::compute(&cfg);
-        let forest = LoopForest::build(&cfg, &dom);
-        assert_eq!(forest.len(), 1);
-        let without = analyze_loop(&p, f, &cfg, &dom, &forest.loops[0], None);
-        assert!(without.is_empty(), "opaque call masks structurally");
-        let pt = PointsTo::analyze(&p);
-        let with = analyze_loop(&p, f, &cfg, &dom, &forest.loops[0], Some(&pt.view(p.entry)));
+        assert!(deps(&p, false).is_empty(), "opaque call masks structurally");
+        let with = deps(&p, true);
         assert_eq!(with.len(), 1, "got {with:?}");
         assert!(matches!(with[0].kind, DepKind::Array { .. }));
-    }
-
-    fn classify_evo(p: &Program, with_pt: bool) -> Vec<AccessPair> {
-        let pt = PointsTo::analyze(p);
-        let f = &p.functions[p.entry.0 as usize];
-        let cfg = Cfg::build(f);
-        let dom = Dominators::compute(&cfg);
-        let forest = LoopForest::build(&cfg, &dom);
-        assert_eq!(forest.len(), 1);
-        let view = pt.view(p.entry);
-        let evo = crate::scev::analyze_loop(p, f, &cfg, &forest.loops[0]);
-        classify_loop_pairs_evo(
-            p,
-            f,
-            &cfg,
-            &dom,
-            &forest.loops[0],
-            with_pt.then_some(&view),
-            &evo,
-        )
     }
 
     /// `a[i] = a[i+1]` — points-to leaves the pair may-alias, but the
@@ -927,8 +904,10 @@ mod tests {
     #[test]
     fn scev_distance_vector_sharpens_stencil() {
         let p = stencil_program(1);
-        let base = classify(&p, true);
-        let sharp = classify_evo(&p, true);
+        let base = reference_tier(&p, true);
+        let claims = claims(&p);
+        assert_tiers_agree(&p, &claims);
+        let sharp = claims.pairs;
         assert_eq!(base.len(), sharp.len(), "same pair universe");
         let stencil_base = base
             .iter()
@@ -945,8 +924,11 @@ mod tests {
     #[test]
     fn scev_sharpening_is_monotone() {
         let p = stencil_program(1);
-        let base = classify(&p, true);
-        let sharp = classify_evo(&p, true);
+        let base = reference_tier(&p, true);
+        let claims = claims(&p);
+        assert_tiers_agree(&p, &claims);
+        let sharp = claims.pairs;
+        assert_eq!(base.len(), sharp.len(), "same pair universe");
         for (b, s) in base.iter().zip(&sharp) {
             match b.verdict {
                 // proofs may only be added, never lost
@@ -983,8 +965,10 @@ mod tests {
             f.ret_void();
         });
         let p = b.finish(main).unwrap();
-        let base = classify(&p, true);
-        let sharp = classify_evo(&p, true);
+        let base = reference_tier(&p, true);
+        let claims = claims(&p);
+        assert_tiers_agree(&p, &claims);
+        let sharp = claims.pairs;
         let was_unknown = base
             .iter()
             .find(|pr| pr.verdict == PairVerdict::MayAlias)
@@ -1002,7 +986,7 @@ mod tests {
         // load a[i] / store a[i]... via distinct shapes the prescreen
         // cannot prove: offset delta 0 must NOT claim a distance.
         let p = stencil_program(0);
-        let sharp = classify_evo(&p, true);
+        let sharp = claims(&p).pairs;
         assert!(
             sharp
                 .iter()

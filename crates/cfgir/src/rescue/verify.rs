@@ -264,8 +264,9 @@ fn pre_sites(program: &Program, fi: usize, loc: &Loc) -> Vec<AccessSite> {
 }
 
 fn deps_of(program: &Program, fi: usize, loc: &Loc, view: &FnView<'_>) -> Vec<GuaranteedDep> {
-    let f = &program.functions[fi];
-    analyze_loop(program, f, &loc.cfg, &loc.dom, loc.lp(), Some(view))
+    let (f, lp) = (&program.functions[fi], loc.lp());
+    let stores = transitive_store_effects(program);
+    analyze_loop(program, f, &loc.cfg, &loc.dom, lp, Some(view), &stores)
 }
 
 fn channel_dep_kind(ch: &Channel) -> DepKind {

@@ -29,7 +29,7 @@
 //!
 //! Downstream consumers:
 //!
-//! * [`crate::memdep::classify_loop_pairs_evo`] turns evolutions of
+//! * [`crate::ProgramCandidates::claims`] turns evolutions of
 //!   inductors into dependence *distance vectors* for affine access
 //!   pairs ([`crate::memdep::PairVerdict::DistanceAtLeast`]);
 //! * [`crate::slice`] extracts a pre-computation slice per scalar with
@@ -44,7 +44,6 @@ use tvm::isa::{GlobalId, Instr, Local};
 use tvm::program::{Function, Program};
 use tvm::verify::stack_effect;
 
-use crate::access::transitive_store_effects;
 use crate::cfg::{BlockId, Cfg};
 use crate::dataflow::{solve, Analysis, Direction};
 use crate::loops::NaturalLoop;
@@ -179,7 +178,7 @@ struct ScevProblem<'a> {
     /// Static ids referenced in the loop, in ascending order.
     statics: Vec<GlobalId>,
     /// Per function: `[stores statics, stores fields, stores arrays]`.
-    effects: Vec<[bool; 3]>,
+    effects: &'a [[bool; 3]],
 }
 
 impl ScevProblem<'_> {
@@ -442,12 +441,16 @@ impl Analysis for ScevProblem<'_> {
 ///
 /// The header's entry fact is the identity ("value at iteration
 /// entry"); the net one-iteration transform of a scalar is the join of
-/// the latch exit facts, translated into an [`Evolution`].
+/// the latch exit facts, translated into an [`Evolution`]. `effects`
+/// is the program's transitive store-effect summary
+/// ([`crate::access::transitive_store_effects`]): a call whose callee
+/// may store a static makes every static's transform unknown.
 pub fn analyze_loop(
     program: &Program,
     f: &Function,
     cfg: &Cfg,
     lp: &NaturalLoop,
+    effects: &[[bool; 3]],
 ) -> LoopEvolutions {
     // Scalars referenced in the loop body.
     let mut locals_seen: Vec<bool> = vec![false; f.n_locals as usize];
@@ -479,7 +482,7 @@ pub fn analyze_loop(
         cfg,
         lp,
         statics,
-        effects: transitive_store_effects(program),
+        effects,
     };
     let sol = solve(cfg, &problem);
 
@@ -513,7 +516,7 @@ pub fn analyze_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::inductor_steps;
+    use crate::access::{inductor_steps, transitive_store_effects};
     use crate::dom::Dominators;
     use crate::loops::LoopForest;
     use tvm::isa::Cond;
@@ -526,7 +529,7 @@ mod tests {
         let forest = LoopForest::build(&cfg, &dom);
         assert_eq!(forest.len(), 1, "test programs must have one loop");
         let lp = &forest.loops[0];
-        let evo = analyze_loop(program, f, &cfg, lp);
+        let evo = analyze_loop(program, f, &cfg, lp, &transitive_store_effects(program));
         let steps = inductor_steps(f, &cfg, &dom, lp);
         (evo, steps)
     }
@@ -651,7 +654,7 @@ mod tests {
             .iter()
             .find(|lp| forest.loops.iter().all(|o| lp.blocks.contains(&o.header)))
             .expect("outer loop");
-        let evo = analyze_loop(&p, f, &cfg, outer);
+        let evo = analyze_loop(&p, f, &cfg, outer, &transitive_store_effects(&p));
         assert_eq!(
             evo.locals.get(&Local(1)),
             Some(&Evolution::Affine { stride: 5 })
@@ -683,7 +686,7 @@ mod tests {
         let cfg = Cfg::build(f);
         let dom = Dominators::compute(&cfg);
         let forest = LoopForest::build(&cfg, &dom);
-        let evo = analyze_loop(&p, f, &cfg, &forest.loops[0]);
+        let evo = analyze_loop(&p, f, &cfg, &forest.loops[0], &transitive_store_effects(&p));
         assert_eq!(evo.statics.get(&g), Some(&Evolution::BoundedUnknown));
     }
 }

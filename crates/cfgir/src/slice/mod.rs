@@ -218,6 +218,7 @@ fn static_slice_instrs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::transitive_store_effects;
     use crate::dom::Dominators;
     use crate::scev;
     use tvm::isa::Cond;
@@ -229,7 +230,7 @@ mod tests {
         let dom = Dominators::compute(&cfg);
         let forest = LoopForest::build(&cfg, &dom);
         assert_eq!(forest.len(), 1, "test programs must have one loop");
-        let evo = scev::analyze_loop(p, f, &cfg, &forest.loops[0]);
+        let evo = scev::analyze_loop(p, f, &cfg, &forest.loops[0], &transitive_store_effects(p));
         extract_slices(p, f, &cfg, &forest, 0, &evo)
     }
 
@@ -353,7 +354,7 @@ mod tests {
         let cfg = Cfg::build(f);
         let dom = Dominators::compute(&cfg);
         let forest = LoopForest::build(&cfg, &dom);
-        let evo = scev::analyze_loop(&p, f, &cfg, &forest.loops[0]);
+        let evo = scev::analyze_loop(&p, f, &cfg, &forest.loops[0], &transitive_store_effects(&p));
         let out = extract_slices(&p, f, &cfg, &forest, 0, &evo);
         let good = out
             .slices

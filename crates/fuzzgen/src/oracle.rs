@@ -52,7 +52,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use crate::spec::{emit, gen_spec, ProgramSpec};
-use cfgir::{analyze_loop, classify_loop_pairs, PairVerdict, ProgramCandidates};
+use cfgir::{analyze_loop, PairVerdict, ProgramCandidates};
 use hydra_sim::{simulate_entry, TlsConfig, TlsTraceCollector};
 use jrpm::annotate::{annotate, AnnotateOptions};
 use jrpm::tier::{run_tiered, TierConfig};
@@ -626,6 +626,7 @@ fn guaranteed_deps(
             &fa.dom,
             &fa.forest.loops[c.loop_idx],
             Some(&view),
+            &cands.store_effects,
         );
         if let Some(min) = ds.iter().map(|d| d.distance).min() {
             out.insert(c.id, min.max(1));
@@ -668,11 +669,12 @@ fn check_memdep(
     Ok(deps.len())
 }
 
-/// Soundness oracle for the alias-sharpened pre-screen: every access
-/// pair `classify_loop_pairs` marks `Disjoint` must touch disjoint
-/// dynamic address sets in the plain run. Opaque-store pairs are
-/// skipped — call instructions emit no heap events of their own, so
-/// their footprint is not observable at the call pc.
+/// Soundness oracle for the alias-sharpened pair classification: every
+/// access pair a candidate's claims mark `Disjoint` (by the structural
+/// rules, points-to or scalar evolution) must touch disjoint dynamic
+/// address sets in the plain run. Opaque-store pairs are skipped —
+/// call instructions emit no heap events of their own, so their
+/// footprint is not observable at the call pc.
 fn check_pointsto(
     program: &Program,
     cands: &ProgramCandidates,
@@ -686,11 +688,7 @@ fn check_pointsto(
     }
     let empty = BTreeSet::new();
     for c in &cands.candidates {
-        let fa = &cands.functions[c.func.0 as usize];
-        let f = &program.functions[c.func.0 as usize];
-        let lp = &fa.forest.loops[c.loop_idx];
-        let view = cands.pointsto.view(c.func);
-        for p in classify_loop_pairs(program, f, &fa.cfg, &fa.dom, lp, Some(&view)) {
+        for p in cands.claims(program, c).pairs {
             if p.verdict != PairVerdict::Disjoint || p.opaque_store {
                 continue;
             }
@@ -701,9 +699,9 @@ fn check_pointsto(
                     "pointsto-soundness",
                     format!(
                         "candidate {:?} in fn {}: load at pc {} and store at pc {} were \
-                         proven disjoint (via_pointsto={}) but both touched address {} \
-                         dynamically",
-                        c.id, c.func.0, p.load_at, p.store_at, p.via_pointsto, shared
+                         proven disjoint (via_pointsto={}, via_scev={}) but both touched \
+                         address {} dynamically",
+                        c.id, c.func.0, p.load_at, p.store_at, p.via_pointsto, p.via_scev, shared
                     ),
                 ));
             }

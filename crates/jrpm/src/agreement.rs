@@ -53,8 +53,8 @@
 use crate::annotate::{annotate_mapped, AnnotateOptions};
 use cfgir::extract_candidates;
 use cfgir::{
-    classify_loop_pairs, classify_loop_pairs_evo, extract_slices, scev, AccessPair, Evolution,
-    PairVerdict, SliceScalar, SolverStats,
+    extract_slices, Access, AccessPair, Evolution, LoopClaims, PairVerdict, SliceScalar,
+    SolverStats, Sym,
 };
 use std::collections::{BTreeSet, HashMap};
 use tvm::isa::{LoopId, Pc};
@@ -248,7 +248,8 @@ pub fn agreement_report(program: &Program) -> Result<AgreementReport, tvm::VmErr
     };
     let program = &rescue.program;
 
-    // classify every candidate's pairs, sharpened and baseline
+    // classify every candidate's pairs once; the baseline tier is
+    // read off the provenance flags
     let mut per_loop: HashMap<LoopId, Vec<AccessPair>> = HashMap::new();
     let mut report = AgreementReport {
         pointsto: cands.pointsto.stats(),
@@ -262,29 +263,21 @@ pub fn agreement_report(program: &Program) -> Result<AgreementReport, tvm::VmErr
     for c in &cands.candidates {
         let fa = &cands.functions[c.func.0 as usize];
         let f = &program.functions[c.func.0 as usize];
-        let lp = &fa.forest.loops[c.loop_idx];
-        let view = cands.pointsto.view(c.func);
-        let evo = scev::analyze_loop(program, f, &fa.cfg, lp);
-        let pairs = classify_loop_pairs_evo(program, f, &fa.cfg, &fa.dom, lp, Some(&view), &evo);
-        let base = classify_loop_pairs(program, f, &fa.cfg, &fa.dom, lp, None);
+        let LoopClaims {
+            evolutions,
+            sites,
+            pairs,
+        } = cands.claims(program, c);
+        let count = |tier: fn(&AccessPair) -> bool| pairs.iter().filter(|p| tier(p)).count();
         report.pairs += pairs.len();
-        report.baseline_disjoint += base
-            .iter()
-            .filter(|p| p.verdict == PairVerdict::Disjoint)
-            .count();
-        report.disjoint += pairs
-            .iter()
-            .filter(|p| p.verdict == PairVerdict::Disjoint)
-            .count();
-        report.via_pointsto += pairs.iter().filter(|p| p.via_pointsto).count();
-        report.distance_pairs += pairs
-            .iter()
-            .filter(|p| matches!(p.verdict, PairVerdict::DistanceAtLeast(_)))
-            .count();
+        report.baseline_disjoint += count(AccessPair::structurally_disjoint);
+        report.disjoint += count(|p| p.verdict == PairVerdict::Disjoint);
+        report.via_pointsto += count(|p| p.via_pointsto);
+        report.distance_pairs += count(|p| matches!(p.verdict, PairVerdict::DistanceAtLeast(_)));
 
         // every certified slice becomes a dynamic check: static
         // scalars by value, inductors by address progression
-        let slices = extract_slices(program, f, &fa.cfg, &fa.forest, c.loop_idx, &evo);
+        let slices = extract_slices(program, f, &fa.cfg, &fa.forest, c.loop_idx, &evolutions);
         report.slices += slices.slices.len();
         report.slices_rejected += slices.rejected;
         let mut vplan = ValuePlan::default();
@@ -298,15 +291,21 @@ pub fn agreement_report(program: &Program) -> Result<AgreementReport, tvm::VmErr
                     let Evolution::Affine { stride } = s.cert.evolution else {
                         continue;
                     };
-                    // every affine access site driven by this inductor
-                    // advances scale*stride words per iteration
-                    for (instr, ind, scale) in cfgir::affine_sites(program, f, &fa.cfg, &fa.dom, lp)
-                    {
-                        if ind == l {
-                            let per_iter = scale
-                                .wrapping_mul(stride)
-                                .wrapping_mul(i64::from(WORD_BYTES));
-                            aplan.sites.push(((c.func.0, instr), per_iter));
+                    // every affine array access site driven by this
+                    // inductor advances scale*stride words per iteration
+                    for site in &sites {
+                        let (Access::ArrayLoad { index, .. } | Access::ArrayStore { index, .. }) =
+                            &site.access
+                        else {
+                            continue;
+                        };
+                        if let Sym::Affine { ind, scale, .. } = *index {
+                            if ind == l {
+                                let per_iter = scale
+                                    .wrapping_mul(stride)
+                                    .wrapping_mul(i64::from(WORD_BYTES));
+                                aplan.sites.push(((c.func.0, site.instr), per_iter));
+                            }
                         }
                     }
                 }

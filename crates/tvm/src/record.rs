@@ -22,7 +22,7 @@
 //! non-heap events, [`Recording::iter`] for whole-stream scanners, and
 //! hand-built streams collected into a [`Recording`].
 
-use crate::bus::{sealed::Flush, Batcher, EventBatch, DEFAULT_BATCH_CAPACITY};
+use crate::bus::{sealed::Flush, Batcher, Ctrl, EventBatch, EventKind, DEFAULT_BATCH_CAPACITY};
 use crate::isa::{FuncId, LoopId, Pc};
 use crate::trace::{Addr, Cycles, TraceSink};
 use std::fmt;
@@ -128,35 +128,56 @@ impl Recording {
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         write_varint(&mut out, len as u64);
         let mut prev_cycle: Cycles = 0;
-        for e in self.iter() {
-            out.push(e.kind().index() as u8);
-            let now = e.cycle();
-            write_zigzag(&mut out, now as i64 - prev_cycle as i64);
+        let mut head = |out: &mut Vec<u8>, kind: EventKind, now: Cycles| {
+            out.push(kind.index() as u8);
+            write_zigzag(out, now as i64 - prev_cycle as i64);
             prev_cycle = now;
-            match e {
-                Event::HeapLoad(a, _, pc) | Event::HeapStore(a, _, pc) => {
-                    write_varint(&mut out, a as u64);
-                    write_pc(&mut out, pc);
+        };
+        for b in &self.batches {
+            // heap accesses are written straight from the batch columns;
+            // only the side vector's events go through `Event`
+            let (mut heap, mut misc) = (0, 0);
+            for &c in &b.ctrl {
+                if c != Ctrl::Misc {
+                    let kind = if c == Ctrl::HeapLoad {
+                        EventKind::HeapLoad
+                    } else {
+                        EventKind::HeapStore
+                    };
+                    head(&mut out, kind, b.heap_cycle[heap]);
+                    write_varint(&mut out, b.heap_addr[heap] as u64);
+                    write_pc(&mut out, b.heap_pc[heap]);
+                    heap += 1;
+                    continue;
                 }
-                Event::LocalLoad(v, act, _, pc) | Event::LocalStore(v, act, _, pc) => {
-                    write_varint(&mut out, v as u64);
-                    write_varint(&mut out, act as u64);
-                    write_pc(&mut out, pc);
-                }
-                Event::LoopEnter(l, n, act, _) => {
-                    write_varint(&mut out, l.0 as u64);
-                    write_varint(&mut out, n as u64);
-                    write_varint(&mut out, act as u64);
-                }
-                Event::LoopIter(l, _) | Event::LoopExit(l, _) | Event::StatsRead(l, _) => {
-                    write_varint(&mut out, l.0 as u64);
-                }
-                Event::CallEnter(pc, act, _) => {
-                    write_pc(&mut out, pc);
-                    write_varint(&mut out, act as u64);
-                }
-                Event::CallExit(pc, _) | Event::CallResultUse(pc, _) => {
-                    write_pc(&mut out, pc);
+                let e = b.misc[misc];
+                misc += 1;
+                head(&mut out, e.kind(), e.cycle());
+                match e {
+                    Event::HeapLoad(a, _, pc) | Event::HeapStore(a, _, pc) => {
+                        write_varint(&mut out, a as u64);
+                        write_pc(&mut out, pc);
+                    }
+                    Event::LocalLoad(v, act, _, pc) | Event::LocalStore(v, act, _, pc) => {
+                        write_varint(&mut out, v as u64);
+                        write_varint(&mut out, act as u64);
+                        write_pc(&mut out, pc);
+                    }
+                    Event::LoopEnter(l, n, act, _) => {
+                        write_varint(&mut out, l.0 as u64);
+                        write_varint(&mut out, n as u64);
+                        write_varint(&mut out, act as u64);
+                    }
+                    Event::LoopIter(l, _) | Event::LoopExit(l, _) | Event::StatsRead(l, _) => {
+                        write_varint(&mut out, l.0 as u64);
+                    }
+                    Event::CallEnter(pc, act, _) => {
+                        write_pc(&mut out, pc);
+                        write_varint(&mut out, act as u64);
+                    }
+                    Event::CallExit(pc, _) | Event::CallResultUse(pc, _) => {
+                        write_pc(&mut out, pc);
+                    }
                 }
             }
         }

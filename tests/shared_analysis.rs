@@ -3,8 +3,9 @@
 //!
 //! Extraction solves each function's dominators, reaching definitions
 //! and liveness gen/kill sets once, and the whole program's points-to
-//! facts once. The pre-screen, rescue, distance floors and annotation
-//! then read them instead of solving again. Rescue starts from the
+//! facts and store-effect summary once. The pre-screen, the per-loop
+//! claims, rescue, distance floors and annotation then read them
+//! instead of solving again. Rescue starts from the
 //! caller's extraction and hands back the extraction of the program it
 //! rewrote. Each shared fact must equal what a fresh computation on
 //! the same program gives, and so must the dependences a demoted
@@ -15,6 +16,7 @@
 //! sizes and on a range of generated programs.
 
 use benchsuite::DataSize;
+use cfgir::access::transitive_store_effects;
 use cfgir::scalar::classify;
 use cfgir::{
     analyze_loop, extract_candidates, rescue_extracted, rescue_program, Dominators, LocalGenKill,
@@ -70,7 +72,10 @@ fn check(name: &str, p: &Program) {
         without_wall_time(format!("{pt:?}")),
         "{name}: points-to"
     );
-    // rescue reads a demoted loop's dependences from its verdict
+    let effects = transitive_store_effects(p);
+    assert_eq!(pc.store_effects, effects, "{name}: store-effect summary");
+    // rescue and the per-loop claims read a loop's dependences from
+    // its verdict
     for c in &pc.candidates {
         let fa = &pc.functions[c.func.0 as usize];
         let fresh = analyze_loop(
@@ -80,6 +85,7 @@ fn check(name: &str, p: &Program) {
             &Dominators::compute(&fa.cfg),
             &fa.forest.loops[c.loop_idx],
             Some(&pt.view(c.func)),
+            &effects,
         );
         assert_eq!(
             c.static_verdict.deps(),

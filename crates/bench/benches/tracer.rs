@@ -1,7 +1,9 @@
 //! Criterion micro-benchmarks of the analysis layer: event throughput
 //! of the hardware tracer model against the software oracle, TVMR
 //! decode throughput with and without the tracer, and interpreter
-//! throughput with and without annotations.
+//! throughput with and without annotations, through each front-end
+//! the pipeline drives it with (direct sink, batching bus, counting
+//! hook).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -10,7 +12,7 @@ use tvm::bus::DEFAULT_BATCH_CAPACITY;
 use tvm::isa::{FuncId, LoopId, Pc};
 use tvm::record::RecordingView;
 use tvm::trace::TraceSink;
-use tvm::{Interp, NullSink};
+use tvm::{CostModel, HotLocations, Interp, NoHook, NullSink, TraceBus};
 
 /// A synthetic event stream: a loop of `iters` iterations, each with
 /// `per_iter` heap accesses over a 256-line working set plus one
@@ -141,6 +143,39 @@ fn bench_interpreter(c: &mut Criterion) {
             tracer.set_local_masks(cands.tracked_masks());
             let r = Interp::run(black_box(&annotated), &mut tracer).unwrap();
             black_box(r.cycles)
+        })
+    });
+    // the profiling pass: batches streamed over the bus into the tracer
+    g.bench_function("annotated_bus_to_tracer", |b| {
+        b.iter(|| {
+            let mut tracer = TestTracer::with_masks(TracerConfig::default(), cands.tracked_masks());
+            let (state, _) = TraceBus::new()
+                .sink("test-tracer", &mut tracer)
+                .run(black_box(&annotated), &mut NoHook)
+                .unwrap();
+            black_box(state.result.cycles)
+        })
+    });
+    // the counting tier: every candidate loop header is a registered
+    // location, as in the `tier` gate's overhead measurement
+    g.bench_function("plain_counting_hook", |b| {
+        b.iter(|| {
+            let mut hot = HotLocations::for_program(&program);
+            for c in &cands.candidates {
+                let fa = &cands.functions[c.func.0 as usize];
+                let lp = &fa.forest.loops[c.loop_idx];
+                hot.register(c.func.0, fa.cfg.blocks[lp.header.0 as usize].start);
+            }
+            let (cost, fuel) = (CostModel::default(), Interp::DEFAULT_FUEL);
+            let state = Interp::run_to_state_hooked(
+                black_box(&program),
+                &mut NullSink,
+                cost,
+                fuel,
+                &mut hot,
+            )
+            .unwrap();
+            black_box((state.result.cycles, hot.counts().len()))
         })
     });
     g.finish();

@@ -70,7 +70,7 @@ pub use dataflow::{
 };
 pub use dom::Dominators;
 pub use loops::{LoopForest, NaturalLoop};
-pub use memdep::{analyze_loop, masking_witness, AccessPair, DepKind, GuaranteedDep, PairVerdict};
+pub use memdep::{analyze_loop, AccessPair, DepKind, GuaranteedDep, PairVerdict};
 pub use pointsto::{FnView, PointsTo, SolverStats};
 pub use rescue::{
     rescue_extracted, rescue_program, Channel, LegalityProof, RescueOutcome, RescueRejection,

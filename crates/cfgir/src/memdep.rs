@@ -27,7 +27,7 @@
 
 use crate::access::{
     collect_accesses, every_iteration, inductor_steps, invariant_locals, load_precedes_store,
-    same_iteration_blocker, strongly_disjoint, Access, AccessSite, DepWitness, Sym,
+    same_iteration_blocker, strongly_disjoint, Access, AccessSite, Sym,
 };
 use crate::cfg::Cfg;
 use crate::dom::Dominators;
@@ -113,25 +113,10 @@ fn load_may_be_masked(
     load: &AccessSite,
     pt: Option<&FnView<'_>>,
 ) -> bool {
-    masking_witness(dom, sites, load, pt).is_some()
-}
-
-/// The witness form of `load_may_be_masked`: the first store that
-/// may satisfy `load` within its own iteration, as a [`DepWitness`].
-/// The rescue legality checker and the `TR002` lint diagnostic use
-/// this to report *which* store blocked a transform without a second
-/// walk over the access sites.
-pub fn masking_witness(
-    dom: &Dominators,
-    sites: &[AccessSite],
-    load: &AccessSite,
-    pt: Option<&FnView<'_>>,
-) -> Option<DepWitness> {
-    sites.iter().find_map(|s2| {
-        if !s2.access.is_store() || load_precedes_store(dom, load, s2) {
-            return None;
-        }
-        same_iteration_blocker(load, s2, pt)
+    sites.iter().any(|s2| {
+        s2.access.is_store()
+            && !load_precedes_store(dom, load, s2)
+            && same_iteration_blocker(load, s2, pt).is_some()
     })
 }
 

@@ -37,8 +37,7 @@ pub mod verify;
 
 use crate::access::{
     collect_accesses, inductor_steps, invariant_locals, overlap_kind, strongly_disjoint,
-    transitive_load_effects, transitive_store_effects, Access, AccessSite, BlockKind, DepWitness,
-    Sym,
+    transitive_load_effects, Access, AccessSite, BlockKind, DepWitness, Sym,
 };
 use crate::candidates::{extract_candidates, ProgramCandidates};
 use crate::cfg::{BlockId, Cfg};
@@ -728,8 +727,10 @@ pub fn rescue_extracted(
         if cands.demoted_count() == 0 {
             break;
         }
+        // `cands` is the extraction of `cur`: its store summary is
+        // this round's; only the load summary is solved here
         let load_effects = transitive_load_effects(&cur);
-        let store_effects = transitive_store_effects(&cur);
+        let store_effects = &cands.store_effects;
         let mut applied: Option<(usize, Function, Vec<Option<u32>>, RescuedLoop)> = None;
 
         'cands: for c in cands.candidates.iter().filter(|c| c.is_demoted()) {
@@ -742,7 +743,7 @@ pub fn rescue_extracted(
             let inductors = inductor_steps(f, &fa.cfg, &fa.dom, lp);
             let invariant = invariant_locals(f, &fa.cfg, lp);
             let sites =
-                collect_accesses(&cur, f, &fa.cfg, lp, &inductors, &invariant, &store_effects);
+                collect_accesses(&cur, f, &fa.cfg, lp, &inductors, &invariant, store_effects);
             // `cands` is the extraction of `cur`, so its verdict holds
             // the very dependences a fresh solve would find
             let deps = c.static_verdict.deps();

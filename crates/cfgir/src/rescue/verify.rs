@@ -155,10 +155,13 @@ pub fn check(pre: &Program, post: &Program, proof: &LegalityProof) -> Result<(),
         return Err("the accumulator local is not the single fresh local".into());
     }
 
-    // the removed dependence must really exist on the original loop
+    // the removed dependence must really exist on the original loop;
+    // the pre-program's store summary is solved once, here, and
+    // independently of the one extraction holds
     let pt_pre = PointsTo::analyze(pre);
     let view_pre = pt_pre.view(proof.func);
-    let pre_deps = deps_of(pre, fi, &loc_pre, &view_pre);
+    let stores_pre = transitive_store_effects(pre);
+    let pre_deps = deps_of(pre, fi, &loc_pre, &view_pre, &stores_pre);
     let removed_kind = channel_dep_kind(ch);
     if !pre_deps
         .iter()
@@ -168,9 +171,9 @@ pub fn check(pre: &Program, post: &Program, proof: &LegalityProof) -> Result<(),
     }
 
     check_channel_int(pre, &view_pre, ch)?;
-    let sites = pre_sites(pre, fi, &loc_pre);
+    let sites = pre_sites(pre, fi, &loc_pre, &stores_pre);
     check_exclusivity(&sites, ch, &view_pre, &[load_at, store_at])?;
-    check_calls_off_channel(pre, fpre, &loc_pre.cfg, loc_pre.lp(), ch)?;
+    check_calls_off_channel(pre, fpre, &loc_pre.cfg, loc_pre.lp(), ch, &stores_pre)?;
     if let Channel::Field { base, .. } = ch {
         check_base_nonnull(pre, fpre, &loc_pre.cfg, &loc_pre.dom, loc_pre.lp(), *base)?;
     }
@@ -227,7 +230,8 @@ pub fn check(pre: &Program, post: &Program, proof: &LegalityProof) -> Result<(),
 
     // dependence refinement and scalar facts on the transformed loop
     let pt_post = PointsTo::analyze(post);
-    let post_deps = deps_of(post, fi, &loc_post, &pt_post.view(proof.func));
+    let stores_post = transitive_store_effects(post);
+    let post_deps = deps_of(post, fi, &loc_post, &pt_post.view(proof.func), &stores_post);
     check_refinement(&pre_deps, &post_deps, &removed_kind)?;
     let classes = classify(
         post,
@@ -247,11 +251,12 @@ pub fn check(pre: &Program, post: &Program, proof: &LegalityProof) -> Result<(),
 // re-derivations
 // ---------------------------------------------------------------------
 
-fn pre_sites(program: &Program, fi: usize, loc: &Loc) -> Vec<AccessSite> {
+// `stores` is always `program`'s own transitive store summary
+
+fn pre_sites(program: &Program, fi: usize, loc: &Loc, stores: &[[bool; 3]]) -> Vec<AccessSite> {
     let f = &program.functions[fi];
     let inductors = inductor_steps(f, &loc.cfg, &loc.dom, loc.lp());
     let invariant = invariant_locals(f, &loc.cfg, loc.lp());
-    let effects = transitive_store_effects(program);
     collect_accesses(
         program,
         f,
@@ -259,14 +264,19 @@ fn pre_sites(program: &Program, fi: usize, loc: &Loc) -> Vec<AccessSite> {
         loc.lp(),
         &inductors,
         &invariant,
-        &effects,
+        stores,
     )
 }
 
-fn deps_of(program: &Program, fi: usize, loc: &Loc, view: &FnView<'_>) -> Vec<GuaranteedDep> {
+fn deps_of(
+    program: &Program,
+    fi: usize,
+    loc: &Loc,
+    view: &FnView<'_>,
+    stores: &[[bool; 3]],
+) -> Vec<GuaranteedDep> {
     let (f, lp) = (&program.functions[fi], loc.lp());
-    let stores = transitive_store_effects(program);
-    analyze_loop(program, f, &loc.cfg, &loc.dom, lp, Some(view), &stores)
+    analyze_loop(program, f, &loc.cfg, &loc.dom, lp, Some(view), stores)
 }
 
 fn channel_dep_kind(ch: &Channel) -> DepKind {
@@ -333,13 +343,13 @@ fn check_calls_off_channel(
     cfg: &Cfg,
     lp: &NaturalLoop,
     ch: &Channel,
+    stores: &[[bool; 3]],
 ) -> Result<(), String> {
     let cat = match ch {
         Channel::Static(_) => 0,
         Channel::Field { .. } => 1,
     };
     let loads = transitive_load_effects(program);
-    let stores = transitive_store_effects(program);
     for &b in &lp.blocks {
         let block = &cfg.blocks[b.0 as usize];
         for idx in block.start..block.end {

@@ -10,6 +10,35 @@
 //! ([`AnnotationCycles`]) so the profiling-slowdown breakdown of the
 //! paper's Figure 6 (loop markers vs local-variable annotations vs
 //! statistics reads) can be reported from a single run.
+//!
+//! # Runs
+//!
+//! Cycles and fuel are charged per *run*: the straight-line stretch
+//! from a pc up to and including the next control transfer (`Goto`,
+//! `AGoto`, `If*`, `Call`, `Return*`, `Halt`). A run table, built once
+//! per execution, gives every pc the cycles of its function's code
+//! through that pc (`cum`) and the length of the run starting there.
+//! Entering a run charges its whole length against fuel and fixes a
+//! cycle base, so an event at `pc` is stamped `base + cum[pc]` and
+//! allocation words shift the base. Straight-line code therefore
+//! retires with no per-instruction bookkeeping; the operand stack is a
+//! buffer indexed by a local stack pointer, and the frame's fields live
+//! in locals.
+//!
+//! One loop body is compiled in two modes, chosen at every run entry:
+//!
+//! * *bulk*, monomorphized per sink and hook, runs whole runs as above;
+//! * *exact* keeps the per-instruction order: probe a pending call
+//!   result, then count the instruction and check fuel. It runs while
+//!   a call's result is pending (the probe must precede every
+//!   instruction until the value is consumed) and when a run would
+//!   cross the fuel limit, so [`VmError::FuelExhausted`] fires at the
+//!   same instruction, after the same events, as a per-instruction
+//!   count would. It takes the sink and hook as trait objects, so it
+//!   exists once in the binary.
+//!
+//! Both modes emit the same events with the same stamps; only where
+//! the bookkeeping happens differs.
 
 use crate::cost::CostModel;
 use crate::error::VmError;
@@ -75,8 +104,10 @@ pub struct RunResult {
     pub annotation_cycles: AnnotationCycles,
 }
 
+#[derive(Clone, Copy)]
 struct Frame {
     func: u16,
+    /// where execution resumes: the return pc of a suspended caller
     pc: u32,
     locals_base: usize,
     stack_base: usize,
@@ -89,6 +120,86 @@ struct Frame {
     /// a return value parked in a local by `Store` (register move):
     /// the real use is the first `Load` of that local
     pending_local: Option<(Pc, u16)>,
+}
+
+/// One pc's row of its function's run table.
+#[derive(Clone, Copy)]
+struct Step {
+    /// Cycles of the function's code through this pc, inclusive.
+    cum: u64,
+    /// This pc's own cost.
+    cost: u32,
+    /// Instructions from this pc up to and including the next control
+    /// transfer.
+    run: u32,
+}
+
+impl Step {
+    /// Cycles of the function's code before this pc.
+    #[inline]
+    fn before(self) -> u64 {
+        self.cum - u64::from(self.cost)
+    }
+}
+
+/// The run table of `code`: one row per pc, then a sentinel row at
+/// `code.len()` (cost 0, an empty run) so a pc that ran off the end
+/// still reads its clock.
+fn run_table(code: &[Instr], cost: &CostModel) -> Vec<Step> {
+    let mut rows = Vec::with_capacity(code.len() + 1);
+    let mut cum = 0u64;
+    for instr in code {
+        let c = cost.cost(instr);
+        cum += u64::from(c);
+        rows.push(Step {
+            cum,
+            cost: c,
+            run: 1,
+        });
+    }
+    rows.push(Step {
+        cum,
+        cost: 0,
+        run: 0,
+    });
+    for pc in (0..code.len()).rev() {
+        if !(code[pc].is_terminator() || matches!(code[pc], Instr::Call(_))) {
+            rows[pc].run = rows[pc + 1].run + 1;
+        }
+    }
+    rows
+}
+
+/// Why one mode's loop handed control back.
+enum Exit {
+    /// The program finished with this return value.
+    Done(Option<Value>),
+    /// The run just entered needs the other mode.
+    Switch,
+}
+
+/// The whole execution state, parked here whenever control passes
+/// between the two modes; each mode keeps its hot part in locals.
+struct Machine<'p> {
+    program: &'p Program,
+    cost: CostModel,
+    fuel: u64,
+    entry_returns: bool,
+    /// per function, its [`run_table`]
+    table: Vec<Vec<Step>>,
+    mem: Memory,
+    /// the operand stack: `sp` live slots, the rest spare capacity
+    stack: Vec<Value>,
+    sp: usize,
+    locals: Vec<Value>,
+    /// suspended callers
+    frames: Vec<Frame>,
+    frame: Frame,
+    next_activation: u32,
+    /// the clock at the current run's entry
+    now: Cycles,
+    instructions: u64,
+    ann: AnnotationCycles,
 }
 
 /// The interpreter. Use the associated functions [`Interp::run`] /
@@ -198,441 +309,568 @@ impl Interp {
                 reason: "entry function must take no parameters".into(),
             });
         }
-
-        let mut mem = Memory::new(&program.globals);
-        let mut stack: Vec<Value> = Vec::with_capacity(64);
-        let mut locals: Vec<Value> = vec![Value::Int(0); entry.n_locals as usize];
-        let mut frames: Vec<Frame> = Vec::with_capacity(16);
-        let mut next_activation: u32 = 1;
-        let mut frame = Frame {
-            func: program.entry.0,
-            pc: 0,
-            locals_base: 0,
-            stack_base: 0,
-            activation: 0,
-            call_site: None,
-            pending_result: None,
-            pending_local: None,
+        let mut m = Machine {
+            program,
+            cost,
+            fuel,
+            entry_returns: entry.returns,
+            table: program
+                .functions
+                .iter()
+                .map(|f| run_table(&f.code, &cost))
+                .collect(),
+            mem: Memory::new(&program.globals),
+            stack: vec![Value::Int(0); 64],
+            sp: 0,
+            locals: vec![Value::Int(0); entry.n_locals as usize],
+            frames: Vec::with_capacity(16),
+            frame: Frame {
+                func: program.entry.0,
+                pc: 0,
+                locals_base: 0,
+                stack_base: 0,
+                activation: 0,
+                call_site: None,
+                pending_result: None,
+                pending_local: None,
+            },
+            next_activation: 1,
+            now: 0,
+            instructions: 0,
+            ann: AnnotationCycles::default(),
         };
+        let mut exact = false;
+        let ret = loop {
+            let exit = if exact {
+                m.exec_exact(sink, hook)?
+            } else {
+                m.exec::<false, S, H>(sink, hook)?
+            };
+            match exit {
+                Exit::Done(ret) => break ret,
+                Exit::Switch => exact = !exact,
+            }
+        };
+        Ok(FinalState {
+            result: RunResult {
+                cycles: m.now,
+                instructions: m.instructions,
+                ret,
+                annotation_cycles: m.ann,
+            },
+            memory: m.mem,
+        })
+    }
+}
 
-        let mut now: Cycles = 0;
-        let mut instructions: u64 = 0;
-        let mut ann = AnnotationCycles::default();
-        let entry_returns = entry.returns;
+impl Machine<'_> {
+    /// The exact mode, compiled once for every sink and hook type.
+    #[inline(never)]
+    fn exec_exact(
+        &mut self,
+        sink: &mut dyn TraceSink,
+        hook: &mut dyn LocationHook,
+    ) -> Result<Exit, VmError> {
+        self.exec::<true, _, _>(sink, hook)
+    }
 
-        // every instruction's cost, looked up once per run instead of
-        // matched on each time it retires
-        let costs: Vec<Vec<u32>> = program
-            .functions
-            .iter()
-            .map(|f| f.code.iter().map(|i| cost.cost(i)).collect())
-            .collect();
-        let mut code: &[Instr] = &entry.code;
-        let mut code_costs: &[u32] = &costs[program.entry.0 as usize];
+    /// Runs from the current run entry until the program finishes or a
+    /// run needs the other mode (`EXACT` selects this one).
+    fn exec<const EXACT: bool, S: TraceSink + ?Sized, H: LocationHook + ?Sized>(
+        &mut self,
+        sink: &mut S,
+        hook: &mut H,
+    ) -> Result<Exit, VmError> {
+        let Machine {
+            program,
+            cost,
+            fuel,
+            entry_returns,
+            table,
+            mem,
+            stack,
+            sp: sp_slot,
+            locals,
+            frames,
+            frame: frame_slot,
+            next_activation,
+            now: now_slot,
+            instructions: instructions_slot,
+            ann,
+        } = self;
+        let (program, cost, fuel, table) = (*program, *cost, *fuel, &*table);
+        let mut sp = *sp_slot;
+        let mut fr = *frame_slot;
+        let mut now = *now_slot;
+        let mut instructions = *instructions_slot;
+        let mut pc = fr.pc as usize;
+        let mut code: &[Instr] = &program.function(FuncId(fr.func))?.code;
+        let mut rows: &[Step] = &table[fr.func as usize];
+        // the stack buffer and the frame's locals as slices held in
+        // locals, so their lengths stay in registers; each is re-taken
+        // whenever its vector changes
+        let mut buf: &mut [Value] = stack;
+        let mut lv: &mut [Value] = &mut locals[fr.locals_base..];
 
+        macro_rules! park {
+            () => {
+                fr.pc = pc as u32;
+                *frame_slot = fr;
+                *sp_slot = sp;
+                *now_slot = now;
+                *instructions_slot = instructions;
+            };
+        }
+        macro_rules! push {
+            ($v:expr) => {{
+                let v = $v;
+                match buf.get_mut(sp) {
+                    Some(slot) => *slot = v,
+                    None => {
+                        buf = grow(stack);
+                        buf[sp] = v;
+                    }
+                }
+                sp += 1;
+            }};
+        }
+        // `sp == 0` wraps to an index past the buffer: one compare
+        // covers both underflow and the bounds check
         macro_rules! pop {
+            () => {{
+                sp = sp.wrapping_sub(1);
+                *buf.get(sp).ok_or(VmError::StackUnderflow)?
+            }};
+        }
+        macro_rules! top {
             () => {
-                stack.pop().ok_or(VmError::StackUnderflow)?
+                buf.get_mut(sp.wrapping_sub(1))
+                    .ok_or(VmError::StackUnderflow)?
             };
         }
-        macro_rules! pop_int {
-            () => {
-                pop!().as_int()?
+        macro_rules! bin_int {
+            (|$a:ident, $b:ident| $e:expr) => {{
+                let $b = pop!().as_int()?;
+                let slot = top!();
+                let $a = slot.as_int()?;
+                *slot = Value::Int($e);
+            }};
+        }
+        macro_rules! bin_float {
+            (|$a:ident, $b:ident| $e:expr) => {{
+                let $b = pop!().as_float()?;
+                let slot = top!();
+                let $a = slot.as_float()?;
+                *slot = Value::Float($e);
+            }};
+        }
+        macro_rules! un_float {
+            ($f:expr) => {{
+                let slot = top!();
+                *slot = Value::Float($f(slot.as_float()?));
+            }};
+        }
+        macro_rules! local {
+            ($l:expr) => {
+                lv.get_mut($l.0 as usize).ok_or(VmError::BadLocal($l.0))?
             };
         }
-        macro_rules! pop_float {
-            () => {
-                pop!().as_float()?
-            };
-        }
-
-        loop {
-            // a pending return value is "used" once anything shortened
-            // the stack past it (store, arithmetic, argument pop, ...)
-            if let Some((site, idx)) = frame.pending_result {
-                if stack.len() <= idx {
-                    sink.call_result_use(site, now);
-                    frame.pending_result = None;
-                }
-            }
-            let instr = code
-                .get(frame.pc as usize)
-                .copied()
-                .ok_or(VmError::FellOffEnd(frame.func))?;
-            hook.at(frame.func, frame.pc);
-            let pc_here = Pc {
-                func: FuncId(frame.func),
-                idx: frame.pc,
-            };
-            instructions += 1;
-            if instructions > fuel {
-                return Err(VmError::FuelExhausted);
-            }
-            now += u64::from(code_costs[frame.pc as usize]);
-            let mut next_pc = frame.pc + 1;
-
-            match instr {
-                Instr::IConst(v) => stack.push(Value::Int(v)),
-                Instr::FConst(v) => stack.push(Value::Float(v)),
-                Instr::NullConst => stack.push(Value::Null),
-                Instr::Load(l) => {
-                    if let Some((site, pl)) = frame.pending_local {
-                        if pl == l.0 {
-                            sink.call_result_use(site, now);
-                            frame.pending_local = None;
-                        }
+        // a pending return value is "used" once anything shortened the
+        // stack past it (store, arithmetic, argument pop, ...)
+        macro_rules! probe {
+            ($now:expr) => {
+                if let Some((site, idx)) = fr.pending_result {
+                    if sp <= idx {
+                        sink.call_result_use(site, $now);
+                        fr.pending_result = None;
                     }
-                    let slot = frame.locals_base + l.0 as usize;
-                    stack.push(*locals.get(slot).ok_or(VmError::BadLocal(l.0))?);
                 }
-                Instr::Store(l) => {
-                    // a return value moved straight into a local is
-                    // merely parked; its first Load is the real use.
-                    // Overwriting a parked local before any read means
-                    // the value was dead: drop the tracking silently.
-                    match frame.pending_result {
-                        Some((site, idx)) if idx + 1 == stack.len() => {
-                            frame.pending_result = None;
-                            frame.pending_local = Some((site, l.0));
-                        }
-                        _ => {
-                            if matches!(frame.pending_local, Some((_, pl)) if pl == l.0) {
-                                frame.pending_local = None;
+            };
+        }
+        macro_rules! use_parked {
+            ($l:expr, $now:expr) => {
+                if let Some((site, pl)) = fr.pending_local {
+                    if pl == $l.0 {
+                        sink.call_result_use(site, $now);
+                        fr.pending_local = None;
+                    }
+                }
+            };
+        }
+
+        'run: loop {
+            // entering the run that starts at `pc`, with the clock at `now`
+            let Some(&entry) = rows.get(pc) else {
+                probe!(now);
+                return Err(VmError::FellOffEnd(fr.func));
+            };
+            if (fr.pending_result.is_some() || fuel - instructions < u64::from(entry.run)) != EXACT
+            {
+                park!();
+                return Ok(Exit::Switch);
+            }
+            if !EXACT {
+                instructions += u64::from(entry.run);
+            }
+            let mut base = now.wrapping_sub(entry.before());
+            // the clock after the instruction at `pc` retired
+            macro_rules! now {
+                () => {
+                    base.wrapping_add(rows[pc].cum)
+                };
+            }
+            macro_rules! here {
+                () => {
+                    Pc {
+                        func: FuncId(fr.func),
+                        idx: pc as u32,
+                    }
+                };
+            }
+
+            loop {
+                if EXACT {
+                    probe!(base.wrapping_add(rows[pc].before()));
+                }
+                let instr = *code.get(pc).ok_or(VmError::FellOffEnd(fr.func))?;
+                hook.at(fr.func, pc as u32);
+                if EXACT {
+                    instructions += 1;
+                    if instructions > fuel {
+                        return Err(VmError::FuelExhausted);
+                    }
+                }
+
+                match instr {
+                    Instr::IConst(v) => push!(Value::Int(v)),
+                    Instr::FConst(v) => push!(Value::Float(v)),
+                    Instr::NullConst => push!(Value::Null),
+                    Instr::Load(l) => {
+                        use_parked!(l, now!());
+                        let v = *local!(l);
+                        push!(v);
+                    }
+                    Instr::Store(l) => {
+                        // a return value moved straight into a local is
+                        // merely parked; its first Load is the real use.
+                        // Overwriting a parked local before any read
+                        // means the value was dead: drop the tracking.
+                        match fr.pending_result {
+                            Some((site, idx)) if EXACT && idx + 1 == sp => {
+                                fr.pending_result = None;
+                                fr.pending_local = Some((site, l.0));
                             }
-                        }
-                    }
-                    let v = pop!();
-                    let slot = frame.locals_base + l.0 as usize;
-                    *locals.get_mut(slot).ok_or(VmError::BadLocal(l.0))? = v;
-                }
-                Instr::IInc(l, by) => {
-                    if let Some((site, pl)) = frame.pending_local {
-                        if pl == l.0 {
-                            sink.call_result_use(site, now);
-                            frame.pending_local = None;
-                        }
-                    }
-                    let idx = frame.locals_base + l.0 as usize;
-                    let slot = locals.get_mut(idx).ok_or(VmError::BadLocal(l.0))?;
-                    *slot = Value::Int(slot.as_int()?.wrapping_add(i64::from(by)));
-                }
-                Instr::Dup => {
-                    let v = *stack.last().ok_or(VmError::StackUnderflow)?;
-                    stack.push(v);
-                }
-                Instr::Pop => {
-                    pop!();
-                }
-                Instr::Swap => {
-                    let b = pop!();
-                    let a = pop!();
-                    stack.push(b);
-                    stack.push(a);
-                }
-
-                Instr::IAdd => bin_int(&mut stack, |a, b| Ok(a.wrapping_add(b)))?,
-                Instr::ISub => bin_int(&mut stack, |a, b| Ok(a.wrapping_sub(b)))?,
-                Instr::IMul => bin_int(&mut stack, |a, b| Ok(a.wrapping_mul(b)))?,
-                Instr::IDiv => bin_int(&mut stack, |a, b| {
-                    if b == 0 {
-                        Err(VmError::DivisionByZero)
-                    } else {
-                        Ok(a.wrapping_div(b))
-                    }
-                })?,
-                Instr::IRem => bin_int(&mut stack, |a, b| {
-                    if b == 0 {
-                        Err(VmError::DivisionByZero)
-                    } else {
-                        Ok(a.wrapping_rem(b))
-                    }
-                })?,
-                Instr::INeg => {
-                    let a = pop_int!();
-                    stack.push(Value::Int(a.wrapping_neg()));
-                }
-                Instr::IAnd => bin_int(&mut stack, |a, b| Ok(a & b))?,
-                Instr::IOr => bin_int(&mut stack, |a, b| Ok(a | b))?,
-                Instr::IXor => bin_int(&mut stack, |a, b| Ok(a ^ b))?,
-                Instr::IShl => bin_int(&mut stack, |a, b| Ok(a.wrapping_shl(b as u32 & 63)))?,
-                Instr::IShr => bin_int(&mut stack, |a, b| Ok(a.wrapping_shr(b as u32 & 63)))?,
-                Instr::IUShr => {
-                    bin_int(
-                        &mut stack,
-                        |a, b| Ok(((a as u64) >> (b as u32 & 63)) as i64),
-                    )?
-                }
-                Instr::IMin => bin_int(&mut stack, |a, b| Ok(a.min(b)))?,
-                Instr::IMax => bin_int(&mut stack, |a, b| Ok(a.max(b)))?,
-                Instr::ICmp => bin_int(&mut stack, |a, b| Ok(i64::from(a.cmp(&b) as i8)))?,
-
-                Instr::FAdd => bin_float(&mut stack, |a, b| a + b)?,
-                Instr::FSub => bin_float(&mut stack, |a, b| a - b)?,
-                Instr::FMul => bin_float(&mut stack, |a, b| a * b)?,
-                Instr::FDiv => bin_float(&mut stack, |a, b| a / b)?,
-                Instr::FMin => bin_float(&mut stack, f64::min)?,
-                Instr::FMax => bin_float(&mut stack, f64::max)?,
-                Instr::FNeg => un_float(&mut stack, |a| -a)?,
-                Instr::FAbs => un_float(&mut stack, f64::abs)?,
-                Instr::FSqrt => un_float(&mut stack, f64::sqrt)?,
-                Instr::FSin => un_float(&mut stack, f64::sin)?,
-                Instr::FCos => un_float(&mut stack, f64::cos)?,
-                Instr::FExp => un_float(&mut stack, f64::exp)?,
-                Instr::FLog => un_float(&mut stack, f64::ln)?,
-                Instr::I2F => {
-                    let a = pop_int!();
-                    stack.push(Value::Float(a as f64));
-                }
-                Instr::F2I => {
-                    let a = pop_float!();
-                    stack.push(Value::Int(a as i64));
-                }
-
-                Instr::Goto(t) => next_pc = t,
-                Instr::AGoto(t) => {
-                    ann.plumbing += u64::from(cost.simple);
-                    next_pc = t;
-                }
-                Instr::If(c, t) => {
-                    let a = pop_int!();
-                    if c.eval_int(a, 0) {
-                        next_pc = t;
-                    }
-                }
-                Instr::IfICmp(c, t) => {
-                    let b = pop_int!();
-                    let a = pop_int!();
-                    if c.eval_int(a, b) {
-                        next_pc = t;
-                    }
-                }
-                Instr::IfFCmp(c, t) => {
-                    let b = pop_float!();
-                    let a = pop_float!();
-                    if c.eval_float(a, b) {
-                        next_pc = t;
-                    }
-                }
-
-                Instr::NewArray(kind) => {
-                    let len = pop_int!();
-                    if len < 0 || len > i64::from(u32::MAX / WORD_BYTES) - 2 {
-                        return Err(VmError::BadArrayLength(len));
-                    }
-                    let n = len as u32;
-                    let base = mem.alloc(n + 1, kind)?;
-                    mem.write(base, Value::Int(len))?;
-                    now += u64::from(cost.alloc_per_word) * u64::from(n);
-                    // zero-initialization produces speculative store state
-                    sink.heap_store(base, now, pc_here);
-                    for w in 0..n {
-                        sink.heap_store(base + (w + 1) * WORD_BYTES, now, pc_here);
-                    }
-                    stack.push(Value::Ref(base));
-                }
-                Instr::ALoad => {
-                    let idx = pop_int!();
-                    let base = pop!().as_ref_addr()?;
-                    let addr = array_elem_addr(&mem, base, idx)?;
-                    let v = mem.read(addr)?;
-                    sink.heap_load(addr, now, pc_here);
-                    stack.push(v);
-                }
-                Instr::AStore => {
-                    let v = pop!();
-                    let idx = pop_int!();
-                    let base = pop!().as_ref_addr()?;
-                    let addr = array_elem_addr(&mem, base, idx)?;
-                    mem.write(addr, v)?;
-                    sink.heap_store(addr, now, pc_here);
-                }
-                Instr::ArrayLen => {
-                    let base = pop!().as_ref_addr()?;
-                    let len = mem.read(base)?.as_int()?;
-                    stack.push(Value::Int(len));
-                }
-                Instr::NewObject(cid) => {
-                    let class = program.class(cid)?;
-                    let n = class.fields.len() as u32;
-                    // header word records the field count for bounds checks
-                    let base = mem.alloc(n + 1, ElemKind::Int)?;
-                    mem.write(base, Value::Int(i64::from(n)))?;
-                    for (i, &kind) in class.fields.iter().enumerate() {
-                        let addr = base + (i as u32 + 1) * WORD_BYTES;
-                        let zero = match kind {
-                            ElemKind::Int => Value::Int(0),
-                            ElemKind::Float => Value::Float(0.0),
-                            ElemKind::Ref => Value::Null,
-                        };
-                        mem.write(addr, zero)?;
-                        sink.heap_store(addr, now, pc_here);
-                    }
-                    now += u64::from(cost.alloc_per_word) * u64::from(n);
-                    stack.push(Value::Ref(base));
-                }
-                Instr::GetField(idx) => {
-                    let base = pop!().as_ref_addr()?;
-                    let addr = field_addr(&mem, base, idx)?;
-                    let v = mem.read(addr)?;
-                    sink.heap_load(addr, now, pc_here);
-                    stack.push(v);
-                }
-                Instr::PutField(idx) => {
-                    let v = pop!();
-                    let base = pop!().as_ref_addr()?;
-                    let addr = field_addr(&mem, base, idx)?;
-                    mem.write(addr, v)?;
-                    sink.heap_store(addr, now, pc_here);
-                }
-                Instr::GetStatic(g) => {
-                    let addr = mem.global_addr(g.0);
-                    let v = mem.read(addr)?;
-                    sink.heap_load(addr, now, pc_here);
-                    stack.push(v);
-                }
-                Instr::PutStatic(g) => {
-                    let v = pop!();
-                    let addr = mem.global_addr(g.0);
-                    if let Value::Int(i) = v {
-                        sink.static_store(g.0, i, now, pc_here);
-                    }
-                    mem.write(addr, v)?;
-                    sink.heap_store(addr, now, pc_here);
-                }
-
-                Instr::Call(fid) => {
-                    let callee = program.function(fid)?;
-                    let n_args = callee.n_params as usize;
-                    if stack.len() < frame.stack_base + n_args {
-                        return Err(VmError::StackUnderflow);
-                    }
-                    let args_start = stack.len() - n_args;
-                    let locals_base = locals.len();
-                    locals.extend_from_slice(&stack[args_start..]);
-                    locals.resize(locals_base + callee.n_locals as usize, Value::Int(0));
-                    stack.truncate(args_start);
-                    frame.pc = next_pc;
-                    frames.push(frame);
-                    sink.call_enter(pc_here, next_activation, now);
-                    frame = Frame {
-                        func: fid.0,
-                        pc: 0,
-                        locals_base,
-                        stack_base: stack.len(),
-                        activation: next_activation,
-                        call_site: Some(pc_here),
-                        pending_result: None,
-                        pending_local: None,
-                    };
-                    next_activation += 1;
-                    code = &callee.code;
-                    code_costs = &costs[fid.0 as usize];
-                    continue;
-                }
-                Instr::Return | Instr::ReturnVoid => {
-                    let returns = matches!(instr, Instr::Return);
-                    let ret_val = if returns { Some(pop!()) } else { None };
-                    stack.truncate(frame.stack_base);
-                    locals.truncate(frame.locals_base);
-                    let ret_site = frame.call_site;
-                    if let Some(site) = frame.call_site {
-                        sink.call_exit(site, now);
-                    }
-                    match frames.pop() {
-                        Some(caller) => {
-                            frame = caller;
-                            code = &program.function(FuncId(frame.func))?.code;
-                            code_costs = &costs[frame.func as usize];
-                            if let Some(v) = ret_val {
-                                stack.push(v);
-                                if let Some(site) = ret_site {
-                                    frame.pending_result = Some((site, stack.len() - 1));
+                            _ => {
+                                if matches!(fr.pending_local, Some((_, pl)) if pl == l.0) {
+                                    fr.pending_local = None;
                                 }
                             }
-                            continue;
                         }
-                        None => {
-                            // entry function returned
-                            let ret = if entry_returns { ret_val } else { None };
-                            return Ok(FinalState {
-                                result: RunResult {
-                                    cycles: now,
-                                    instructions,
-                                    ret,
-                                    annotation_cycles: ann,
-                                },
-                                memory: mem,
-                            });
+                        let v = pop!();
+                        *local!(l) = v;
+                    }
+                    Instr::IInc(l, by) => {
+                        use_parked!(l, now!());
+                        let slot = local!(l);
+                        *slot = Value::Int(slot.as_int()?.wrapping_add(i64::from(by)));
+                    }
+                    Instr::Dup => {
+                        let v = *top!();
+                        push!(v);
+                    }
+                    Instr::Pop => {
+                        let _ = pop!();
+                    }
+                    Instr::Swap => {
+                        let b = pop!();
+                        let slot = top!();
+                        let a = *slot;
+                        *slot = b;
+                        push!(a);
+                    }
+
+                    Instr::IAdd => bin_int!(|a, b| a.wrapping_add(b)),
+                    Instr::ISub => bin_int!(|a, b| a.wrapping_sub(b)),
+                    Instr::IMul => bin_int!(|a, b| a.wrapping_mul(b)),
+                    Instr::IDiv => bin_int!(|a, b| {
+                        if b == 0 {
+                            return Err(VmError::DivisionByZero);
                         }
+                        a.wrapping_div(b)
+                    }),
+                    Instr::IRem => bin_int!(|a, b| {
+                        if b == 0 {
+                            return Err(VmError::DivisionByZero);
+                        }
+                        a.wrapping_rem(b)
+                    }),
+                    Instr::INeg => {
+                        let slot = top!();
+                        *slot = Value::Int(slot.as_int()?.wrapping_neg());
+                    }
+                    Instr::IAnd => bin_int!(|a, b| a & b),
+                    Instr::IOr => bin_int!(|a, b| a | b),
+                    Instr::IXor => bin_int!(|a, b| a ^ b),
+                    Instr::IShl => bin_int!(|a, b| a.wrapping_shl(b as u32 & 63)),
+                    Instr::IShr => bin_int!(|a, b| a.wrapping_shr(b as u32 & 63)),
+                    Instr::IUShr => bin_int!(|a, b| ((a as u64) >> (b as u32 & 63)) as i64),
+                    Instr::IMin => bin_int!(|a, b| a.min(b)),
+                    Instr::IMax => bin_int!(|a, b| a.max(b)),
+                    Instr::ICmp => bin_int!(|a, b| i64::from(a.cmp(&b) as i8)),
+
+                    Instr::FAdd => bin_float!(|a, b| a + b),
+                    Instr::FSub => bin_float!(|a, b| a - b),
+                    Instr::FMul => bin_float!(|a, b| a * b),
+                    Instr::FDiv => bin_float!(|a, b| a / b),
+                    Instr::FMin => bin_float!(|a, b| a.min(b)),
+                    Instr::FMax => bin_float!(|a, b| a.max(b)),
+                    Instr::FNeg => un_float!(|a: f64| -a),
+                    Instr::FAbs => un_float!(f64::abs),
+                    Instr::FSqrt => un_float!(f64::sqrt),
+                    Instr::FSin => un_float!(f64::sin),
+                    Instr::FCos => un_float!(f64::cos),
+                    Instr::FExp => un_float!(f64::exp),
+                    Instr::FLog => un_float!(f64::ln),
+                    Instr::I2F => {
+                        let slot = top!();
+                        *slot = Value::Float(slot.as_int()? as f64);
+                    }
+                    Instr::F2I => {
+                        let slot = top!();
+                        *slot = Value::Int(slot.as_float()? as i64);
+                    }
+
+                    Instr::Goto(t) => {
+                        now = now!();
+                        pc = t as usize;
+                        continue 'run;
+                    }
+                    Instr::AGoto(t) => {
+                        ann.plumbing += u64::from(cost.simple);
+                        now = now!();
+                        pc = t as usize;
+                        continue 'run;
+                    }
+                    Instr::If(c, t) => {
+                        let a = pop!().as_int()?;
+                        now = now!();
+                        pc = if c.eval_int(a, 0) { t as usize } else { pc + 1 };
+                        continue 'run;
+                    }
+                    Instr::IfICmp(c, t) => {
+                        let b = pop!().as_int()?;
+                        let a = pop!().as_int()?;
+                        now = now!();
+                        pc = if c.eval_int(a, b) { t as usize } else { pc + 1 };
+                        continue 'run;
+                    }
+                    Instr::IfFCmp(c, t) => {
+                        let b = pop!().as_float()?;
+                        let a = pop!().as_float()?;
+                        now = now!();
+                        pc = if c.eval_float(a, b) {
+                            t as usize
+                        } else {
+                            pc + 1
+                        };
+                        continue 'run;
+                    }
+
+                    Instr::NewArray(kind) => {
+                        let len = pop!().as_int()?;
+                        if len < 0 || len > i64::from(u32::MAX / WORD_BYTES) - 2 {
+                            return Err(VmError::BadArrayLength(len));
+                        }
+                        let n = len as u32;
+                        let addr = mem.alloc(n + 1, kind)?;
+                        mem.write(addr, Value::Int(len))?;
+                        base = base.wrapping_add(u64::from(cost.alloc_per_word) * u64::from(n));
+                        // zero-initialization produces speculative store state
+                        let (t, at) = (now!(), here!());
+                        sink.heap_store(addr, t, at);
+                        for w in 0..n {
+                            sink.heap_store(addr + (w + 1) * WORD_BYTES, t, at);
+                        }
+                        push!(Value::Ref(addr));
+                    }
+                    Instr::ALoad => {
+                        let idx = pop!().as_int()?;
+                        let arr = pop!().as_ref_addr()?;
+                        let addr = array_elem_addr(mem, arr, idx)?;
+                        let v = mem.read(addr)?;
+                        sink.heap_load(addr, now!(), here!());
+                        push!(v);
+                    }
+                    Instr::AStore => {
+                        let v = pop!();
+                        let idx = pop!().as_int()?;
+                        let arr = pop!().as_ref_addr()?;
+                        let addr = array_elem_addr(mem, arr, idx)?;
+                        mem.write(addr, v)?;
+                        sink.heap_store(addr, now!(), here!());
+                    }
+                    Instr::ArrayLen => {
+                        let slot = top!();
+                        let arr = slot.as_ref_addr()?;
+                        *slot = Value::Int(mem.read(arr)?.as_int()?);
+                    }
+                    Instr::NewObject(cid) => {
+                        let class = program.class(cid)?;
+                        let n = class.fields.len() as u32;
+                        // header word records the field count for bounds checks
+                        let obj = mem.alloc(n + 1, ElemKind::Int)?;
+                        mem.write(obj, Value::Int(i64::from(n)))?;
+                        let (t, at) = (now!(), here!());
+                        for (i, &kind) in class.fields.iter().enumerate() {
+                            let addr = obj + (i as u32 + 1) * WORD_BYTES;
+                            let zero = match kind {
+                                ElemKind::Int => Value::Int(0),
+                                ElemKind::Float => Value::Float(0.0),
+                                ElemKind::Ref => Value::Null,
+                            };
+                            mem.write(addr, zero)?;
+                            sink.heap_store(addr, t, at);
+                        }
+                        base = base.wrapping_add(u64::from(cost.alloc_per_word) * u64::from(n));
+                        push!(Value::Ref(obj));
+                    }
+                    Instr::GetField(idx) => {
+                        let obj = pop!().as_ref_addr()?;
+                        let addr = field_addr(mem, obj, idx)?;
+                        let v = mem.read(addr)?;
+                        sink.heap_load(addr, now!(), here!());
+                        push!(v);
+                    }
+                    Instr::PutField(idx) => {
+                        let v = pop!();
+                        let obj = pop!().as_ref_addr()?;
+                        let addr = field_addr(mem, obj, idx)?;
+                        mem.write(addr, v)?;
+                        sink.heap_store(addr, now!(), here!());
+                    }
+                    Instr::GetStatic(g) => {
+                        let addr = mem.global_addr(g.0);
+                        let v = mem.read(addr)?;
+                        sink.heap_load(addr, now!(), here!());
+                        push!(v);
+                    }
+                    Instr::PutStatic(g) => {
+                        let v = pop!();
+                        let addr = mem.global_addr(g.0);
+                        let (t, at) = (now!(), here!());
+                        if let Value::Int(i) = v {
+                            sink.static_store(g.0, i, t, at);
+                        }
+                        mem.write(addr, v)?;
+                        sink.heap_store(addr, t, at);
+                    }
+
+                    Instr::Call(fid) => {
+                        let callee = program.function(fid)?;
+                        let n_args = callee.n_params as usize;
+                        if sp < fr.stack_base + n_args {
+                            return Err(VmError::StackUnderflow);
+                        }
+                        let args_start = sp - n_args;
+                        let locals_base = locals.len();
+                        locals.extend_from_slice(&buf[args_start..sp]);
+                        locals.resize(locals_base + callee.n_locals as usize, Value::Int(0));
+                        lv = &mut locals[locals_base..];
+                        sp = args_start;
+                        now = now!();
+                        let site = here!();
+                        fr.pc = pc as u32 + 1;
+                        frames.push(fr);
+                        sink.call_enter(site, *next_activation, now);
+                        fr = Frame {
+                            func: fid.0,
+                            pc: 0,
+                            locals_base,
+                            stack_base: sp,
+                            activation: *next_activation,
+                            call_site: Some(site),
+                            pending_result: None,
+                            pending_local: None,
+                        };
+                        *next_activation += 1;
+                        code = &callee.code;
+                        rows = &table[fid.0 as usize];
+                        pc = 0;
+                        continue 'run;
+                    }
+                    Instr::Return | Instr::ReturnVoid => {
+                        let ret_val = match instr {
+                            Instr::Return => Some(pop!()),
+                            _ => None,
+                        };
+                        sp = sp.min(fr.stack_base);
+                        locals.truncate(fr.locals_base);
+                        now = now!();
+                        let ret_site = fr.call_site;
+                        if let Some(site) = ret_site {
+                            sink.call_exit(site, now);
+                        }
+                        let Some(caller) = frames.pop() else {
+                            // the entry function returned
+                            park!();
+                            return Ok(Exit::Done(ret_val.filter(|_| *entry_returns)));
+                        };
+                        fr = caller;
+                        pc = fr.pc as usize;
+                        lv = &mut locals[fr.locals_base..];
+                        code = &program.function(FuncId(fr.func))?.code;
+                        rows = &table[fr.func as usize];
+                        if let Some(v) = ret_val {
+                            push!(v);
+                            if let Some(site) = ret_site {
+                                fr.pending_result = Some((site, sp - 1));
+                            }
+                        }
+                        continue 'run;
+                    }
+                    Instr::Halt => {
+                        now = now!();
+                        park!();
+                        return Ok(Exit::Done(None));
+                    }
+
+                    Instr::SLoop(id, n) => {
+                        ann.markers += u64::from(cost.loop_marker);
+                        sink.loop_enter(id, n, fr.activation, now!());
+                    }
+                    Instr::Eoi(id) => {
+                        ann.markers += u64::from(cost.eoi_marker);
+                        sink.loop_iter(id, now!());
+                    }
+                    Instr::ELoop(id, _n) => {
+                        ann.markers += u64::from(cost.loop_marker);
+                        sink.loop_exit(id, now!());
+                    }
+                    Instr::Lwl(v) => {
+                        ann.locals += u64::from(cost.local_annotation);
+                        sink.local_load(v, fr.activation, now!(), here!());
+                    }
+                    Instr::Swl(v) => {
+                        ann.locals += u64::from(cost.local_annotation);
+                        sink.local_store(v, fr.activation, now!(), here!());
+                    }
+                    Instr::ReadStats(id) => {
+                        ann.stats_reads += u64::from(cost.read_stats);
+                        sink.stats_read(id, now!());
                     }
                 }
-                Instr::Halt => {
-                    return Ok(FinalState {
-                        result: RunResult {
-                            cycles: now,
-                            instructions,
-                            ret: None,
-                            annotation_cycles: ann,
-                        },
-                        memory: mem,
-                    });
-                }
-
-                Instr::SLoop(id, n) => {
-                    ann.markers += u64::from(cost.loop_marker);
-                    sink.loop_enter(id, n, frame.activation, now);
-                }
-                Instr::Eoi(id) => {
-                    ann.markers += u64::from(cost.eoi_marker);
-                    sink.loop_iter(id, now);
-                }
-                Instr::ELoop(id, _n) => {
-                    ann.markers += u64::from(cost.loop_marker);
-                    sink.loop_exit(id, now);
-                }
-                Instr::Lwl(v) => {
-                    ann.locals += u64::from(cost.local_annotation);
-                    sink.local_load(v, frame.activation, now, pc_here);
-                }
-                Instr::Swl(v) => {
-                    ann.locals += u64::from(cost.local_annotation);
-                    sink.local_store(v, frame.activation, now, pc_here);
-                }
-                Instr::ReadStats(id) => {
-                    ann.stats_reads += u64::from(cost.read_stats);
-                    sink.stats_read(id, now);
-                }
+                pc += 1;
             }
-
-            frame.pc = next_pc;
         }
     }
 }
 
-#[inline]
-fn bin_int(
-    stack: &mut Vec<Value>,
-    f: impl FnOnce(i64, i64) -> Result<i64, VmError>,
-) -> Result<(), VmError> {
-    let b = stack.pop().ok_or(VmError::StackUnderflow)?.as_int()?;
-    let a = stack.pop().ok_or(VmError::StackUnderflow)?.as_int()?;
-    stack.push(Value::Int(f(a, b)?));
-    Ok(())
-}
-
-#[inline]
-fn bin_float(stack: &mut Vec<Value>, f: impl FnOnce(f64, f64) -> f64) -> Result<(), VmError> {
-    let b = stack.pop().ok_or(VmError::StackUnderflow)?.as_float()?;
-    let a = stack.pop().ok_or(VmError::StackUnderflow)?.as_float()?;
-    stack.push(Value::Float(f(a, b)));
-    Ok(())
-}
-
-#[inline]
-fn un_float(stack: &mut Vec<Value>, f: impl FnOnce(f64) -> f64) -> Result<(), VmError> {
-    let a = stack.pop().ok_or(VmError::StackUnderflow)?.as_float()?;
-    stack.push(Value::Float(f(a)));
-    Ok(())
+/// Doubles a full operand-stack buffer and hands back all of it.
+#[cold]
+#[inline(never)]
+fn grow(stack: &mut Vec<Value>) -> &mut [Value] {
+    stack.resize(2 * stack.len(), Value::Int(0));
+    stack
 }
 
 #[inline]
@@ -838,22 +1076,96 @@ mod tests {
     #[test]
     fn cycles_are_the_cost_model_summed_over_retired_instructions() {
         use crate::isa::{Instr, LoopId};
+        use crate::trace::Addr;
+        use std::cell::Cell;
+        use std::rc::Rc;
 
-        /// Charges each instruction as the hook sees it retire.
+        /// Charges each instruction as the hook sees it retire, plus the
+        /// words its allocation zeroes: an array's before its stores
+        /// are stamped, an object's after.
         struct Charge<'a> {
             program: &'a Program,
             cost: CostModel,
-            cycles: u64,
+            clock: Rc<Cell<u64>>,
+            after_stores: u64,
         }
         impl LocationHook for Charge<'_> {
             fn at(&mut self, func: u16, pc: u32) {
-                let instr = &self.program.functions[func as usize].code[pc as usize];
-                self.cycles += u64::from(self.cost.cost(instr));
+                let code = &self.program.functions[func as usize].code;
+                let instr = code[pc as usize];
+                let per_word = u64::from(self.cost.alloc_per_word);
+                let mut clock = self.clock.get() + std::mem::take(&mut self.after_stores);
+                clock += u64::from(self.cost.cost(&instr));
+                match instr {
+                    // the test's arrays have constant lengths
+                    Instr::NewArray(_) => match code[pc as usize - 1] {
+                        Instr::IConst(n) => clock += per_word * n as u64,
+                        other => panic!("array length from {other:?}"),
+                    },
+                    Instr::NewObject(c) => {
+                        let fields = self.program.classes[c.0 as usize].fields.len();
+                        self.after_stores = per_word * fields as u64;
+                    }
+                    _ => {}
+                }
+                self.clock.set(clock);
+            }
+        }
+        /// Checks every event's stamp against the hook's clock.
+        struct Stamps {
+            clock: Rc<Cell<u64>>,
+            events: u64,
+            result_uses: u64,
+        }
+        impl Stamps {
+            fn check(&mut self, now: Cycles) {
+                assert_eq!(now, self.clock.get(), "event {}", self.events);
+                self.events += 1;
+            }
+        }
+        impl TraceSink for Stamps {
+            fn heap_load(&mut self, _: Addr, now: Cycles, _: Pc) {
+                self.check(now);
+            }
+            fn heap_store(&mut self, _: Addr, now: Cycles, _: Pc) {
+                self.check(now);
+            }
+            fn static_store(&mut self, _: u16, _: i64, now: Cycles, _: Pc) {
+                self.check(now);
+            }
+            fn local_load(&mut self, _: u16, _: u32, now: Cycles, _: Pc) {
+                self.check(now);
+            }
+            fn local_store(&mut self, _: u16, _: u32, now: Cycles, _: Pc) {
+                self.check(now);
+            }
+            fn loop_enter(&mut self, _: LoopId, _: u16, _: u32, now: Cycles) {
+                self.check(now);
+            }
+            fn loop_iter(&mut self, _: LoopId, now: Cycles) {
+                self.check(now);
+            }
+            fn loop_exit(&mut self, _: LoopId, now: Cycles) {
+                self.check(now);
+            }
+            fn stats_read(&mut self, _: LoopId, now: Cycles) {
+                self.check(now);
+            }
+            fn call_enter(&mut self, _: Pc, _: u32, now: Cycles) {
+                self.check(now);
+            }
+            fn call_exit(&mut self, _: Pc, now: Cycles) {
+                self.check(now);
+            }
+            fn call_result_use(&mut self, _: Pc, now: Cycles) {
+                self.check(now);
+                self.result_uses += 1;
             }
         }
 
         let mut b = ProgramBuilder::new();
         let g = b.global(ElemKind::Int);
+        let cls = b.class(&[ElemKind::Int, ElemKind::Float, ElemKind::Ref]);
         let fact = b.declare("fact", 1, true);
         b.define(fact, |f| {
             f.if_else_icmp(
@@ -873,17 +1185,20 @@ mod tests {
             f.ret();
         });
         let main = b.function("main", 0, true, |f| {
-            let i = f.local();
+            let (i, a, o, parked) = (f.local(), f.local(), f.local(), f.local());
+            f.ci(4).call(fact).st(parked);
             f.raw(Instr::SLoop(LoopId(0), 1));
             f.for_in(i, 0.into(), 6.into(), |f| {
                 f.raw(Instr::Lwl(0));
                 f.ld(i).call(fact).ci(7).irem();
                 f.getstatic(g).iadd().putstatic(g);
+                f.ci(5).newarray(ElemKind::Int).st(a);
+                f.newobject(cls).st(o);
                 f.raw(Instr::Eoi(LoopId(0)));
             });
             f.raw(Instr::ELoop(LoopId(0), 1));
             f.raw(Instr::ReadStats(LoopId(0)));
-            f.getstatic(g).ret();
+            f.ld(parked).getstatic(g).iadd().ret();
         });
         let p = b.finish(main).unwrap();
         // every class priced differently from the default and from
@@ -904,18 +1219,29 @@ mod tests {
             local_annotation: 43,
             read_stats: 47,
         };
+        let clock = Rc::new(Cell::new(0));
         let mut hook = Charge {
             program: &p,
             cost,
-            cycles: 0,
+            clock: Rc::clone(&clock),
+            after_stores: 0,
         };
-        let hooked = Interp::run_to_state_hooked(&p, &mut NullSink, cost, 1_000_000, &mut hook)
+        let mut stamps = Stamps {
+            clock: Rc::clone(&clock),
+            events: 0,
+            result_uses: 0,
+        };
+        let hooked = Interp::run_to_state_hooked(&p, &mut stamps, cost, 1_000_000, &mut hook)
             .unwrap()
             .result;
         let plain = Interp::run_with(&p, &mut NullSink, cost, 1_000_000).unwrap();
         assert_eq!(plain, hooked);
-        assert_eq!(plain.cycles, hook.cycles);
+        assert_eq!(plain.cycles, clock.get());
         assert_ne!(plain.cycles, Interp::run(&p, &mut NullSink).unwrap().cycles);
+        // main's parked result and six consumed ones, and `fact`'s 13
+        // recursive results its `imul` consumes
+        assert_eq!(stamps.result_uses, 20);
+        assert!(stamps.events > 100);
     }
 
     #[test]

@@ -31,13 +31,14 @@ fn tracer_counters(r: &PipelineReport) -> BTreeMap<String, u64> {
     snap.counters
 }
 
-/// The profiling pass's bus report with the sinks' drain times (wall
-/// clock) zeroed.
+/// The profiling pass's bus report with the sinks' drain times and
+/// the bus's exposed time (wall clock) zeroed.
 fn bus_without_drain(r: &PipelineReport) -> tvm::bus::BusReport {
     let mut bus = r.obs.bus.clone();
     for sink in &mut bus.sinks {
         sink.drain_nanos = 0;
     }
+    bus.exposed_nanos = 0;
     bus
 }
 

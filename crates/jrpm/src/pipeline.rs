@@ -6,11 +6,12 @@
 //! trace-event stream as the IR between execution and analysis. The
 //! annotated program is interpreted **once**, streaming its events
 //! into the TEST tracer through a [`tvm::bus::TraceBus`]: the
-//! interpreter fills one reused [`tvm::bus::EventBatch`] and each full
-//! batch is profiled before execution continues, so the trace is never
-//! stored. That one pass is timed as two stages: `replay-profile` is
-//! the time spent inside the tracer (the bus's drain time) and
-//! `record` the rest of the pass.
+//! interpreter fills a [`tvm::bus::EventBatch`] and each full batch
+//! is profiled as it is cut, so the trace is never stored; once
+//! the pass proves long, the tracer drains beside the interpreter on a
+//! second core. That one pass is timed as two stages:
+//! `replay-profile` is the tracer time the interpreter did not overlap
+//! (the bus's exposed time) and `record` the rest of the pass.
 //! The plain sequential baseline is *derived*, not re-executed: the
 //! interpreter tallies annotation-instruction cycles separately
 //! ([`AnnotationCycles`]), and since the annotation pass only inserts
@@ -246,6 +247,7 @@ impl PipelineObservability {
                 batch_capacity: s.counter("bus.batch_capacity") as usize,
                 by_kind,
                 sinks,
+                exposed_nanos: s.counter("bus.exposed_nanos"),
             },
         }
     }
@@ -301,12 +303,12 @@ impl StageRecorder {
     }
 
     /// Ends a streamed profiling pass begun as `record`. Its wall time
-    /// splits into `record` (interpreting and batching) and
-    /// `replay-profile` (the sinks' drain time).
+    /// splits into `replay-profile` (the sinks' exposed time: their
+    /// drain time, less what a helper thread overlapped with the
+    /// interpreter) and `record` (the rest: interpreting and batching).
     /// Returns the pass's wall time, in nanoseconds.
     pub(crate) fn end_streamed(&mut self, started: Instant, report: &BusReport) -> u64 {
-        let drain: u64 = report.sinks.iter().map(|s| s.drain_nanos).sum();
-        self.end_split(started, "record", "replay-profile", drain)
+        self.end_split(started, "record", "replay-profile", report.exposed_nanos)
     }
 
     /// Ends a pass begun as stage `name` whose wall time holds
@@ -340,6 +342,9 @@ pub(crate) fn record_bus_report(registry: &Registry, report: &BusReport) {
     registry
         .counter("bus.batch_capacity")
         .record_max(report.batch_capacity as u64);
+    registry
+        .counter("bus.exposed_nanos")
+        .add(report.exposed_nanos);
     for (kind, n) in report.by_kind.iter() {
         if n > 0 {
             registry
@@ -644,9 +649,9 @@ impl<'a> PipelineRun<'a> {
     /// `held` is an online epoch that already ran this very image
     /// through the same tracer configuration: its bits are taken instead
     /// of interpreting again. Its (near-zero) wall time is booked as
-    /// `record`, with 0 as `replay-profile` and as every sink's
-    /// `drain_nanos`, so the sinks' drain work stays booked once, under
-    /// `epochs`, and `replay-profile` still equals the summed drains.
+    /// `record`, with 0 as `replay-profile`, as the bus's exposed time
+    /// and as every sink's `drain_nanos`, so the sinks' drain work
+    /// stays booked once, under `epochs`.
     pub(crate) fn profile(
         &mut self,
         image: &Program,
@@ -661,6 +666,7 @@ impl<'a> PipelineRun<'a> {
                 for sink in &mut run.report.sinks {
                     sink.drain_nanos = 0;
                 }
+                run.report.exposed_nanos = 0;
                 stages.end_streamed(t, &run.report);
                 run
             }
@@ -1301,6 +1307,50 @@ mod tests {
         let names: Vec<&str> = r.obs.stages.iter().map(|s| s.stage.as_str()).collect();
         assert_eq!(names[names.len() - 2..], ["collect", "simulate"]);
         assert!(r.obs.stage_nanos("simulate") > 0);
+    }
+
+    /// The two passes of a program long enough to cross the bus's
+    /// hand-off point: each still splits its wall time exactly, and
+    /// the inner stage never books more than its sinks' busy time.
+    #[test]
+    fn long_passes_split_their_wall_time_and_book_at_most_the_busy_time() {
+        let cfg = PipelineConfig::default();
+        let p = repeated_parallel_program(1500);
+
+        let mut stages = StageRecorder::new(false);
+        let mut sink = CountingSink::default();
+        let t = stages.begin("record");
+        let (_, report) = TraceBus::new()
+            .sink("count", &mut sink)
+            .run(&p, &mut NoHook)
+            .unwrap();
+        let wall = stages.end_streamed(t, &report);
+        assert!(report.batches > 2 * tvm::handoff::HANDOFF_AFTER as u64);
+        let obs = PipelineObservability::from_snapshot(&stages.registry().snapshot());
+        let profile = obs.stage_nanos("replay-profile");
+        assert_eq!(obs.stage_nanos("record") + profile, wall);
+        assert_eq!(profile, report.exposed_nanos);
+        assert!(profile <= report.sinks[0].drain_nanos);
+
+        let r = run_pipeline(&p, &cfg).unwrap();
+        let drained: u64 = r.obs.bus.sinks.iter().map(|s| s.drain_nanos).sum();
+        assert!(r.obs.stage_nanos("replay-profile") <= drained);
+
+        let chosen = chosen_ids(&r);
+        let spec = annotate(&p, &r.candidates, &AnnotateOptions::only(chosen.clone())).unwrap();
+        let mut stages = StageRecorder::new(false);
+        let mut sink = SimulatingSink::new(
+            TlsTraceCollector::with_masks(chosen, r.candidates.tracked_masks()),
+            &cfg.tls,
+        );
+        let t = stages.begin("collect");
+        Interp::run(&spec, &mut sink).unwrap();
+        let wall = stages.end_split(t, "collect", "simulate", sink.sim_nanos);
+        let obs = PipelineObservability::from_snapshot(&stages.registry().snapshot());
+        let simulate = obs.stage_nanos("simulate");
+        assert_eq!(obs.stage_nanos("collect") + simulate, wall);
+        assert!(simulate <= sink.sim_nanos);
+        assert_eq!(sink.entries.len(), 1500);
     }
 
     #[test]

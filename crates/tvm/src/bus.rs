@@ -14,11 +14,12 @@
 //!   them all as a [`Recording`] (that is what
 //!   [`crate::record::RecordingSink`] is);
 //! * [`TraceBus`] — the orchestrator: labelled sinks, each batch
-//!   delivered to every sink in turn on the calling thread, and a
-//!   [`BusReport`] with per-sink event counts and drain times.
-//!   [`TraceBus::run`] streams a live run: the interpreter fills one
-//!   reused batch and each full batch is delivered before execution
-//!   goes on, so no trace is stored (the profiling pass). For
+//!   delivered to every sink in turn, and a [`BusReport`] with
+//!   per-sink event counts and drain times. [`TraceBus::run`] streams
+//!   a live run: the interpreter fills a batch and each full batch is
+//!   delivered as it is cut, so no trace is stored (the profiling
+//!   pass); once the run proves long, delivery moves to a helper
+//!   thread (a [`crate::handoff::Handoff`]). For
 //!   consumers that need the stream more than once, a
 //!   [`crate::record::RecordingSink`] captures a run and
 //!   [`TraceBus::replay`] delivers the [`Recording`]; the two paths cut
@@ -31,6 +32,7 @@
 //! it — analyses are bit-identical to direct profiling.
 
 use crate::cost::CostModel;
+use crate::handoff::Handoff;
 use crate::hotloc::LocationHook;
 use crate::interp::{FinalState, Interp};
 use crate::isa::Pc;
@@ -328,17 +330,18 @@ pub struct Batcher<F> {
 
 pub(crate) mod sealed {
     /// Where a [`super::Batcher`] sends each batch it cuts. Sealed:
-    /// closures and the recording sink's kept batches are the only
-    /// targets.
+    /// closures, the recording sink's kept batches and a streamed
+    /// run's hand-off are the only targets. A target may swap the batch
+    /// for another buffer; the batcher clears whatever it is left with.
     pub trait Flush {
-        fn flush(&mut self, batch: &super::EventBatch);
+        fn flush(&mut self, batch: &mut super::EventBatch);
     }
 }
 use sealed::Flush;
 
 impl<F: FnMut(&EventBatch)> Flush for F {
     #[inline]
-    fn flush(&mut self, batch: &EventBatch) {
+    fn flush(&mut self, batch: &mut EventBatch) {
         self(batch);
     }
 }
@@ -369,7 +372,7 @@ impl<F: Flush> Batcher<F> {
     }
 
     fn flush_batch(&mut self) {
-        self.flush.flush(&self.batch);
+        self.flush.flush(&mut self.batch);
         self.batch.clear();
     }
 
@@ -452,7 +455,8 @@ pub struct SinkStats {
     pub by_kind: KindCounts,
     /// Batches delivered.
     pub batches: u64,
-    /// Wall time spent inside the sink's callbacks, in nanoseconds.
+    /// Wall time spent inside the sink's callbacks, in nanoseconds, on
+    /// whichever thread delivered.
     pub drain_nanos: u64,
 }
 
@@ -491,6 +495,11 @@ pub struct BusReport {
     pub by_kind: KindCounts,
     /// Per-sink counters, in registration order.
     pub sinks: Vec<SinkStats>,
+    /// The sinks' *exposed* time, in nanoseconds: what the calling
+    /// thread spent delivering or waiting on delivery. It equals the
+    /// summed `drain_nanos` when every batch was delivered inline and
+    /// never exceeds it.
+    pub exposed_nanos: u64,
 }
 
 impl BusReport {
@@ -542,8 +551,18 @@ impl BusReport {
 /// ```
 #[derive(Default)]
 pub struct TraceBus<'a> {
-    sinks: Vec<(String, &'a mut dyn TraceSink)>,
+    sinks: Vec<(String, &'a mut (dyn TraceSink + Send))>,
     trace: Option<Arc<ObsTrace>>,
+}
+
+/// A streamed run hands each batch it cuts to delivery.
+impl<'scope, C> Flush for Handoff<'scope, '_, EventBatch, C>
+where
+    C: FnMut(&mut EventBatch) -> u64 + Send + 'scope,
+{
+    fn flush(&mut self, batch: &mut EventBatch) {
+        self.push(batch);
+    }
 }
 
 impl<'a> TraceBus<'a> {
@@ -561,9 +580,10 @@ impl<'a> TraceBus<'a> {
         self
     }
 
-    /// Registers a labelled consumer.
+    /// Registers a labelled consumer. Sinks are `Send` because a long
+    /// [`TraceBus::run`] delivers on a helper thread.
     #[must_use]
-    pub fn sink(mut self, label: &str, sink: &'a mut dyn TraceSink) -> TraceBus<'a> {
+    pub fn sink(mut self, label: &str, sink: &'a mut (dyn TraceSink + Send)) -> TraceBus<'a> {
         self.sinks.push((label.to_string(), sink));
         self
     }
@@ -574,41 +594,60 @@ impl<'a> TraceBus<'a> {
     pub fn replay(mut self, recording: &Recording) -> BusReport {
         let (mut report, tracks) = self.open();
         for batch in recording.batches() {
-            self.deliver(batch, &mut report, &tracks);
+            let drained = self.deliver(batch, &mut report, &tracks);
+            report.exposed_nanos += drained;
         }
         report
     }
 
     /// Interprets `program` once with `hook` observing it, streaming
-    /// its events into every sink: the interpreter fills one reused
-    /// batch of [`DEFAULT_BATCH_CAPACITY`] events, and each full batch
-    /// (then the final partial one) is delivered before execution goes
-    /// on. The batches, and every count in the report, are exactly
-    /// those of a [`crate::record::RecordingSink`] capture followed by
-    /// [`TraceBus::replay`], but the run never holds more than one
-    /// batch.
+    /// its events into every sink: the interpreter fills a batch of
+    /// [`DEFAULT_BATCH_CAPACITY`] events, and each full batch (then the
+    /// final partial one) is delivered as it is cut. The first
+    /// [`crate::handoff::HANDOFF_AFTER`] batches are delivered on the
+    /// calling thread before execution goes on; after that, if
+    /// more than one core is available, one helper thread delivers them
+    /// in order while the interpreter runs ahead, and the interpreter
+    /// swaps each full batch for a drained one. The batches, and every
+    /// count in the report, are exactly those of a
+    /// [`crate::record::RecordingSink`] capture followed by
+    /// [`TraceBus::replay`], but the run holds at most two batches.
+    /// [`BusReport::exposed_nanos`] is the delivery time the
+    /// interpreter did not overlap.
     ///
     /// # Errors
     ///
-    /// Any [`VmError`] from the underlying execution.
+    /// Any [`VmError`] from the underlying execution. The batches cut
+    /// before it are delivered, the trailing partial one is not.
+    ///
+    /// # Panics
+    ///
+    /// When a sink panics, on whichever thread it ran.
     pub fn run<H: LocationHook>(
         mut self,
         program: &Program,
         hook: &mut H,
     ) -> Result<(FinalState, BusReport), VmError> {
         let (mut report, tracks) = self.open();
-        let mut batcher = Batcher::with_flush(DEFAULT_BATCH_CAPACITY, |b: &EventBatch| {
-            self.deliver(b, &mut report, &tracks);
+        let (state, exposed) = std::thread::scope(|scope| {
+            let deliver = |b: &mut EventBatch| self.deliver(b, &mut report, &tracks);
+            let mut batcher =
+                Batcher::cutting(DEFAULT_BATCH_CAPACITY, Handoff::new(scope, deliver));
+            let state = Interp::run_to_state_hooked(
+                program,
+                &mut batcher,
+                CostModel::default(),
+                Interp::DEFAULT_FUEL,
+                hook,
+            );
+            let handoff = match state {
+                Ok(_) => batcher.into_target(),
+                Err(_) => batcher.flush,
+            };
+            (state, handoff.finish())
         });
-        let state = Interp::run_to_state_hooked(
-            program,
-            &mut batcher,
-            CostModel::default(),
-            Interp::DEFAULT_FUEL,
-            hook,
-        )?;
-        batcher.finish();
-        Ok((state, report))
+        report.exposed_nanos = exposed;
+        Ok((state?, report))
     }
 
     /// An empty report with one labelled [`SinkStats`] per sink, and
@@ -633,9 +672,16 @@ impl<'a> TraceBus<'a> {
         (report, tracks)
     }
 
-    /// Delivers one batch to every sink, in registration order.
-    fn deliver(&mut self, batch: &EventBatch, report: &mut BusReport, tracks: &[Option<TrackId>]) {
+    /// Delivers one batch to every sink, in registration order, and
+    /// returns the summed drain time.
+    fn deliver(
+        &mut self,
+        batch: &EventBatch,
+        report: &mut BusReport,
+        tracks: &[Option<TrackId>],
+    ) -> u64 {
         let counts = batch.kind_counts();
+        let mut drained = 0;
         report.batches += 1;
         report.events += batch.len() as u64;
         report.batch_capacity = report.batch_capacity.max(batch.len());
@@ -647,7 +693,9 @@ impl<'a> TraceBus<'a> {
             }
             let t = Instant::now();
             sink.consume_batch(batch);
-            st.drain_nanos += t.elapsed().as_nanos() as u64;
+            let nanos = t.elapsed().as_nanos() as u64;
+            st.drain_nanos += nanos;
+            drained += nanos;
             st.batches += 1;
             st.events += batch.len() as u64;
             st.by_kind.merge(&counts);
@@ -656,6 +704,7 @@ impl<'a> TraceBus<'a> {
                 tr.counter(track, "events", st.events);
             }
         }
+        drained
     }
 }
 
@@ -805,6 +854,126 @@ mod tests {
         assert_eq!(tracks.len(), 1);
         assert_eq!(tracks[0].name, "sink:rec");
         assert!(tracks[0].open.is_empty());
+    }
+
+    /// `a[i & 255] = i` for `i` in `0..iters`, then, when `fault`, a
+    /// store past the array's end: ~`iters` events, enough to cross
+    /// the hand-off point from a few tens of thousands on.
+    fn long_program(iters: i64, fault: bool) -> crate::Program {
+        let mut b = ProgramBuilder::new();
+        let main = b.function("main", 0, false, |f| {
+            let (a, i) = (f.local(), f.local());
+            f.ci(256).newarray(ElemKind::Int).st(a);
+            f.for_in(i, 0.into(), iters.into(), |f| {
+                f.arr_set(
+                    a,
+                    |f| {
+                        f.ld(i).ci(255).iand();
+                    },
+                    |f| {
+                        f.ld(i);
+                    },
+                );
+            });
+            if fault {
+                f.arr_set(
+                    a,
+                    |f| {
+                        f.ci(1000);
+                    },
+                    |f| {
+                        f.ci(0);
+                    },
+                );
+            }
+            f.ret_void();
+        });
+        b.finish(main).unwrap()
+    }
+
+    /// The counts of a report: all of it but its wall-clock times.
+    fn counts(r: &BusReport) -> impl PartialEq + std::fmt::Debug {
+        let sinks: Vec<_> = r
+            .sinks
+            .iter()
+            .map(|s| (s.label.clone(), s.events, s.batches, s.by_kind))
+            .collect();
+        (r.batches, r.events, r.batch_capacity, r.by_kind, sinks)
+    }
+
+    #[test]
+    fn a_long_streamed_run_delivers_what_a_recording_replays() {
+        let p = long_program(100_000, false);
+        let (run, recording) = record(&p);
+        assert!(recording.batches().len() > 2 * crate::handoff::HANDOFF_AFTER);
+        let mut replayed = RecordingSink::new();
+        let mut replayed_count = CountingSink::default();
+        let replay = TraceBus::new()
+            .sink("rec", &mut replayed)
+            .sink("count", &mut replayed_count)
+            .replay(&recording);
+        let mut streamed = RecordingSink::new();
+        let mut streamed_count = CountingSink::default();
+        let (state, stream) = TraceBus::new()
+            .sink("rec", &mut streamed)
+            .sink("count", &mut streamed_count)
+            .run(&p, &mut NoHook)
+            .unwrap();
+        assert_eq!(state.result, run);
+        assert_eq!(streamed.into_recording(), replayed.into_recording());
+        assert_eq!(streamed_count, replayed_count);
+        assert_eq!(counts(&stream), counts(&replay));
+        let drained: u64 = stream.sinks.iter().map(|s| s.drain_nanos).sum();
+        assert!(stream.exposed_nanos <= drained);
+        let drained: u64 = replay.sinks.iter().map(|s| s.drain_nanos).sum();
+        assert_eq!(replay.exposed_nanos, drained, "a replay is all inline");
+    }
+
+    #[test]
+    fn a_fault_after_the_handoff_delivers_the_serial_batches() {
+        let p = long_program(100_000, true);
+        // the serial rule: every batch cut before the fault, and not
+        // the trailing partial one
+        let mut serial = Vec::new();
+        let mut batcher = Batcher::with_flush(DEFAULT_BATCH_CAPACITY, |b: &EventBatch| {
+            serial.extend(b.iter());
+        });
+        let want = Interp::run(&p, &mut batcher).unwrap_err();
+        drop(batcher);
+        assert!(serial.len() > 2 * crate::handoff::HANDOFF_AFTER * DEFAULT_BATCH_CAPACITY);
+        let mut streamed = RecordingSink::new();
+        let got = TraceBus::new()
+            .sink("rec", &mut streamed)
+            .run(&p, &mut NoHook)
+            .unwrap_err();
+        assert_eq!(got, want);
+        assert_eq!(streamed.into_recording().iter().collect::<Vec<_>>(), serial);
+    }
+
+    /// Panics on the batch after `after` batches.
+    struct PanicsAfter {
+        after: u64,
+    }
+
+    impl TraceSink for PanicsAfter {
+        fn consume_batch(&mut self, _: &EventBatch) {
+            assert!(self.after > 0, "sink gave up");
+            self.after -= 1;
+        }
+    }
+
+    #[test]
+    fn a_sink_panicking_after_the_handoff_panics_the_caller() {
+        let p = long_program(100_000, false);
+        let after = 2 * crate::handoff::HANDOFF_AFTER as u64;
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut sink = PanicsAfter { after };
+            let _ = TraceBus::new()
+                .sink("panics", &mut sink)
+                .run(&p, &mut NoHook);
+        }));
+        let panic = caught.expect_err("the sink's panic reaches the caller");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"sink gave up"));
     }
 
     #[test]

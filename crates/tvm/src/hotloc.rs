@@ -12,7 +12,7 @@
 //! holds a count until a hot threshold trips, then the `MT` promotes
 //! it); see DESIGN.md §14. The cost budget is the point: the probe is
 //! two bounds-checked array loads, a compare and a conditional
-//! increment per retired instruction — no hashing, no branching on
+//! increment per reached instruction — no hashing, no branching on
 //! program structure — so the counting tier stays within the pinned
 //! slowdown bound the `tier` regression gate enforces (TASKPROF is the
 //! reference for profiling that must be cheap enough to leave on).
@@ -29,8 +29,9 @@ const SLOT_NONE: u32 = u32::MAX;
 
 /// A per-instruction observation hook for [`crate::interp::Interp`].
 ///
-/// Called once per retired instruction with the current function and
-/// pc, *before* the instruction executes. Implementations must be
+/// Called once per reached instruction with the current function and
+/// pc, *before* the instruction executes — including an instruction
+/// that then finds no fuel and never retires. Implementations must be
 /// cheap and side-effect-free with respect to the simulation: the hook
 /// cannot alter simulated cycles, trace events, or program state.
 pub trait LocationHook {

@@ -265,7 +265,7 @@ impl Interp {
     }
 
     /// Like [`Interp::run`], but with a [`LocationHook`] observing every
-    /// retired instruction. Hooks are free in simulated time: cycles,
+    /// reached instruction. Hooks are free in simulated time: cycles,
     /// trace events, and program results are identical to an un-hooked
     /// run. This is the counting-tier entry point (`jrpm::tier`).
     ///

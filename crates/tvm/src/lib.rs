@@ -62,6 +62,7 @@ pub mod bus;
 pub mod cost;
 pub mod disasm;
 pub mod error;
+pub mod handoff;
 pub mod hash;
 pub mod hotloc;
 pub mod interp;

@@ -327,7 +327,7 @@ impl<'a> RecordingView<'a> {
     /// Any decode error.
     pub fn to_recording(&self) -> Result<Recording, RecordingError> {
         let mut rec = Recording::default();
-        self.stream_batches(DEFAULT_BATCH_CAPACITY, |b| rec.flush(b))?;
+        self.stream_batches(DEFAULT_BATCH_CAPACITY, |b| rec.batches.push(b.clone()))?;
         Ok(rec)
     }
 }
@@ -742,7 +742,7 @@ fn varint_tail(bytes: &[u8], mut pos: usize, mut v: u64) -> Result<(u64, usize),
 pub type RecordingSink = Batcher<Recording>;
 
 impl Flush for Recording {
-    fn flush(&mut self, batch: &EventBatch) {
+    fn flush(&mut self, batch: &mut EventBatch) {
         self.batches.push(batch.clone());
     }
 }
